@@ -42,18 +42,18 @@ from .grassmann import (
     gmul,
     graded_equal,
     graded_to_text,
-    partial,
 )
 from .sasakilift import (
     LiftedGeometry,
     VectorFieldPTM,
-    base_coords_of,
+    apply_first_order,
+    field_operator,
     lift_geometry,
     odd_fiber_name,
     pairing_via_lift,
     ptm_table,
 )
-from .symexpr import Const, Expr, OracleConfig, differentiate, simplify
+from .symexpr import Const, OracleConfig, differentiate, simplify
 
 
 @dataclass(frozen=True)
@@ -102,20 +102,6 @@ def lie_derivative(X: VectorFieldM) -> CartanField:
     return CartanField(table, comps, tuple(barred), EVEN, origin="lie")
 
 
-def apply_field(U: VectorFieldPTM, f: GradedExpr) -> GradedExpr:
-    """U acting as a first-order differential operator on f."""
-    if f.table != U.table:
-        raise GradedError("field and function live over different tables")
-    coords = base_coords_of(U.table)
-    total = GradedExpr.zero(U.table)
-    for a, c in enumerate(coords):
-        if not U.components[a].is_zero():
-            total = total + gmul(U.components[a], partial(f, c))
-        if not U.barred[a].is_zero():
-            total = total + gmul(U.barred[a], partial(f, odd_fiber_name(c)))
-    return total
-
-
 def super_commutator(U: VectorFieldPTM, V: VectorFieldPTM) -> VectorFieldPTM:
     """[U, V] = U V - (-1)^{|U||V|} V U, components read off by applying the
     bracket to each generator."""
@@ -123,12 +109,15 @@ def super_commutator(U: VectorFieldPTM, V: VectorFieldPTM) -> VectorFieldPTM:
         raise GradedError("bracketed fields live over different tables")
     # multiplier of the V U term: -(-1)^{|U||V|}
     sign = Const(Fraction(1 if (U.parity and V.parity) else -1))
+    opU, opV = field_operator(U), field_operator(V)
     comps = tuple(
-        apply_field(U, V.components[j]) + apply_field(V, U.components[j]).scale(sign)
+        apply_first_order(opU, V.components[j])
+        + apply_first_order(opV, U.components[j]).scale(sign)
         for j in range(U.dim)
     )
     barred = tuple(
-        apply_field(U, V.barred[j]) + apply_field(V, U.barred[j]).scale(sign)
+        apply_first_order(opU, V.barred[j])
+        + apply_first_order(opV, U.barred[j]).scale(sign)
         for j in range(U.dim)
     )
     return VectorFieldPTM(
@@ -219,10 +208,6 @@ def cartan_commutators(
     return CheckReport("cartan commutators", entries, CONVENTIONS)
 
 
-def _scalar_graded(table, e: Expr) -> GradedExpr:
-    return GradedExpr.make(table, [((), simplify(e))])
-
-
 def verify_proposition(
     g: MetricTensor,
     omega: AlmostSymplectic,
@@ -263,7 +248,7 @@ def verify_proposition(
         return GradedExpr.generator(table, odd_fiber_name(chart.coords[c]))
 
     # (i)
-    rhs_i = _scalar_graded(table, bilinear_eval(om, X.components, Y.components))
+    rhs_i = GradedExpr.scalar(table, bilinear_eval(om, X.components, Y.components))
     # (iv)
     flat_x = flat(g, X)
     rhs_iv = GradedExpr.zero(table)
@@ -278,7 +263,7 @@ def verify_proposition(
         )
         rhs_v = rhs_v + dx(c).scale(coeff).scale(Const(Fraction(-1)))
     # (vi): scalar g block plus dx^c (DX)^a_c dx^e (DY)^b_e omega_ba
-    rhs_vi = _scalar_graded(
+    rhs_vi = GradedExpr.scalar(
         table, bilinear_eval(g.matrix, X.components, Y.components)
     )
     for c in range(n):

@@ -18,7 +18,13 @@ Field arguments for `pair` take one of the forms
 where COMPS is either a path to a base-field document or inline
 comma-separated component expressions like "y,0".
 
-Exit codes: 0 all checks pass, 1 at least one check failed, 2 bad input.
+Flag ranges: --samples and --fields take integers >= 1, --tol a number
+strictly between 0 and 1; any other value is rejected before work starts.
+
+Exit codes: 0 all checks pass, 1 at least one check failed, 2 bad input:
+an unreadable or malformed spec, map or field file, a bad flag value, or
+chart data the engine cannot evaluate (a metric undefined on its sample
+domain, an expression nested too deeply, a division by zero).
 Reports are deterministic for a fixed --seed; timing is printed only
 with --timing so that default output is reproducible byte for byte.
 """
@@ -29,9 +35,10 @@ import argparse
 import random
 import sys
 import time
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .cartan import (
+    CheckReport,
     cartan_commutators,
     de_rham,
     interior,
@@ -78,7 +85,9 @@ from .specfiles import (
     load_ptm_field,
 )
 from .symexpr import (
+    EvalError,
     OracleConfig,
+    OracleError,
     ParseError,
     canonical_text,
     eval_numeric,
@@ -88,7 +97,32 @@ from .symexpr import (
 )
 from .transform import SmoothMap, check_naturality, pairing_invariance
 
-_INPUT_ERRORS = (SpecError, ParseError, GeometryError, GradedError, OSError)
+# unusable input (exit 2): bad files and specs, and chart data the engine
+# cannot evaluate on its sample domain or parse within the recursion limit
+_INPUT_ERRORS = (
+    SpecError, ParseError, GeometryError, GradedError, OSError,
+    EvalError, OracleError, ZeroDivisionError, RecursionError,
+)
+
+
+def _at_least_one(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _tolerance(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not 0 < value < 1:
+        raise argparse.ArgumentTypeError(f"must lie strictly between 0 and 1, got {text}")
+    return value
 
 
 def _common_flags(parser: argparse.ArgumentParser) -> None:
@@ -96,10 +130,11 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
         "--format", choices=("text", "structured"), default="text",
         help="report rendering (default text)",
     )
-    parser.add_argument("--tol", type=float, default=1e-9,
-                        help="sampling comparison tolerance (default 1e-9)")
-    parser.add_argument("--samples", type=int, default=50,
-                        help="sample count for the randomized oracle (default 50)")
+    parser.add_argument("--tol", type=_tolerance, default=1e-9,
+                        help="sampling comparison tolerance, in (0, 1) (default 1e-9)")
+    parser.add_argument("--samples", type=_at_least_one, default=50,
+                        help="sample count for the randomized oracle, at least 1 "
+                        "(default 50)")
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for every randomized choice (default 0)")
     parser.add_argument("--timing", action="store_true",
@@ -141,8 +176,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="map spec file (invariance and naturality)")
     chk.add_argument("--target",
                      help="target geometry spec file (defaults to the source)")
-    chk.add_argument("--fields", type=int, default=5,
-                     help="randomized field rounds per suite (default 5)")
+    chk.add_argument("--fields", type=_at_least_one, default=5,
+                     help="randomized field rounds per suite, at least 1 (default 5)")
     _common_flags(chk)
     return parser
 
@@ -188,8 +223,7 @@ def cmd_christoffel(args: argparse.Namespace, spec: GeometrySpec) -> RunReport:
 
     rng = random.Random(args.seed)
     worst = 0.0
-    points = max(1, args.samples)
-    for _ in range(points):
+    for _ in range(args.samples):
         point = {
             c: rng.uniform(*spec.chart.intervals.get(c, (-1.0, 1.0)))
             for c in spec.chart.coords
@@ -207,7 +241,7 @@ def cmd_christoffel(args: argparse.Namespace, spec: GeometrySpec) -> RunReport:
                 for c in range(n):
                     worst = max(worst, abs(fd[a][b][c] - sym[a][b][c]))
     report.add(
-        f"finite-difference cross-check at {points} points (worst {worst:.3e})",
+        f"finite-difference cross-check at {args.samples} points (worst {worst:.3e})",
         worst < 1e-6,
     )
 
@@ -343,33 +377,42 @@ def cmd_pair(args: argparse.Namespace, spec: GeometrySpec) -> RunReport:
     return report
 
 
-def _suite_cartan(args: argparse.Namespace, spec: GeometrySpec) -> RunReport:
-    report = RunReport("check cartan", inputs={"geometry": spec.name})
-    cfg = _config(args, spec)
+def _seeded_rounds(
+    args: argparse.Namespace,
+    spec: GeometrySpec,
+    title: str,
+    check: Callable[[VectorFieldM, VectorFieldM], CheckReport],
+) -> RunReport:
+    """Run `check` on --fields rounds of seeded random base fields, drawing
+    X then Y once per round."""
+    report = RunReport(title, inputs={"geometry": spec.name})
     rng = random.Random(args.seed)
-    for k in range(max(1, args.fields)):
+    for k in range(args.fields):
         X = random_base_field(spec.chart, rng)
         Y = random_base_field(spec.chart, rng)
-        sub = cartan_commutators(X, Y, cfg)
-        for entry in sub.entries:
+        for entry in check(X, Y).entries:
             report.add(f"round {k}: {entry.name}", entry.holds, entry.residual)
     return report
 
 
+def _suite_cartan(args: argparse.Namespace, spec: GeometrySpec) -> RunReport:
+    cfg = _config(args, spec)
+    return _seeded_rounds(
+        args, spec, "check cartan", lambda X, Y: cartan_commutators(X, Y, cfg)
+    )
+
+
 def _suite_proposition(args: argparse.Namespace, spec: GeometrySpec) -> RunReport:
-    report = RunReport("check proposition", inputs={"geometry": spec.name})
     omega = spec.require_omega()
     cfg = _config(args, spec)
     gamma = spec.connection()
     lift = lift_geometry(spec.metric, omega, gamma)
-    rng = random.Random(args.seed)
-    for k in range(max(1, args.fields)):
-        X = random_base_field(spec.chart, rng)
-        Y = random_base_field(spec.chart, rng)
-        sub = verify_proposition(spec.metric, omega, gamma, X, Y, cfg, lift)
-        for entry in sub.entries:
-            report.add(f"round {k}: {entry.name}", entry.holds, entry.residual)
-    return report
+    return _seeded_rounds(
+        args,
+        spec,
+        "check proposition",
+        lambda X, Y: verify_proposition(spec.metric, omega, gamma, X, Y, cfg, lift),
+    )
 
 
 def _load_pair_of_charts(

@@ -241,15 +241,11 @@ def eval_matrix(m: Matrix, point: Mapping[str, float]) -> list[list[float]]:
 # ---------------------------------------------------------------------------
 # covariant machinery
 
-def inverse_metric(g: MetricTensor) -> Matrix:
-    return matrix_inverse(g.matrix)
-
-
 def christoffel(g: MetricTensor) -> ChristoffelSymbols:
     """Levi-Civita connection coefficients of g."""
     chart = g.chart
     n = chart.dim
-    ginv = inverse_metric(g)
+    ginv = matrix_inverse(g.matrix)
     coords = chart.coords
     dg = [
         [[differentiate(g.matrix[a][b], coords[c]) for c in range(n)] for b in range(n)]
@@ -372,7 +368,7 @@ def vector_commutator(X: VectorFieldM, Y: VectorFieldM) -> VectorFieldM:
 def acs_candidate(g: MetricTensor, omega: AlmostSymplectic) -> Matrix:
     """J with J_a^b = omega_ac g^cb; squares to -Id exactly when the pair
     is compatible in the usual sense. Row index a, column index b."""
-    ginv = inverse_metric(g)
+    ginv = matrix_inverse(g.matrix)
     n = g.chart.dim
     return tuple(
         tuple(

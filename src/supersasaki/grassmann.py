@@ -256,13 +256,6 @@ class GradedExpr:
         if self.table != other.table:
             raise GradedError("operands live over different generator tables")
 
-    def components_by_degree(self) -> dict[int, "GradedExpr"]:
-        """Split by number of odd factors (0, 1, 2, ...)."""
-        buckets: dict[int, dict[Monomial, Expr]] = {}
-        for mono, coeff in self.terms.items():
-            buckets.setdefault(len(mono), {})[mono] = coeff
-        return {d: GradedExpr(self.table, t) for d, t in sorted(buckets.items())}
-
     def __str__(self) -> str:
         return graded_to_text(self)
 

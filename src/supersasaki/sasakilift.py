@@ -299,41 +299,38 @@ class VectorFieldPTM:
         return len(self.components)
 
 
-def base_coords_of(table: GeneratorTable) -> tuple[str, ...]:
-    """Recover the chart coordinates from an odd-tangent-bundle table: they
-    are exactly its even generators."""
-    return table.even_names
+def field_operator(X: VectorFieldPTM) -> tuple[tuple[GradedExpr, str], ...]:
+    """X = X^a d/dx^a + Xbar^a d/d(dx^a) as (coefficient, generator-name)
+    pairs over the field's own table, zero coefficients dropped."""
+    ops: list[tuple[GradedExpr, str]] = []
+    for a, c in enumerate(X.table.even_names):
+        for coeff, gen in ((X.components[a], c), (X.barred[a], odd_fiber_name(c))):
+            if not coeff.is_zero():
+                ops.append((coeff, gen))
+    return tuple(ops)
 
 
 def vertical_lift(
     X: VectorFieldPTM, table: GeneratorTable | None = None
 ) -> tuple[tuple[GradedExpr, str], ...]:
     """iota_X = X^a d/d(xdot^a) + Xbar^a d/d(dxdot^a), as (coefficient,
-    generator-name) pairs over the velocity-extended table."""
-    coords = base_coords_of(X.table)
+    generator-name) pairs over the velocity-extended table: X's operator
+    with each generator w replaced by its velocity w + "dot"."""
     if table is None:
-        table = tptm_table(Chart(coords))
-    ops: list[tuple[GradedExpr, str]] = []
-    for a, c in enumerate(coords):
-        comp = extend_to(X.components[a], table)
-        if not comp.is_zero():
-            ops.append((comp, velocity_name(c)))
-        barred = extend_to(X.barred[a], table)
-        if not barred.is_zero():
-            ops.append((barred, odd_velocity_name(c)))
-    return tuple(ops)
+        table = tptm_table(Chart(X.table.even_names))
+    return tuple(
+        (extend_to(coeff, table), velocity_name(gen)) for coeff, gen in field_operator(X)
+    )
 
 
 def apply_first_order(
     ops: Iterable[tuple[GradedExpr, str]], f: GradedExpr
 ) -> GradedExpr:
-    """Apply sum_i coeff_i * d/d(gen_i) to f (left derivatives)."""
-    total = None
+    """Apply sum_i coeff_i * d/d(gen_i) to f (left derivatives); the empty
+    operator gives zero over f's table."""
+    total = GradedExpr.zero(f.table)
     for coeff, gen in ops:
-        piece = gmul(coeff, partial(f, gen))
-        total = piece if total is None else total + piece
-    if total is None:
-        raise ValueError("empty operator")
+        total = total + gmul(coeff, partial(f, gen))
     return total
 
 
@@ -344,7 +341,7 @@ def pairing_via_lift(
     tangent bundle chart."""
     if X.table != Y.table:
         raise GradedError("paired fields live over different tables")
-    base = base_coords_of(X.table)
+    base = X.table.even_names
     if gS.table.even_names[: len(base)] != base:
         raise GradedError("metric function does not extend the fields' chart")
     inner = apply_first_order(vertical_lift(Y, gS.table), gS)
@@ -370,7 +367,7 @@ def pairing_closed_form(
     """
     chart = g.chart
     ptm = X.table
-    if base_coords_of(ptm) != chart.coords:
+    if ptm.even_names != chart.coords:
         raise GradedError("fields and tensors live on different charts")
     n = chart.dim
     gmat = g.matrix
@@ -439,25 +436,7 @@ def pairing_closed_form(
 
 
 # ---------------------------------------------------------------------------
-# frames and random fields
-
-def frame_fields(chart: Chart) -> list[VectorFieldPTM]:
-    """The 2n coordinate frame operators: d/dx^a (even), d/d(dx^a) (odd)."""
-    table = ptm_table(chart)
-    n = chart.dim
-    zero = GradedExpr.zero(table)
-    one = GradedExpr.one(table)
-    out: list[VectorFieldPTM] = []
-    for a in range(n):
-        comps = tuple(one if i == a else zero for i in range(n))
-        zeros = tuple(zero for _ in range(n))
-        out.append(VectorFieldPTM(table, comps, zeros, EVEN))
-    for a in range(n):
-        comps = tuple(zero for _ in range(n))
-        barred = tuple(one if i == a else zero for i in range(n))
-        out.append(VectorFieldPTM(table, comps, barred, ODD))
-    return out
-
+# random fields
 
 def _random_coefficient(
     table: GeneratorTable, chart: Chart, parity: int, rng: random.Random

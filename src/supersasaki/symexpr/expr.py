@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Union
+from typing import Callable, Mapping, Union
 
 FUNCTIONS = ("sin", "cos", "exp", "sqrt", "ln")
 
@@ -205,10 +205,6 @@ def ln(e: Expr) -> Expr:
 
 def is_zero_literal(e: Expr) -> bool:
     return isinstance(e, Const) and e.value == 0
-
-
-def is_one_literal(e: Expr) -> bool:
-    return isinstance(e, Const) and e.value == 1
 
 
 # ---------------------------------------------------------------------------
@@ -460,22 +456,3 @@ def derivative_raw(e: Expr, name: str) -> Expr:
             return ZERO
         return Mul.of(_FUNC_DERIVATIVE[e.func](e.arg), du)
     raise TypeError(f"not an expression node: {e!r}")
-
-
-def iter_nodes(e: Expr) -> Iterable[Expr]:
-    """Depth-first iteration over all nodes."""
-    stack = [e]
-    while stack:
-        node = stack.pop()
-        yield node
-        if isinstance(node, Add):
-            stack.extend(node.terms)
-        elif isinstance(node, Mul):
-            stack.extend(node.factors)
-        elif isinstance(node, Pow):
-            stack.append(node.base)
-        elif isinstance(node, Div):
-            stack.append(node.num)
-            stack.append(node.den)
-        elif isinstance(node, Call):
-            stack.append(node.arg)

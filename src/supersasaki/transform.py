@@ -36,6 +36,7 @@ from .geometry import (
     matrix_inverse,
 )
 from .grassmann import (
+    GeneratorTable,
     GradedError,
     GradedExpr,
     gmul,
@@ -147,28 +148,13 @@ def compose_scalar(psi: SmoothMap, e: Expr) -> Expr:
     return simplify(substitute(e, dict(zip(psi.target.coords, psi.components))))
 
 
-def prolong_ptm(psi: SmoothMap) -> dict[str, GradedExpr]:
-    """Images of the target's odd-tangent generators over the source's."""
-    table = ptm_table(psi.source)
-    J = jacobian(psi)
-    images: dict[str, GradedExpr] = {}
-    for alpha, yc in enumerate(psi.target.coords):
-        images[yc] = GradedExpr.make(table, [((), psi.components[alpha])])
-        dy = GradedExpr.zero(table)
-        for a, xc in enumerate(psi.source.coords):
-            dy = dy + GradedExpr.generator(table, odd_fiber_name(xc)).scale(
-                J[alpha][a]
-            )
-        images[odd_fiber_name(yc)] = dy
-    return images
-
-
-def prolong(psi: SmoothMap) -> dict[str, GradedExpr]:
-    """Images of all four target generator blocks over the source's
-    velocity-extended table."""
-    table = tptm_table(psi.source)
+def prolong(psi: SmoothMap, table: GeneratorTable) -> dict[str, GradedExpr]:
+    """Images of the target's generators over `table`, the source's odd
+    tangent bundle table (the y and dy blocks) or its tangent bundle table
+    (all four blocks)."""
     src = psi.source.coords
     J = jacobian(psi)
+    with_velocities = table == tptm_table(psi.source)
     images: dict[str, GradedExpr] = {}
     for alpha, yc in enumerate(psi.target.coords):
         images[yc] = GradedExpr.make(table, [((), psi.components[alpha])])
@@ -178,6 +164,8 @@ def prolong(psi: SmoothMap) -> dict[str, GradedExpr]:
                 J[alpha][a]
             )
         images[odd_fiber_name(yc)] = dy
+        if not with_velocities:
+            continue
         ydot = Add.of(
             *(Mul.of(Var(velocity_name(xc)), J[alpha][b]) for b, xc in enumerate(src))
         )
@@ -206,22 +194,22 @@ def pullback(psi: SmoothMap, f: GradedExpr) -> GradedExpr:
     """psi* f for f over the target's odd tangent bundle or its tangent
     bundle, landing over the matching source table."""
     if f.table == ptm_table(psi.target):
-        return gsubstitute(f, prolong_ptm(psi), ptm_table(psi.source))
-    if f.table == tptm_table(psi.target):
-        return gsubstitute(f, prolong(psi), tptm_table(psi.source))
-    raise GradedError("pullback expects a function over the target's tables")
+        table = ptm_table(psi.source)
+    elif f.table == tptm_table(psi.target):
+        table = tptm_table(psi.source)
+    else:
+        raise GradedError("pullback expects a function over the target's tables")
+    return gsubstitute(f, prolong(psi, table), table)
 
 
 # ---------------------------------------------------------------------------
 # tensor transport
 
-def pullback_metric(psi: SmoothMap, g: MetricTensor) -> MetricTensor:
-    """(psi* g)[a][b] = J[alpha][a] J[beta][b] g[alpha][beta] o psi."""
-    if g.chart != psi.target:
-        raise GeometryError("metric lives on a different chart than the map's target")
+def _pullback_form(psi: SmoothMap, matrix: Matrix) -> Matrix:
+    """(psi* B)[a][b] = J[alpha][a] J[beta][b] B[alpha][beta] o psi."""
     n_src, n_tgt = psi.source.dim, psi.target.dim
     J = jacobian(psi)
-    comp = [[compose_scalar(psi, g.matrix[al][be]) for be in range(n_tgt)] for al in range(n_tgt)]
+    comp = [[compose_scalar(psi, matrix[al][be]) for be in range(n_tgt)] for al in range(n_tgt)]
     rows = []
     for a in range(n_src):
         row = []
@@ -233,28 +221,21 @@ def pullback_metric(psi: SmoothMap, g: MetricTensor) -> MetricTensor:
             ]
             row.append(simplify(Add.of(*terms)))
         rows.append(tuple(row))
-    return MetricTensor(psi.source, tuple(rows))
+    return tuple(rows)
+
+
+def pullback_metric(psi: SmoothMap, g: MetricTensor) -> MetricTensor:
+    """(psi* g)[a][b] = J[alpha][a] J[beta][b] g[alpha][beta] o psi."""
+    if g.chart != psi.target:
+        raise GeometryError("metric lives on a different chart than the map's target")
+    return MetricTensor(psi.source, _pullback_form(psi, g.matrix))
 
 
 def pullback_two_form(psi: SmoothMap, omega: AlmostSymplectic) -> AlmostSymplectic:
     """Same transport law as the metric; antisymmetry survives."""
     if omega.chart != psi.target:
         raise GeometryError("two-form lives on a different chart than the map's target")
-    n_src, n_tgt = psi.source.dim, psi.target.dim
-    J = jacobian(psi)
-    comp = [[compose_scalar(psi, omega.matrix[al][be]) for be in range(n_tgt)] for al in range(n_tgt)]
-    rows = []
-    for a in range(n_src):
-        row = []
-        for b in range(n_src):
-            terms = [
-                Mul.of(J[al][a], J[be][b], comp[al][be])
-                for al in range(n_tgt)
-                for be in range(n_tgt)
-            ]
-            row.append(simplify(Add.of(*terms)))
-        rows.append(tuple(row))
-    return AlmostSymplectic(psi.source, tuple(rows))
+    return AlmostSymplectic(psi.source, _pullback_form(psi, omega.matrix))
 
 
 def transform_christoffel(
@@ -297,16 +278,14 @@ def transform_christoffel(
     return ChristoffelSymbols(psi.source, tuple(out))
 
 
-def transform_tensors(
-    psi: SmoothMap,
-    g: MetricTensor,
-    omega: AlmostSymplectic,
-    gamma: ChristoffelSymbols,
-) -> tuple[MetricTensor, AlmostSymplectic, ChristoffelSymbols]:
-    return (
-        pullback_metric(psi, g),
-        pullback_two_form(psi, omega),
-        transform_christoffel(psi, gamma),
+def _componentwise_equal(
+    psi: SmoothMap, pulled: Matrix, source: Matrix, config: OracleConfig | None
+) -> bool:
+    cfg = config or OracleConfig().with_intervals(psi.source.intervals)
+    return all(
+        cfg.equal(pulled[a][b], source[a][b])
+        for a in range(psi.source.dim)
+        for b in range(psi.source.dim)
     )
 
 
@@ -317,13 +296,8 @@ def is_isometry(
     config: OracleConfig | None = None,
 ) -> bool:
     """Does psi* g_target equal g_source, componentwise?"""
-    cfg = config or OracleConfig().with_intervals(psi.source.intervals)
     pulled = pullback_metric(psi, g_target)
-    return all(
-        cfg.equal(pulled.matrix[a][b], g_source.matrix[a][b])
-        for a in range(psi.source.dim)
-        for b in range(psi.source.dim)
-    )
+    return _componentwise_equal(psi, pulled.matrix, g_source.matrix, config)
 
 
 def is_symplectomorphism(
@@ -333,13 +307,8 @@ def is_symplectomorphism(
     config: OracleConfig | None = None,
 ) -> bool:
     """Does psi* omega_target equal omega_source, componentwise?"""
-    cfg = config or OracleConfig().with_intervals(psi.source.intervals)
     pulled = pullback_two_form(psi, omega_target)
-    return all(
-        cfg.equal(pulled.matrix[a][b], omega_source.matrix[a][b])
-        for a in range(psi.source.dim)
-        for b in range(psi.source.dim)
-    )
+    return _componentwise_equal(psi, pulled.matrix, omega_source.matrix, config)
 
 
 # ---------------------------------------------------------------------------
@@ -351,35 +320,35 @@ def field_pullback(psi: SmoothMap, V: VectorFieldPTM) -> VectorFieldPTM:
     if V.table != ptm_table(psi.target):
         raise GradedError("field does not live over the map's target")
     table = ptm_table(psi.source)
-    images = prolong_ptm(psi)
+    images = prolong(psi, table)
     K = jacobian_inverse(psi)
     n_src, n_tgt = psi.source.dim, psi.target.dim
     pulled_A = [
         gsubstitute(V.components[al], images, table) for al in range(n_tgt)
     ]
-    pulled_B = [gsubstitute(V.barred[al], images, table) for al in range(n_tgt)]
     comps = []
     for a in range(n_src):
         total = GradedExpr.zero(table)
         for al in range(n_tgt):
             total = total + pulled_A[al].scale(K[a][al])
         comps.append(total)
+    # psi*(B^alpha) - A'^a dx^c d2y^alpha/(dx^a dx^c), one per target index
+    rhs = []
+    for al in range(n_tgt):
+        H = second_derivative(psi, al)
+        r = gsubstitute(V.barred[al], images, table)
+        for a in range(n_src):
+            for c, xc in enumerate(psi.source.coords):
+                r = r - gmul(
+                    comps[a],
+                    GradedExpr.generator(table, odd_fiber_name(xc)).scale(H[a][c]),
+                )
+        rhs.append(r)
     barred = []
     for b in range(n_src):
         total = GradedExpr.zero(table)
         for al in range(n_tgt):
-            H = second_derivative(psi, al)
-            rhs = pulled_B[al]
-            for a in range(n_src):
-                for c, xc in enumerate(psi.source.coords):
-                    piece = gmul(
-                        comps[a],
-                        GradedExpr.generator(table, odd_fiber_name(xc)).scale(
-                            H[a][c]
-                        ),
-                    )
-                    rhs = rhs - piece
-            total = total + rhs.scale(K[b][al])
+            total = total + rhs[al].scale(K[b][al])
         barred.append(total)
     return VectorFieldPTM(table, tuple(comps), tuple(barred), V.parity)
 

@@ -2,7 +2,6 @@ import random
 import time
 
 from supersasaki.cartan import (
-    apply_field,
     cartan_commutators,
     de_rham,
     field_residuals,
@@ -21,7 +20,13 @@ from supersasaki.geometry import (
     vector_commutator,
 )
 from supersasaki.grassmann import EVEN, ODD, epsilon, graded_equal, graded_to_text, parse_graded
-from supersasaki.sasakilift import lift_geometry, pairing_via_lift, random_base_field
+from supersasaki.sasakilift import (
+    apply_first_order,
+    field_operator,
+    lift_geometry,
+    pairing_via_lift,
+    random_base_field,
+)
 from supersasaki.symexpr import OracleConfig, canonical_equal, parse_expr
 
 SEED = 7130
@@ -64,13 +69,14 @@ def test_exterior_derivative_acts_like_d():
     ch = euclidean2()[0].chart
     d = de_rham(ch)
     table = d.table
+    op = field_operator(d)
     f = parse_graded("x*y", table)
-    assert graded_equal(apply_field(d, f), parse_graded("y*dx + x*dy", table))
+    assert graded_equal(apply_first_order(op, f), parse_graded("y*dx + x*dy", table))
     # d is a derivation into the odd slot, so d(dx) = 0 and d(x*dx) = dx*dx = 0
-    assert apply_field(d, parse_graded("dx", table)).is_zero()
-    assert apply_field(d, parse_graded("x*dx", table)).is_zero()
+    assert apply_first_order(op, parse_graded("dx", table)).is_zero()
+    assert apply_first_order(op, parse_graded("x*dx", table)).is_zero()
     assert graded_equal(
-        apply_field(d, parse_graded("y*dx", table)),
+        apply_first_order(op, parse_graded("y*dx", table)),
         parse_graded("dy*dx", table),
     )
 
@@ -154,6 +160,18 @@ def test_proposition_on_fixed_fields():
         assert len(report.entries) == 6
         for entry in report.entries:
             assert entry.holds, f"{g.chart.name}: {entry.name}: {entry.residual}"
+
+
+def test_proposition_holds_for_a_zero_field():
+    g, om = euclidean2()
+    gamma = christoffel(g)
+    zero = VectorFieldM(g.chart, (_p("0"), _p("0")))
+    other = VectorFieldM(g.chart, (_p("y"), _p("x^2")))
+    for X, Y in ((zero, other), (other, zero), (zero, zero)):
+        report = verify_proposition(g, om, gamma, X, Y)
+        assert len(report.entries) == 6
+        for entry in report.entries:
+            assert entry.holds, f"{entry.name}: {entry.residual}"
 
 
 def test_reports_disclose_their_sign_conventions():

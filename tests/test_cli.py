@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from supersasaki.cli import main
 
 SPECS = Path(__file__).resolve().parents[1] / "specs"
@@ -78,6 +80,11 @@ def test_pair_field_modes(capsys):
     )
     assert code == 0
     assert "-1" in out
+    code, out, _ = _run(
+        capsys, "pair", SPECS / "varcoef.json", "--x", "lie:1,0", "--y", "interior:0,0"
+    )
+    assert code == 0
+    assert "summary: 1/1" in out
 
 
 def test_pair_reads_field_files(capsys):
@@ -191,7 +198,7 @@ def test_timing_flag_adds_elapsed(capsys):
     assert "elapsed_seconds" in doc and doc["elapsed_seconds"] >= 0.0
 
 
-def test_input_errors_exit_2(capsys):
+def test_input_errors_exit_2(capsys, tmp_path):
     code, _, err = _run(capsys, "sasaki", SPECS / "no_such_geometry.json")
     assert code == 2
     assert "error:" in err
@@ -206,6 +213,33 @@ def test_input_errors_exit_2(capsys):
     )
     assert code == 2
     assert "--map" in err
+
+    flat = json.loads((SPECS / "euclidean2.json").read_text())
+    # sqrt(x) cannot be evaluated anywhere on the sample domain
+    undefined = dict(flat, metric=[["sqrt(x)", "0"], ["0", "1"]],
+                     sample_domain={"x": [-2.0, -1.0], "y": [-1.0, 1.0]})
+    nested = dict(flat, metric=[["(" * 3000 + "1" + ")" * 3000, "0"], ["0", "1"]])
+    for name, doc in (("undefined", undefined), ("nested", nested)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = _run(capsys, "christoffel", path)
+        assert code == 2, name
+        assert err.startswith("error:"), name
+
+    # out-of-range flags are refused by the parser, which exits 2
+    scaling = SPECS / "maps" / "scaling.json"
+    for argv in (
+        ("check", SPECS / "euclidean2.json", "--suite", "naturality", "--map", scaling,
+         "--tol", "10"),
+        ("check", SPECS / "euclidean2.json", "--suite", "proposition", "--fields", "-3"),
+        ("check", SPECS / "euclidean2.json", "--suite", "cartan", "--fields", "0"),
+        ("christoffel", SPECS / "euclidean2.json", "--samples", "0"),
+        ("pair", SPECS / "euclidean2.json", "--x", "deRham", "--y", "deRham", "--tol", "0"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            _run(capsys, *argv)
+        assert exc.value.code == 2, argv
+        capsys.readouterr()
 
 
 def test_seed_changes_sampled_fields_but_not_verdicts(capsys):

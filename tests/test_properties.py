@@ -1,0 +1,96 @@
+"""Property tests for the algebra the identity checks rest on: first-order
+operator application and the graded product."""
+
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from supersasaki.geometry import Chart
+from supersasaki.grassmann import EVEN, ODD, GradedExpr, gmul, graded_equal, parity_of
+from supersasaki.sasakilift import (
+    apply_first_order,
+    field_operator,
+    odd_fiber_name,
+    ptm_table,
+    random_field,
+)
+from supersasaki.symexpr import Add, Const, Mul, OracleConfig, Pow, Var
+
+PROPERTY_SETTINGS = settings(max_examples=25, derandomize=True, deadline=None)
+
+CHARTS = (
+    Chart(("x", "y"), intervals={"x": (-1.0, 1.0), "y": (-1.0, 1.0)}, name="euclidean2"),
+    Chart(("r", "theta"), intervals={"r": (0.4, 1.6), "theta": (0.1, 1.3)}, name="polar"),
+)
+
+
+def _coefficient(draw, chart):
+    """A small integer polynomial in the chart coordinates."""
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        factors = [Const(draw(st.sampled_from((-3, -2, -1, 1, 2, 3))))]
+        for c in chart.coords:
+            k = draw(st.integers(0, 2))
+            if k:
+                factors.append(Pow(Var(c), k))
+        terms.append(Mul.of(*factors))
+    return Add.of(*terms)
+
+
+@st.composite
+def homogeneous(draw, chart, parity):
+    """A homogeneous graded polynomial of the given parity over the chart's
+    odd tangent bundle table."""
+    table = ptm_table(chart)
+    odd = [table.index(odd_fiber_name(c)) for c in chart.coords]
+    monomials = [m for m in ([()] + [(i,) for i in odd] + [tuple(odd)]) if len(m) % 2 == parity]
+    chosen = draw(st.lists(st.sampled_from(monomials), min_size=1, unique=True))
+    return GradedExpr.make(table, [(mono, _coefficient(draw, chart)) for mono in chosen])
+
+
+def _sign(p, q):
+    return Const(-1 if p * q % 2 else 1)
+
+
+def _config(chart):
+    return OracleConfig(samples=20, tol=1e-9, seed=0).with_intervals(chart.intervals)
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_empty_operator_gives_zero(data):
+    chart = data.draw(st.sampled_from(CHARTS))
+    f = data.draw(homogeneous(chart, data.draw(st.sampled_from((EVEN, ODD)))))
+    out = apply_first_order((), f)
+    assert out.is_zero()
+    assert out.table == f.table
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_operator_obeys_the_graded_leibniz_rule(data):
+    # U(f g) = U(f) g + (-1)^{|U||f|} f U(g)
+    chart = data.draw(st.sampled_from(CHARTS))
+    pu, pf, pg = (data.draw(st.sampled_from((EVEN, ODD))) for _ in range(3))
+    U = random_field(chart, pu, random.Random(data.draw(st.integers(0, 10**6))))
+    f = data.draw(homogeneous(chart, pf))
+    g = data.draw(homogeneous(chart, pg))
+    op = field_operator(U)
+    lhs = apply_first_order(op, gmul(f, g))
+    rhs = gmul(apply_first_order(op, f), g) + gmul(
+        f, apply_first_order(op, g)
+    ).scale(_sign(pu, pf))
+    assert graded_equal(lhs, rhs, _config(chart))
+    assert parity_of(lhs) == (pu + pf + pg) % 2 or lhs.is_zero()
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_gmul_is_associative_and_graded_commutative(data):
+    chart = data.draw(st.sampled_from(CHARTS))
+    pf, pg, ph = (data.draw(st.sampled_from((EVEN, ODD))) for _ in range(3))
+    f, g, h = (data.draw(homogeneous(chart, p)) for p in (pf, pg, ph))
+    cfg = _config(chart)
+    assert graded_equal(gmul(gmul(f, g), h), gmul(f, gmul(g, h)), cfg)
+    assert graded_equal(gmul(f, g), gmul(g, f).scale(_sign(pf, pg)), cfg)

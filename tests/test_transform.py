@@ -9,7 +9,14 @@ from supersasaki.geometry import (
     MetricTensor,
     christoffel,
 )
-from supersasaki.grassmann import ODD, EVEN, graded_equal, graded_to_text, parse_graded
+from supersasaki.grassmann import (
+    ODD,
+    EVEN,
+    extend_to,
+    graded_equal,
+    graded_to_text,
+    parse_graded,
+)
 from supersasaki.sasakilift import lift_geometry, ptm_table, random_field, tptm_table
 from supersasaki.symexpr import OracleConfig, canonical_equal, is_zero_expr, parse_expr
 from supersasaki.transform import (
@@ -77,6 +84,11 @@ def polar_to_cartesian():
     )
 
 
+def bend():
+    src = Chart(("u", "v"), intervals={"u": (0.2, 1.0), "v": (0.2, 1.0)}, name="uv")
+    return SmoothMap(src, euclidean_chart(), (_p("u"), _p("u^2 + v")), name="bend")
+
+
 def test_map_validation():
     ch = euclidean_chart()
     with pytest.raises(GeometryError):
@@ -89,7 +101,7 @@ def test_map_validation():
 
 def test_prolongation_blocks():
     psi = doubling()
-    images = prolong(psi)
+    images = prolong(psi, tptm_table(psi.source))
     src = tptm_table(psi.source)
     assert graded_equal(images["dx"], parse_graded("2*dx", src))
     assert graded_equal(images["xdot"], parse_graded("2*xdot", src))
@@ -99,21 +111,38 @@ def test_prolongation_blocks():
 
 def test_prolongation_second_order_block():
     # y = x^2 style curvature shows up only in the d(xdot) image
-    src = Chart(("u", "v"), intervals={"u": (0.2, 1.0), "v": (0.2, 1.0)}, name="uv")
-    tgt = euclidean_chart()
-    psi = SmoothMap(src, tgt, (_p("u"), _p("u^2 + v")), name="bend")
-    images = prolong(psi)
-    table = tptm_table(src)
+    psi = bend()
+    table = tptm_table(psi.source)
+    images = prolong(psi, table)
     assert graded_equal(images["dydot"], parse_graded("2*u*dudot + dvdot + 2*udot*du", table))
     assert graded_equal(images["dy"], parse_graded("2*u*du + dv", table))
     assert graded_equal(images["ydot"], parse_graded("2*u*udot + vdot", table))
+
+
+def test_prolongation_to_the_odd_tangent_bundle():
+    # over the ptm table only the y and dy blocks are built, and they agree
+    # with the same blocks of the full prolongation
+    for psi in (polar_to_cartesian(), bend()):
+        cfg = OracleConfig(samples=25, tol=1e-9, seed=SEED).with_intervals(psi.source.intervals)
+        ptm, tptm = ptm_table(psi.source), tptm_table(psi.source)
+        short = prolong(psi, ptm)
+        full = prolong(psi, tptm)
+        assert set(short) == set(ptm_table(psi.target).names)
+        for gen, image in short.items():
+            assert image.table == ptm
+            assert graded_equal(extend_to(image, tptm), full[gen], cfg), f"{psi.name}: {gen}"
+        f = parse_graded("x*y*dx + y^2*dy + x*dx*dy", ptm_table(psi.target))
+        pulled = pullback(psi, f)
+        assert pulled.table == ptm
+        via_full = pullback(psi, extend_to(f, tptm_table(psi.target)))
+        assert graded_equal(extend_to(pulled, tptm), via_full, cfg), psi.name
 
 
 def test_prolongation_on_a_line():
     src = Chart(("x",), intervals={"x": (0.2, 1.0)}, name="line_x")
     tgt = Chart(("y",), intervals={"y": (0.2, 1.0)}, name="line_y")
     psi = SmoothMap(src, tgt, (_p("x^2"),), name="square")
-    images = prolong(psi)
+    images = prolong(psi, tptm_table(psi.source))
     table = tptm_table(src)
     assert graded_equal(images["dydot"], parse_graded("2*x*dxdot + 2*xdot*dx", table))
     assert graded_equal(images["dy"], parse_graded("2*x*dx", table))
@@ -125,8 +154,8 @@ def test_prolongation_is_functorial():
     second = rotation("1/2")
     composed = compose_maps(second, first)
     cfg = OracleConfig(samples=25, tol=1e-9, seed=SEED).with_intervals(first.source.intervals)
-    direct = prolong(composed)
-    step1 = prolong(second)
+    direct = prolong(composed, tptm_table(composed.source))
+    step1 = prolong(second, tptm_table(second.source))
     table = tptm_table(first.source)
     for gen, image in direct.items():
         chained = pullback(first, step1[gen])
