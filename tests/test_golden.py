@@ -1,0 +1,141 @@
+"""Byte-identity of the CLI reports.
+
+Each command runs in-process through `cli.main` at the default seed and
+flags; its exit code and the sha256 of its stdout must equal the recorded
+pair. A change to the table is a change to report output, so refactors of
+the engine leave it alone. Print a fresh table with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import contextlib
+import hashlib
+import io
+import os
+from pathlib import Path
+
+import pytest
+
+from supersasaki.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
+SPEC_NAMES = ("euclidean2", "euclidean4", "euclidean6", "misner", "polar", "varcoef")
+
+
+def _commands():
+    cmds = []
+    for name in SPEC_NAMES:
+        spec = f"specs/{name}.json"
+        cmds += [
+            ("christoffel", spec),
+            ("sasaki", spec),
+            ("classical-sasaki", spec),
+            ("acs", spec),
+            ("pair", spec, "--x", "deRham", "--y", "deRham"),
+            ("check", spec, "--suite", "cartan", "--fields", "1"),
+            ("check", spec, "--suite", "proposition", "--fields", "1"),
+        ]
+    along = {
+        "rotation": ("specs/euclidean2.json",),
+        "scaling": ("specs/euclidean2.json",),
+        "phi_translation": ("specs/misner.json",),
+        "polar_to_cartesian": ("specs/polar.json", "--target", "specs/euclidean2.json"),
+    }
+    for suite, maps in (
+        ("naturality", ("rotation", "scaling", "phi_translation", "polar_to_cartesian")),
+        ("invariance", ("rotation", "phi_translation", "polar_to_cartesian")),
+    ):
+        for m in maps:
+            source, *target = along[m]
+            cmds.append(
+                ("check", source, "--suite", suite, "--map", f"specs/maps/{m}.json", *target)
+            )
+    cmds += [
+        ("pair", "specs/euclidean2.json", "--x", "raw:specs/fields/odd_mixed.json",
+         "--y", "lie:specs/fields/shear.json"),
+        ("pair", "specs/varcoef.json", "--x", "lie:u*v+1,v-2", "--y", "interior:u+1,2*u*v"),
+    ]
+    return cmds
+
+
+def run_digest(argv):
+    """(exit code, sha256 of stdout) of one command run from the repo root,
+    so that paths echoed in reports do not depend on where it lives."""
+    out = io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(ROOT)
+    try:
+        with contextlib.redirect_stdout(out):
+            code = main(list(argv))
+    finally:
+        os.chdir(cwd)
+    return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+GOLDEN = {
+    'christoffel specs/euclidean2.json': (0, '775353caf1d78adbbf2ad0826aacbb7c39abb5a34e494515bccc5fd0376771a8'),
+    'sasaki specs/euclidean2.json': (0, '88732765fb53e53074223b924ed3239925df00528048038b98e4f8727cc8dfab'),
+    'classical-sasaki specs/euclidean2.json': (0, '753d202770646ee6a2b8f61ca458a3ee2b1949d6adbebf745383eb7d5c6337ea'),
+    'acs specs/euclidean2.json': (0, '78c256e2fb7771dcefbbd4675f30fa68e467185902ee860c4af5ec54e98dab96'),
+    'pair specs/euclidean2.json --x deRham --y deRham': (0, 'b4493a37396fc99f993690337cece61694b171d31300adbc7f54d892bcbd9b3c'),
+    'check specs/euclidean2.json --suite cartan --fields 1': (0, 'b59af70ff78c10b22e1593a0c7a9c9f246177942cd7f7859e4037b3b9cbabd09'),
+    'check specs/euclidean2.json --suite proposition --fields 1': (0, 'd330370c73066a4c3cd9f40902cc4e559a8a88cc38f1cca0fb45c8a58ec7aab0'),
+    'christoffel specs/euclidean4.json': (0, '44e489e5af5e3dd3c588f0ccfcda0ecdd8ce18f848b8aec2b838fed95824a28f'),
+    'sasaki specs/euclidean4.json': (0, '6282b15fbe80ccd363e124ad29864d2c47ed04c7a8ebffb379907417ab2ab3af'),
+    'classical-sasaki specs/euclidean4.json': (0, '222e528455ed8207dbb16362986dc46ee3f69030793d2d305d66ceaa2df5fff8'),
+    'acs specs/euclidean4.json': (0, 'f140065b558ed67cd409830812b1d6398d057a3f91b454cca570f5df8b8fc6c0'),
+    'pair specs/euclidean4.json --x deRham --y deRham': (0, '39adbafa004d1f9a5332babb01db3a94e6921b79f6dfec2bf581402987710207'),
+    'check specs/euclidean4.json --suite cartan --fields 1': (0, '498bc746bfc2e1236c4755705203c030bf3e4ecef75f5ff8020712b9308e2fb9'),
+    'check specs/euclidean4.json --suite proposition --fields 1': (0, '0d89b8bbce308fb8b157ca479913d789924017395752cad1c52886c8fdbe9a88'),
+    'christoffel specs/euclidean6.json': (0, '7a388f5971572ac69cdd6622236a75e4c6400ab82018f0bd1603ecb73339deda'),
+    'sasaki specs/euclidean6.json': (0, '319c1fcf04187cb4e7c405d0328260c7197756be730c1650767b1a76ee09de65'),
+    'classical-sasaki specs/euclidean6.json': (0, 'c21bff6e4b8ced8bcdb1250721536412a8df4e7bdab472a53b7d12b960bcb089'),
+    'acs specs/euclidean6.json': (0, '53be92eef252d536869cb64b3422746a7fb1b975d179e9048b09d94d9d4aba38'),
+    'pair specs/euclidean6.json --x deRham --y deRham': (0, '436b3c49565c0a8e84ecee4ee699e26e0617c2428f7cc05b905b22353137eecd'),
+    'check specs/euclidean6.json --suite cartan --fields 1': (0, 'f6ae65b6c6f8afd8d81ede774e47e8fe306658ede48229f24aea02b93544f00e'),
+    'check specs/euclidean6.json --suite proposition --fields 1': (0, 'efd1038ed0c7ca29f8f10028e1563a1f762dc25a734d856fd6929df6b6fb67bf'),
+    'christoffel specs/misner.json': (0, '3863177985340b25db9e008cc8d07175ae6837ff6be4eea4da63f6cd3a92b60e'),
+    'sasaki specs/misner.json': (0, '19b08b1456e7af878c132cba0aed4b6602ae25f3b00056d29248c5fe92575eff'),
+    'classical-sasaki specs/misner.json': (0, 'd2b09a61e9d94febc057a4a37a14fb047119c9b334c9ee110c9818a17848b7fe'),
+    'acs specs/misner.json': (0, '261eabe06617a66fc9e29cd2ad619649df60b2994e196678b5ac69453da80140'),
+    'pair specs/misner.json --x deRham --y deRham': (0, '6e27148eea93caf933d643928107c9e2d532d4e9ae46b6cdc2fba8209cf20e16'),
+    'check specs/misner.json --suite cartan --fields 1': (0, '79f266de3cac1fe3115721ee7cf5909ae19a57e66262fe609b01f55f903e296a'),
+    'check specs/misner.json --suite proposition --fields 1': (0, '7d62f2ec074dcd63b6915a42e9bd2c3c2b3ef59a82365c3a6fe825db6b46ebb4'),
+    'christoffel specs/polar.json': (0, '2fdc4c6ed757cf8987397f9b220952ce6f2f0e14424018f9bd1b6a014abac025'),
+    'sasaki specs/polar.json': (0, 'c7e2bb1b632c9fb5ce0558d912e325b94db9e7bb3c723f158966ba1166177c0d'),
+    'classical-sasaki specs/polar.json': (0, 'a3f8ec62f0b5e7826d924fcd2f78ea4cae6f39c47dec25549ad08862f5b50d17'),
+    'acs specs/polar.json': (0, '30ae2cbb7f0c8e852d1770528d7ac884084ccfec9bc9eac5c23d20f129e97a9f'),
+    'pair specs/polar.json --x deRham --y deRham': (0, '237f4d0a0e624abc196f8e26310f96618f5aceef932bf811436ef604972f1405'),
+    'check specs/polar.json --suite cartan --fields 1': (0, '2f76b3d2d25e398d0ae2b2ba723b7a4a70f17a1c59c7cc31659795ef4a8f5a1c'),
+    'check specs/polar.json --suite proposition --fields 1': (0, 'efc3e121824f49af4e1a923327e0030c13f60e8a0b5bffaebbdade320a2c0900'),
+    'christoffel specs/varcoef.json': (0, '65d62f0ca3000e54b4f49d006cfe9b5a62f447fcd9a0415413e644673e3e2abc'),
+    'sasaki specs/varcoef.json': (0, 'c40a065f6f90ff296c3353b04b660a74cf5a6b5a8e53445133954a3bad901f92'),
+    'classical-sasaki specs/varcoef.json': (0, 'a946a58f8012b254d6d24241d4e9da6c599d615ee8a545dc9ac77fd3a9a3e534'),
+    'acs specs/varcoef.json': (0, 'cce89d9369daeefdf32fdc370ffc332662c465577f9f4ebd8431fb8f06ad68f2'),
+    'pair specs/varcoef.json --x deRham --y deRham': (0, '8e434e1440cc7cba043bb02b20cebb96e70bc0c9c4a964ede3061437e56c9b9f'),
+    'check specs/varcoef.json --suite cartan --fields 1': (0, 'c60a790299fc1ade95cc47c911a751ecba2f7e7762e29ed2430a63897abc784d'),
+    'check specs/varcoef.json --suite proposition --fields 1': (0, 'f6cdd14ffabd563f6de432a3093b7e8bf6affac7201891de256da857fd8e5c47'),
+    'check specs/euclidean2.json --suite naturality --map specs/maps/rotation.json': (0, 'd6c804811754654328531135bbc76693bb26536d8d6b208baa0c7a084dd2768a'),
+    'check specs/euclidean2.json --suite naturality --map specs/maps/scaling.json': (1, '649487f07b617285aa89fea0b9b21402595aee4317abc564f8317c04eed1961b'),
+    'check specs/misner.json --suite naturality --map specs/maps/phi_translation.json': (0, 'bdd5e8777b5384861b2a38c0c947a7cc30cc067de844245a71ebd16ada5b8950'),
+    'check specs/polar.json --suite naturality --map specs/maps/polar_to_cartesian.json --target specs/euclidean2.json': (0, '4d80ea9d641a0118aa6d98b7057a00e22a07acf7dc3e6cfafdd968072d84b6dd'),
+    'check specs/euclidean2.json --suite invariance --map specs/maps/rotation.json': (0, '4296a1a21d0af68860cc565b4131c712039b01c48c8a7aad438ab78b344be64a'),
+    'check specs/misner.json --suite invariance --map specs/maps/phi_translation.json': (0, 'bc12ceeb529dbc6178e738a33a0c6e248e5a3d9340515d985c8f5d7ea12489d2'),
+    'check specs/polar.json --suite invariance --map specs/maps/polar_to_cartesian.json --target specs/euclidean2.json': (0, '5f2817cb88645a2c64a865945f18679e6f08826100aa197f9dc5a123848c5bc8'),
+    'pair specs/euclidean2.json --x raw:specs/fields/odd_mixed.json --y lie:specs/fields/shear.json': (0, 'a35c51a0e4aa88cd6b7e9a04e49725929c5414f4667e7103d60e5f6d7fb2e4a4'),
+    'pair specs/varcoef.json --x lie:u*v+1,v-2 --y interior:u+1,2*u*v': (0, '5a13d8c8b44a486f49492cc8181ae485e203bc26fbcc07b355a38ea66cf62bf3'),
+}
+
+
+@pytest.mark.parametrize("argv", _commands(), ids=" ".join)
+def test_report_is_byte_identical(argv):
+    assert run_digest(argv) == GOLDEN[" ".join(argv)]
+
+
+def test_table_covers_every_command():
+    assert sorted(GOLDEN) == sorted(" ".join(a) for a in _commands())
+
+
+if __name__ == "__main__":
+    for argv in _commands():
+        print(f"    {' '.join(argv)!r}: {run_digest(argv)!r},")
