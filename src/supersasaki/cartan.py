@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .geometry import (
     AlmostSymplectic,
@@ -39,7 +40,6 @@ from .grassmann import (
     ODD_DERIVATIVE_NOTE,
     GradedError,
     GradedExpr,
-    gmul,
     graded_equal,
     graded_to_text,
 )
@@ -53,7 +53,7 @@ from .sasakilift import (
     pairing_via_lift,
     ptm_table,
 )
-from .symexpr import Const, OracleConfig, differentiate, simplify
+from .symexpr import Add, Const, OracleConfig, differentiate, neg
 
 
 @dataclass(frozen=True)
@@ -77,9 +77,7 @@ def interior(X: VectorFieldM) -> CartanField:
     """The odd field i_X = X^a(x) d/d(dx^a)."""
     table = ptm_table(X.chart)
     zeros = tuple(GradedExpr.zero(table) for _ in X.chart.coords)
-    barred = tuple(
-        GradedExpr.make(table, [((), c)]) for c in X.components
-    )
+    barred = tuple(GradedExpr.scalar(table, c) for c in X.components)
     return CartanField(table, zeros, barred, ODD, origin="interior")
 
 
@@ -87,19 +85,14 @@ def lie_derivative(X: VectorFieldM) -> CartanField:
     """The even field L_X = X^a d/dx^a + dx^b (dX^a/dx^b) d/d(dx^a)."""
     chart = X.chart
     table = ptm_table(chart)
-    comps = tuple(
-        GradedExpr.make(table, [((), c)]) for c in X.components
+    comps = tuple(GradedExpr.scalar(table, c) for c in X.components)
+    barred = tuple(
+        GradedExpr.linear(
+            table, [(odd_fiber_name(cb), differentiate(Xa, cb)) for cb in chart.coords]
+        )
+        for Xa in X.components
     )
-    barred = []
-    for a in range(chart.dim):
-        total = GradedExpr.zero(table)
-        for b, cb in enumerate(chart.coords):
-            coeff = differentiate(X.components[a], cb)
-            total = total + GradedExpr.generator(
-                table, odd_fiber_name(cb)
-            ).scale(coeff)
-        barred.append(total)
-    return CartanField(table, comps, tuple(barred), EVEN, origin="lie")
+    return CartanField(table, comps, barred, EVEN, origin="lie")
 
 
 def super_commutator(U: VectorFieldPTM, V: VectorFieldPTM) -> VectorFieldPTM:
@@ -123,22 +116,6 @@ def super_commutator(U: VectorFieldPTM, V: VectorFieldPTM) -> VectorFieldPTM:
     return VectorFieldPTM(
         U.table, comps, barred, (U.parity + V.parity) % 2
     )
-
-
-def field_residuals(U: VectorFieldPTM, V: VectorFieldPTM) -> tuple[GradedExpr, ...]:
-    """Componentwise differences U - V, ordered components then barred."""
-    if U.table != V.table:
-        raise GradedError("compared fields live over different tables")
-    return tuple(U.components[j] - V.components[j] for j in range(U.dim)) + tuple(
-        U.barred[j] - V.barred[j] for j in range(U.dim)
-    )
-
-
-def fields_equal(
-    U: VectorFieldPTM, V: VectorFieldPTM, config: OracleConfig | None = None
-) -> bool:
-    zero = GradedExpr.zero(U.table)
-    return all(graded_equal(r, zero, config) for r in field_residuals(U, V))
 
 
 # ---------------------------------------------------------------------------
@@ -165,17 +142,21 @@ class CheckReport:
 CONVENTIONS = (ODD_DERIVATIVE_NOTE, OMEGA_DICTIONARY_NOTE)
 
 
-def _field_outcome(
+def residual_outcome(
     name: str,
-    U: VectorFieldPTM,
-    V: VectorFieldPTM,
+    lhs: Sequence[GradedExpr],
+    rhs: Sequence[GradedExpr],
     config: OracleConfig | None,
 ) -> CheckOutcome:
-    residuals = field_residuals(U, V)
-    zero = GradedExpr.zero(U.table)
-    holds = all(graded_equal(r, zero, config) for r in residuals)
+    """The check lhs[k] = rhs[k] for every k: it holds when every residual
+    lhs[k] - rhs[k] vanishes under the oracle, and reports the nonzero
+    residuals joined by "; ", or "0"."""
+    residuals = [left - right for left, right in zip(lhs, rhs, strict=True)]
+    holds = all(
+        graded_equal(r, GradedExpr.zero(r.table), config) for r in residuals
+    )
     nonzero = [graded_to_text(r) for r in residuals if not r.is_zero()]
-    return CheckOutcome(name, holds, "; ".join(nonzero) if nonzero else "0")
+    return CheckOutcome(name, holds, "; ".join(nonzero) or "0")
 
 
 def cartan_commutators(
@@ -203,7 +184,10 @@ def cartan_commutators(
         ("[L_X,L_Y] = L_[X,Y]", super_commutator(LX, LY), lie_derivative(XY)),
     )
     entries = tuple(
-        _field_outcome(name, got, want, config) for name, got, want in checks
+        residual_outcome(
+            name, got.components + got.barred, want.components + want.barred, config
+        )
+        for name, got, want in checks
     )
     return CheckReport("cartan commutators", entries, CONVENTIONS)
 
@@ -243,39 +227,38 @@ def verify_proposition(
     DX = covariant_derivative(gamma, X)
     DY = covariant_derivative(gamma, Y)
     om = omega.matrix
-
-    def dx(c: int) -> GradedExpr:
-        return GradedExpr.generator(table, odd_fiber_name(chart.coords[c]))
+    dx = [odd_fiber_name(c) for c in chart.coords]
+    # column c of DX is (DX)^a_c over a
+    DX_col = [[DX[a][c] for a in range(n)] for c in range(n)]
+    DY_col = [[DY[b][e] for b in range(n)] for e in range(n)]
 
     # (i)
     rhs_i = GradedExpr.scalar(table, bilinear_eval(om, X.components, Y.components))
     # (iv)
-    flat_x = flat(g, X)
-    rhs_iv = GradedExpr.zero(table)
-    for b in range(n):
-        rhs_iv = rhs_iv + dx(b).scale(flat_x.components[b])
+    rhs_iv = GradedExpr.linear(table, zip(dx, flat(g, X).components))
     # (v): -dx^c (DX)^a_c Y^b omega_ba, the omega indices reversed relative
     # to bilinear_eval's layout
-    rhs_v = GradedExpr.zero(table)
-    for c in range(n):
-        coeff = simplify(
-            bilinear_eval(om, Y.components, [DX[a][c] for a in range(n)])
-        )
-        rhs_v = rhs_v + dx(c).scale(coeff).scale(Const(Fraction(-1)))
-    # (vi): scalar g block plus dx^c (DX)^a_c dx^e (DY)^b_e omega_ba
-    rhs_vi = GradedExpr.scalar(
-        table, bilinear_eval(g.matrix, X.components, Y.components)
+    rhs_v = GradedExpr.linear(
+        table, [(dx[c], neg(bilinear_eval(om, Y.components, DX_col[c]))) for c in range(n)]
     )
-    for c in range(n):
-        for e in range(n):
-            coeff = simplify(
-                bilinear_eval(
-                    om,
-                    [DY[b][e] for b in range(n)],
-                    [DX[a][c] for a in range(n)],
-                )
+    # (vi): scalar g block plus dx^c (DX)^a_c dx^e (DY)^b_e omega_ba; the
+    # c > e terms join the c < e monomial with dx^e dx^c = -dx^c dx^e
+    odd = [table.index(w) for w in dx]
+    rhs_vi = GradedExpr.make(
+        table,
+        [((), bilinear_eval(g.matrix, X.components, Y.components))]
+        + [
+            (
+                (odd[c], odd[e]),
+                Add.of(
+                    bilinear_eval(om, DY_col[e], DX_col[c]),
+                    neg(bilinear_eval(om, DY_col[c], DX_col[e])),
+                ),
             )
-            rhs_vi = rhs_vi + gmul(dx(c), dx(e)).scale(coeff)
+            for c in range(n)
+            for e in range(c + 1, n)
+        ],
+    )
 
     zero = GradedExpr.zero(table)
     checks = (
@@ -287,11 +270,7 @@ def verify_proposition(
         ("(vi) <L_X|L_Y> = g(X,Y) + omega(dxDX,dxDY)",
          pairing_via_lift(LX, LY, lift.lifted), rhs_vi),
     )
-    entries = []
-    for name, lhs, rhs in checks:
-        residual = lhs - rhs
-        holds = graded_equal(residual, zero, config)
-        entries.append(
-            CheckOutcome(name, holds, "0" if residual.is_zero() else graded_to_text(residual))
-        )
-    return CheckReport("pairing identities", tuple(entries), CONVENTIONS)
+    entries = tuple(
+        residual_outcome(name, [lhs], [rhs], config) for name, lhs, rhs in checks
+    )
+    return CheckReport("pairing identities", entries, CONVENTIONS)

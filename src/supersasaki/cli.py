@@ -43,6 +43,7 @@ from .cartan import (
     de_rham,
     interior,
     lie_derivative,
+    residual_outcome,
     verify_proposition,
 )
 from .geometry import (
@@ -58,8 +59,6 @@ from .grassmann import (
     EVEN,
     ODD,
     GradedError,
-    GradedExpr,
-    graded_equal,
     graded_to_text,
     parity_of,
     parse_graded,
@@ -89,11 +88,12 @@ from .symexpr import (
     OracleConfig,
     OracleError,
     ParseError,
+    ZERO,
     canonical_text,
     eval_numeric,
     free_vars,
-    is_zero_expr,
     parse_expr,
+    to_text,
 )
 from .transform import SmoothMap, check_naturality, pairing_invariance
 
@@ -202,24 +202,22 @@ def cmd_christoffel(args: argparse.Namespace, spec: GeometrySpec) -> RunReport:
     for a in range(n):
         for b in range(n):
             for c in range(n):
-                text = canonical_text(gamma.entry(a, b, c))
+                text = to_text(gamma.entry(a, b, c))
                 if text != "0":
                     computed[(a, b, c)] = text
                     lines.append(f"{_gamma_label(spec, a, b, c)} = {text}")
     report.values["nonzero symbols"] = lines or ["(all zero)"]
 
     compat = metric_compatibility_residual(spec.metric, gamma)
-    flat_ok = all(
-        is_zero_expr(compat[c][a][b])
-        for c in range(n) for a in range(n) for b in range(n)
+    report.add(
+        "metric compatibility residual = 0",
+        all(e == ZERO for plane in compat for row in plane for e in row),
     )
-    report.add("metric compatibility residual = 0", flat_ok)
     torsion = torsion_residual(gamma)
-    torsion_ok = all(
-        is_zero_expr(torsion[a][b][c])
-        for a in range(n) for b in range(n) for c in range(n)
+    report.add(
+        "symbols symmetric in the lower pair",
+        all(e == ZERO for plane in torsion for row in plane for e in row),
     )
-    report.add("symbols symmetric in the lower pair", torsion_ok)
 
     rng = random.Random(args.seed)
     worst = 0.0
@@ -250,7 +248,7 @@ def cmd_christoffel(args: argparse.Namespace, spec: GeometrySpec) -> RunReport:
         for a_n, b_n, c_n, value in spec.reference_christoffel:
             a, b, c = (spec.chart.coords.index(x) for x in (a_n, b_n, c_n))
             covered.add((a, b, c))
-            ours = canonical_text(gamma.entry(a, b, c))
+            ours = to_text(gamma.entry(a, b, c))
             ref = canonical_text(value)
             marker = "agrees" if ours == ref else f"differs (computed {ours}, reference {ref})"
             report.info(f"reference {_gamma_label(spec, a, b, c)} = {ref}: {marker}")
@@ -288,17 +286,14 @@ def cmd_sasaki(args: argparse.Namespace, spec: GeometrySpec) -> RunReport:
             if c not in spec.reference_nabla:
                 continue
             ref = parse_graded(spec.reference_nabla[c], lift.tptm)
-            delta = lift.nabla[i] - ref
             report.info(
                 f"nabla {velocity_name(c)} minus reference",
-                "0" if delta.is_zero() else graded_to_text(delta),
+                graded_to_text(lift.nabla[i] - ref),
             )
     if spec.reference_sasaki is not None:
         ref = parse_graded(spec.reference_sasaki, lift.tptm)
-        delta = lift.lifted - ref
         report.info(
-            "metric function minus reference",
-            "0" if delta.is_zero() else graded_to_text(delta),
+            "metric function minus reference", graded_to_text(lift.lifted - ref)
         )
     return report
 
@@ -314,7 +309,7 @@ def cmd_acs(args: argparse.Namespace, spec: GeometrySpec) -> RunReport:
     omega = spec.require_omega()
     J = acs_candidate(spec.metric, omega)
     report.values["J"] = [
-        "[" + ", ".join(canonical_text(e) for e in row) + "]" for row in J
+        "[" + ", ".join(to_text(e) for e in row) + "]" for row in J
     ]
     report.values["J^2 = -Id"] = "true" if squares_to_minus_identity(J) else "false"
     return report
@@ -368,12 +363,8 @@ def cmd_pair(args: argparse.Namespace, spec: GeometrySpec) -> RunReport:
     closed = pairing_closed_form(X, Y, spec.metric, omega, lift.gamma)
     report.values["pairing (vertical lift)"] = graded_to_text(via)
     report.values["pairing (closed form)"] = graded_to_text(closed)
-    residual = via - closed
-    report.add(
-        "vertical lift and closed form agree",
-        graded_equal(residual, GradedExpr.zero(residual.table), cfg),
-        "0" if residual.is_zero() else graded_to_text(residual),
-    )
+    outcome = residual_outcome("vertical lift and closed form agree", [via], [closed], cfg)
+    report.add(outcome.name, outcome.holds, outcome.residual)
     return report
 
 

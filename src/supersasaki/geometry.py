@@ -24,7 +24,6 @@ from .symexpr import (
     Interval,
     Mul,
     ZERO,
-    canonical_equal,
     differentiate,
     eval_numeric,
     is_zero_expr,
@@ -89,12 +88,12 @@ class MetricTensor:
         n = self.chart.dim
         for a in range(n):
             for b in range(a + 1, n):
-                if not canonical_equal(self.matrix[a][b], self.matrix[b][a]):
+                if self.matrix[a][b] != self.matrix[b][a]:
                     raise GeometryError(
                         f"metric is not symmetric at ({a},{b}): "
                         f"{to_text(self.matrix[a][b])} vs {to_text(self.matrix[b][a])}"
                     )
-        if is_zero_expr(matrix_det(self.matrix)):
+        if matrix_det(self.matrix) == ZERO:
             raise GeometryError("metric determinant is identically zero")
 
 
@@ -121,7 +120,7 @@ class AlmostSymplectic:
                     raise GeometryError(
                         f"two-form matrix is not antisymmetric at ({a},{b})"
                     )
-        if is_zero_expr(matrix_det(self.matrix)):
+        if matrix_det(self.matrix) == ZERO:
             raise GeometryError("two-form determinant is identically zero")
 
     @staticmethod
@@ -215,7 +214,7 @@ def matrix_inverse(m: Matrix | Sequence[Sequence[Expr]]) -> Matrix:
     """Adjugate over determinant, entries simplified."""
     n = len(m)
     det = matrix_det(m)
-    if is_zero_expr(det):
+    if det == ZERO:
         raise GeometryError("matrix is singular (determinant identically zero)")
     return tuple(
         tuple(simplify(Div(_cofactor(m, j, i), det)) for j in range(n))
@@ -382,12 +381,11 @@ def acs_candidate(g: MetricTensor, omega: AlmostSymplectic) -> Matrix:
 def squares_to_minus_identity(J: Matrix) -> bool:
     n = len(J)
     J2 = matrix_mul(J, J)
-    for i in range(n):
-        for j in range(n):
-            expected = Const(Fraction(-1)) if i == j else ZERO
-            if not canonical_equal(J2[i][j], expected):
-                return False
-    return True
+    return all(
+        J2[i][j] == (Const(Fraction(-1)) if i == j else ZERO)
+        for i in range(n)
+        for j in range(n)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +420,7 @@ def christoffel_fd(
         for a in range(n)
     ]
     gmat = metric_at(point)
-    ginv = _invert_numeric(gmat)
+    ginv = invert_numeric(gmat)
     gamma = [[[0.0] * n for _ in range(n)] for _ in range(n)]
     for a in range(n):
         for b in range(n):
@@ -434,7 +432,7 @@ def christoffel_fd(
     return gamma
 
 
-def _invert_numeric(m: list[list[float]]) -> list[list[float]]:
+def invert_numeric(m: list[list[float]]) -> list[list[float]]:
     n = len(m)
     aug = [list(row) + [1.0 if i == j else 0.0 for j in range(n)] for i, row in enumerate(m)]
     for col in range(n):

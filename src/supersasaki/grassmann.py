@@ -145,9 +145,26 @@ def _merge_with_sign(m1: Monomial, m2: Monomial) -> tuple[Monomial | None, int]:
     return tuple(out), sign
 
 
+def _canonical_terms(entries: Iterable[tuple[Monomial, Expr]]) -> dict[Monomial, Expr]:
+    """The stored form of a term table: each coefficient simplified, and
+    the monomials whose coefficient vanishes dropped."""
+    out = {}
+    for mono, coeff in entries:
+        c = simplify(coeff)
+        if c != ZERO:
+            out[mono] = c
+    return out
+
+
 class GradedExpr:
     """Element of the function algebra over a GeneratorTable. Immutable by
-    convention; coefficients are stored in canonical scalar form."""
+    convention.
+
+    Canonical by construction: every stored coefficient is `simplify`
+    output and never ZERO (a vanishing monomial is absent). So a stored
+    coefficient is zero-tested with `== ZERO`, and two stored coefficients
+    are equal as rational functions exactly when they are equal as trees.
+    """
 
     __slots__ = ("table", "terms")
 
@@ -158,11 +175,10 @@ class GradedExpr:
 
     @staticmethod
     def make(
-        table: GeneratorTable,
-        entries: Iterable[tuple[Monomial, Expr]],
-        *,
-        presimplified: bool = False,
+        table: GeneratorTable, entries: Iterable[tuple[Monomial, Expr]]
     ) -> "GradedExpr":
+        """Sum of coefficient * monomial over the entries; repeated
+        monomials add up."""
         acc: dict[Monomial, Expr] = {}
         for mono, coeff in entries:
             mono = tuple(mono)
@@ -173,22 +189,25 @@ class GradedExpr:
                     raise GradedError(f"monomial index {idx} is not an odd generator")
             if mono in acc:
                 acc[mono] = Add.of(acc[mono], coeff)
-                presimplified = False
             else:
                 acc[mono] = coeff
+        out = _canonical_terms(acc.items())
         even = set(table.even_names)
-        out: dict[Monomial, Expr] = {}
-        for mono, coeff in acc.items():
-            c = coeff if presimplified else simplify(coeff)
-            if is_zero_expr(c):
-                continue
+        for c in out.values():
             stray = free_vars(c) - even
             if stray:
                 raise GradedError(
                     f"coefficient {to_text(c)} depends on non-even names {sorted(stray)}"
                 )
-            out[mono] = c
         return GradedExpr(table, out)
+
+    @staticmethod
+    def linear(
+        table: GeneratorTable, pairs: Iterable[tuple[str, Expr]]
+    ) -> "GradedExpr":
+        """Sum of coefficient * w over (odd generator name w, coefficient)
+        pairs, such as the one-form sum_a c_a dx^a."""
+        return GradedExpr.make(table, [((table.index(w),), c) for w, c in pairs])
 
     @staticmethod
     def zero(table: GeneratorTable) -> "GradedExpr":
@@ -224,7 +243,7 @@ class GradedExpr:
         for mono, coeff in other.terms.items():
             if mono in out:
                 s = simplify(Add.of(out[mono], coeff))
-                if is_zero_expr(s):
+                if s == ZERO:
                     del out[mono]
                 else:
                     out[mono] = s
@@ -242,12 +261,10 @@ class GradedExpr:
         factor = as_expr(factor)
         if is_zero_expr(factor):
             return GradedExpr.zero(self.table)
-        out = {}
-        for mono, coeff in self.terms.items():
-            c = simplify(Mul.of(factor, coeff))
-            if not is_zero_expr(c):
-                out[mono] = c
-        return GradedExpr(self.table, out)
+        return GradedExpr(
+            self.table,
+            _canonical_terms((m, Mul.of(factor, c)) for m, c in self.terms.items()),
+        )
 
     def __mul__(self, other: "GradedExpr") -> "GradedExpr":
         return gmul(self, other)
@@ -274,12 +291,7 @@ def gmul(f: GradedExpr, g: GradedExpr) -> GradedExpr:
                 continue
             piece = Mul.of(c1, c2) if sign == 1 else Mul.of(Const(Fraction(-1)), c1, c2)
             acc[merged] = Add.of(acc[merged], piece) if merged in acc else piece
-    out: dict[Monomial, Expr] = {}
-    for mono, coeff in acc.items():
-        c = simplify(coeff)
-        if not is_zero_expr(c):
-            out[mono] = c
-    return GradedExpr(f.table, out)
+    return GradedExpr(f.table, _canonical_terms(acc.items()))
 
 
 def parity_of(f: GradedExpr) -> int | None:
@@ -302,12 +314,8 @@ def partial(f: GradedExpr, name: str) -> GradedExpr:
     the left; even generators differentiate the coefficients."""
     idx = f.table.index(name)
     if f.table.gens[idx][1] == EVEN:
-        out = {}
-        for mono, coeff in f.terms.items():
-            d = differentiate(coeff, name)
-            if not is_zero_expr(d):
-                out[mono] = d
-        return GradedExpr(f.table, out)
+        derivs = ((mono, differentiate(c, name)) for mono, c in f.terms.items())
+        return GradedExpr(f.table, {mono: d for mono, d in derivs if d != ZERO})
     out = {}
     for mono, coeff in f.terms.items():
         if idx not in mono:
@@ -330,8 +338,7 @@ def _graded_compose(f_of_w: Expr, w: str, ge: GradedExpr) -> GradedExpr:
         raise GradedError("scalar operations apply to even graded arguments only")
     body = ge.body()
     soul = GradedExpr(table, {m: c for m, c in ge.terms.items() if m})
-    head = simplify(substitute(f_of_w, {w: body}))
-    acc_terms = [GradedExpr.make(table, [((), head)], presimplified=False)]
+    acc_terms = [GradedExpr.scalar(table, substitute(f_of_w, {w: body}))]
     power = GradedExpr.one(table)
     deriv = f_of_w
     factorial = 1
@@ -342,13 +349,12 @@ def _graded_compose(f_of_w: Expr, w: str, ge: GradedExpr) -> GradedExpr:
         if power.is_zero():
             break
         deriv = differentiate(deriv, w)
-        if is_zero_expr(deriv):
+        if deriv == ZERO:
             break
         factorial *= k
-        coeff = simplify(
-            Div(substitute(deriv, {w: body}), Const(Fraction(factorial)))
+        acc_terms.append(
+            power.scale(Div(substitute(deriv, {w: body}), Const(Fraction(factorial))))
         )
-        acc_terms.append(power.scale(coeff))
     total = GradedExpr.zero(table)
     for t in acc_terms:
         total = total + t
@@ -362,7 +368,7 @@ def graded_inverse(ge: GradedExpr) -> GradedExpr:
     """Multiplicative inverse; requires an even argument with nonzero body."""
     if parity_of(ge) not in (EVEN,):
         raise GradedError("only even graded quantities are invertible")
-    if is_zero_expr(ge.body()):
+    if ge.body() == ZERO:
         raise ZeroDivisionError("graded quantity has zero body, not invertible")
     return _graded_compose(Div(ONE, Var(_FRESH)), _FRESH, ge)
 
@@ -407,7 +413,7 @@ def graded_eval_scalar(
     if isinstance(e, Call):
         arg = graded_eval_scalar(e.arg, images, table)
         if not any(m for m in arg.terms):
-            return GradedExpr.make(table, [((), Call(e.func, arg.body()))])
+            return GradedExpr.scalar(table, Call(e.func, arg.body()))
         return _graded_compose(Call(e.func, Var(_FRESH)), _FRESH, arg)
     raise TypeError(f"not an expression node: {e!r}")
 

@@ -60,9 +60,9 @@ from .symexpr import (
     Const,
     Expr,
     Mul,
+    ONE,
     Var,
-    ZERO,
-    as_expr,
+    neg,
     simplify,
 )
 
@@ -123,45 +123,44 @@ def nabla_dot(gamma: ChristoffelSymbols, table: GeneratorTable | None = None) ->
     chart = gamma.chart
     table = table or tptm_table(chart)
     n = chart.dim
-    out = []
-    for a in range(n):
-        total = GradedExpr.generator(table, odd_velocity_name(chart.coords[a]))
-        for b in range(n):
-            coeff_terms = []
-            for c in range(n):
-                coeff_terms.append(Mul.of(Var(velocity_name(chart.coords[c])), gamma.entry(a, c, b)))
-            piece = GradedExpr.generator(table, odd_fiber_name(chart.coords[b])).scale(
-                Add.of(*coeff_terms)
-            )
-            total = total + piece
-        out.append(total)
-    return tuple(out)
+    coords = chart.coords
+    xdot = [Var(velocity_name(c)) for c in coords]
+
+    def coefficient(a: int, b: int) -> Expr:  # xdot^c Gamma^a_{cb}
+        return Add.of(*(Mul.of(xdot[c], gamma.entry(a, c, b)) for c in range(n)))
+
+    return tuple(
+        GradedExpr.linear(
+            table,
+            [(odd_velocity_name(coords[a]), ONE)]
+            + [(odd_fiber_name(coords[b]), coefficient(a, b)) for b in range(n)],
+        )
+        for a in range(n)
+    )
 
 
 def metric_function(
     g: MetricTensor, omega: AlmostSymplectic, table: GeneratorTable | None = None
 ) -> GradedExpr:
-    """G = xdot^a xdot^b g_ba + xi^a xi^b omega_ba over the auxiliary table."""
+    """G = xdot^a xdot^b g_ba + xi^a xi^b omega_ba over the auxiliary table;
+    the a > b terms of the odd block join the a < b monomial with
+    xi^b xi^a = -xi^a xi^b."""
     chart = g.chart
     table = table or aux_table(chart)
     n = chart.dim
-    total = GradedExpr.zero(table)
-    for a in range(n):
-        for b in range(n):
-            if not (isinstance(g.matrix[b][a], Const) and g.matrix[b][a].value == 0):
-                h_piece = gmul(
-                    GradedExpr.generator(table, velocity_name(chart.coords[a])),
-                    GradedExpr.generator(table, velocity_name(chart.coords[b])),
-                ).scale(g.matrix[b][a])
-                total = total + h_piece
-            w = omega.matrix[b][a]
-            if not (isinstance(w, Const) and w.value == 0):
-                o_piece = gmul(
-                    GradedExpr.generator(table, aux_fiber_name(chart.coords[a])),
-                    GradedExpr.generator(table, aux_fiber_name(chart.coords[b])),
-                ).scale(w)
-                total = total + o_piece
-    return total
+    xdot = [Var(velocity_name(c)) for c in chart.coords]
+    xi = [table.index(aux_fiber_name(c)) for c in chart.coords]
+    gmat, om = g.matrix, omega.matrix
+    body = Add.of(*(Mul.of(xdot[a], xdot[b], gmat[b][a]) for a in range(n) for b in range(n)))
+    return GradedExpr.make(
+        table,
+        [((), body)]
+        + [
+            ((xi[a], xi[b]), Add.of(om[b][a], neg(om[a][b])))
+            for a in range(n)
+            for b in range(a + 1, n)
+        ],
+    )
 
 
 @dataclass(frozen=True)
@@ -258,7 +257,7 @@ def classical_sasaki(
                 )
             )
             total_terms.append(Mul.of(D[a], D[b], g.matrix[b][a]))
-    return GradedExpr.make(table, [((), Add.of(*total_terms))])
+    return GradedExpr.scalar(table, Add.of(*total_terms))
 
 
 # ---------------------------------------------------------------------------
@@ -513,8 +512,6 @@ def vector_field_on_base(
     """A classical vector field X^a(x) d/dx^a seen on the odd tangent
     bundle (even, no barred part)."""
     table = ptm_table(chart)
-    comps = tuple(
-        GradedExpr.make(table, [((), as_expr(c))]) for c in components
-    )
+    comps = tuple(GradedExpr.scalar(table, c) for c in components)
     zero = tuple(GradedExpr.zero(table) for _ in chart.coords)
     return VectorFieldPTM(table, comps, zero, EVEN)

@@ -46,13 +46,15 @@ from .geometry import (
     Chart,
     ChristoffelSymbols,
     GeometryError,
+    Matrix,
     MetricTensor,
     VectorFieldM,
     christoffel,
+    invert_numeric,
 )
 from .grassmann import EVEN, ODD, GradedError, GradedExpr, parse_graded
 from .sasakilift import VectorFieldPTM, ptm_table
-from .symexpr import Expr, ParseError, parse_expr
+from .symexpr import EvalError, Expr, ParseError, eval_numeric, parse_expr
 from .transform import SmoothMap
 
 
@@ -84,6 +86,31 @@ def _parse_entry(text: Any, vocabulary: list[str], where: str) -> Expr:
         return parse_expr(text, vocabulary)
     except ParseError as exc:
         raise SpecError(f"{where}: {exc}") from exc
+    except RecursionError:
+        raise SpecError(f"{where}: expression nested too deeply") from None
+
+
+def _check_at_centre(chart: Chart, key: str, matrix: Matrix) -> None:
+    """Refuse chart data the engine cannot use at the centre of the sample
+    domain: an entry undefined there, or a matrix singular there."""
+    centre = {c: (lo + hi) / 2 for c, (lo, hi) in chart.intervals.items()}
+    where = f"the centre {centre} of sample_domain"
+    values: list[list[float]] = []
+    for i, row in enumerate(matrix):
+        values.append([])
+        for j, e in enumerate(row):
+            try:
+                values[i].append(eval_numeric(e, centre))
+            except EvalError as exc:
+                raise SpecError(
+                    f"{chart.name}.{key}[{i}][{j}] is undefined at {where}: {exc}"
+                ) from None
+    try:
+        invert_numeric(values)
+    except GeometryError:
+        raise SpecError(
+            f"geometry {chart.name!r}: {key} determinant vanishes at {where}"
+        ) from None
 
 
 @dataclass(frozen=True)
@@ -161,6 +188,7 @@ def load_geometry(source: str | Path | Mapping[str, Any]) -> GeometrySpec:
         metric = MetricTensor(chart, load_matrix("metric"))
     except GeometryError as exc:
         raise SpecError(f"geometry {name!r}: {exc}") from exc
+    _check_at_centre(chart, "metric", metric.matrix)
 
     omega = None
     if "omega" in doc:
@@ -172,6 +200,7 @@ def load_geometry(source: str | Path | Mapping[str, Any]) -> GeometrySpec:
             omega = AlmostSymplectic(chart, load_matrix("omega"))
         except GeometryError as exc:
             raise SpecError(f"geometry {name!r}: {exc}") from exc
+        _check_at_centre(chart, "omega", omega.matrix)
 
     notes = doc.get("notes", "")
     if not isinstance(notes, str):

@@ -13,6 +13,13 @@ canonical arguments), with:
 Two expressions are equal as rational functions iff they canonicalize to
 identical pairs, which backs both simplify() and the fast tier of the
 equality oracle. Coefficients stay exact rationals throughout.
+
+simplify() prints the pair back as a tree, and that tree is a fixed point:
+simplify(s) == s for s = simplify(e), s == ZERO exactly when e is zero,
+and two such trees are equal exactly when their expressions are. Values
+built from simplify output (GradedExpr coefficients, metric and connection
+entries) are therefore zero-tested with == ZERO and compared with ==;
+is_zero_expr and canonical_equal are for trees not yet in this form.
 """
 
 from __future__ import annotations

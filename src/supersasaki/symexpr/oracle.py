@@ -62,7 +62,13 @@ def sample_compare(
     seed: int = 0,
     default_interval: Interval = DEFAULT_INTERVAL,
 ) -> Witness | None:
-    """Sampling tier alone: None if all samples agree, else a witness."""
+    """Sampling tier alone: None if all samples agree, else a witness.
+    Raises ValueError unless samples >= 1 and 0 < tol < 1: no samples, or
+    a tolerance of the values' own size, would pass any comparison."""
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
+    if not 0 < tol < 1:
+        raise ValueError(f"tol must lie strictly between 0 and 1, got {tol}")
     names = tuple(sorted(free_vars(a) | free_vars(b)))
     domain = domain or {}
     if not names:

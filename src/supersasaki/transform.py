@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cartan import CheckOutcome, CONVENTIONS
+from .cartan import CONVENTIONS, CheckOutcome, residual_outcome
 from .geometry import (
     AlmostSymplectic,
     Chart,
@@ -40,8 +40,6 @@ from .grassmann import (
     GradedError,
     GradedExpr,
     gmul,
-    graded_equal,
-    graded_to_text,
     gsubstitute,
 )
 from .sasakilift import (
@@ -155,38 +153,28 @@ def prolong(psi: SmoothMap, table: GeneratorTable) -> dict[str, GradedExpr]:
     src = psi.source.coords
     J = jacobian(psi)
     with_velocities = table == tptm_table(psi.source)
+    n = len(src)
+    xdot = [Var(velocity_name(xc)) for xc in src]
     images: dict[str, GradedExpr] = {}
     for alpha, yc in enumerate(psi.target.coords):
-        images[yc] = GradedExpr.make(table, [((), psi.components[alpha])])
-        dy = GradedExpr.zero(table)
-        for a, xc in enumerate(src):
-            dy = dy + GradedExpr.generator(table, odd_fiber_name(xc)).scale(
-                J[alpha][a]
-            )
-        images[odd_fiber_name(yc)] = dy
+        images[yc] = GradedExpr.scalar(table, psi.components[alpha])
+        images[odd_fiber_name(yc)] = GradedExpr.linear(
+            table, [(odd_fiber_name(xc), J[alpha][a]) for a, xc in enumerate(src)]
+        )
         if not with_velocities:
             continue
-        ydot = Add.of(
-            *(Mul.of(Var(velocity_name(xc)), J[alpha][b]) for b, xc in enumerate(src))
+        images[velocity_name(yc)] = GradedExpr.scalar(
+            table, Add.of(*(Mul.of(xdot[b], J[alpha][b]) for b in range(n)))
         )
-        images[velocity_name(yc)] = GradedExpr.make(table, [((), simplify(ydot))])
         H = second_derivative(psi, alpha)
-        dydot = GradedExpr.zero(table)
-        for c, xc in enumerate(src):
-            dydot = dydot + GradedExpr.generator(
-                table, odd_velocity_name(xc)
-            ).scale(J[alpha][c])
-        for c, xc in enumerate(src):
-            coeff = Add.of(
-                *(
-                    Mul.of(Var(velocity_name(src[b])), H[c][b])
-                    for b in range(len(src))
-                )
-            )
-            dydot = dydot + GradedExpr.generator(
-                table, odd_fiber_name(xc)
-            ).scale(simplify(coeff))
-        images[odd_velocity_name(yc)] = dydot
+        images[odd_velocity_name(yc)] = GradedExpr.linear(
+            table,
+            [(odd_velocity_name(xc), J[alpha][c]) for c, xc in enumerate(src)]
+            + [
+                (odd_fiber_name(xc), Add.of(*(Mul.of(xdot[b], H[c][b]) for b in range(n))))
+                for c, xc in enumerate(src)
+            ],
+        )
     return images
 
 
@@ -338,11 +326,11 @@ def field_pullback(psi: SmoothMap, V: VectorFieldPTM) -> VectorFieldPTM:
         H = second_derivative(psi, al)
         r = gsubstitute(V.barred[al], images, table)
         for a in range(n_src):
-            for c, xc in enumerate(psi.source.coords):
-                r = r - gmul(
-                    comps[a],
-                    GradedExpr.generator(table, odd_fiber_name(xc)).scale(H[a][c]),
-                )
+            H_dx = GradedExpr.linear(
+                table,
+                [(odd_fiber_name(xc), H[a][c]) for c, xc in enumerate(psi.source.coords)],
+            )
+            r = r - gmul(comps[a], H_dx)
         rhs.append(r)
     barred = []
     for b in range(n_src):
@@ -380,15 +368,15 @@ def check_naturality(
         source_lift = lift_geometry(g_m, om_m)
     if target_lift is None:
         target_lift = lift_geometry(g_n, om_n)
-    pulled = pullback(psi, target_lift.lifted)
-    residual = pulled - source_lift.lifted
-    holds = graded_equal(residual, GradedExpr.zero(residual.table), cfg)
+    outcome = residual_outcome(
+        "naturality", [pullback(psi, target_lift.lifted)], [source_lift.lifted], cfg
+    )
     return NaturalityReport(
         map_name=psi.name,
         isometry=is_isometry(psi, g_m, g_n, cfg),
         symplectomorphism=is_symplectomorphism(psi, om_m, om_n, cfg),
-        holds=holds,
-        residual="0" if residual.is_zero() else graded_to_text(residual),
+        holds=outcome.holds,
+        residual=outcome.residual,
     )
 
 
@@ -407,13 +395,7 @@ def pairing_invariance(
         field_pullback(psi, X), field_pullback(psi, Y), source_lift.lifted
     )
     rhs = pullback(psi, pairing_via_lift(X, Y, target_lift.lifted))
-    residual = lhs - rhs
-    holds = graded_equal(residual, GradedExpr.zero(residual.table), cfg)
-    return CheckOutcome(
-        f"pairing invariance under {psi.name}",
-        holds,
-        "0" if residual.is_zero() else graded_to_text(residual),
-    )
+    return residual_outcome(f"pairing invariance under {psi.name}", [lhs], [rhs], cfg)
 
 
 def compose_maps(outer: SmoothMap, inner: SmoothMap) -> SmoothMap:

@@ -215,16 +215,30 @@ def test_input_errors_exit_2(capsys, tmp_path):
     assert "--map" in err
 
     flat = json.loads((SPECS / "euclidean2.json").read_text())
-    # sqrt(x) cannot be evaluated anywhere on the sample domain
-    undefined = dict(flat, metric=[["sqrt(x)", "0"], ["0", "1"]],
+    one = ["0", "1"]
+    # sqrt(x) is undefined on the whole sample domain
+    undefined = dict(flat, name="undefined", metric=[["sqrt(x)", "0"], one],
                      sample_domain={"x": [-2.0, -1.0], "y": [-1.0, 1.0]})
-    nested = dict(flat, metric=[["(" * 3000 + "1" + ")" * 3000, "0"], ["0", "1"]])
-    for name, doc in (("undefined", undefined), ("nested", nested)):
-        path = tmp_path / f"{name}.json"
+    # chart data the engine cannot use is refused at load time, naming where
+    for command, doc, where in (
+        ("christoffel", undefined, "undefined.metric[0][0]"),
+        ("sasaki", undefined, "undefined.metric[0][0]"),
+        # the sample domain straddles the pole of 1/x
+        ("christoffel", dict(flat, name="pole", metric=[["1/x", "0"], one]),
+         "pole.metric[0][0]"),
+        # the metric degenerates at the centre of the sample domain
+        ("sasaki", dict(flat, name="fold", metric=[["x", "0"], one]),
+         "metric determinant vanishes"),
+        ("acs", dict(flat, name="fold", omega=[["0", "-x"], ["x", "0"]]),
+         "omega determinant vanishes"),
+        ("christoffel", dict(flat, name="deep", metric=[["(" * 3000 + "1" + ")" * 3000, "0"], one]),
+         "deep.metric[0][0]: expression nested too deeply"),
+    ):
+        path = tmp_path / f"{doc['name']}.json"
         path.write_text(json.dumps(doc))
-        code, _, err = _run(capsys, "christoffel", path)
-        assert code == 2, name
-        assert err.startswith("error:"), name
+        code, _, err = _run(capsys, command, path)
+        assert code == 2, where
+        assert err.startswith("error:") and where in err, err
 
     # out-of-range flags are refused by the parser, which exits 2
     scaling = SPECS / "maps" / "scaling.json"

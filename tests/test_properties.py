@@ -1,9 +1,11 @@
-"""Property tests for the algebra the identity checks rest on: first-order
-operator application and the graded product."""
+"""Property tests for the algebra the identity checks rest on: the
+canonical form every stored coefficient is in, first-order operator
+application and the graded product."""
 
 import random
+from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from supersasaki.geometry import Chart
@@ -15,9 +17,26 @@ from supersasaki.sasakilift import (
     ptm_table,
     random_field,
 )
-from supersasaki.symexpr import Add, Const, Mul, OracleConfig, Pow, Var
+from supersasaki.symexpr import (
+    FUNCTIONS,
+    ZERO,
+    Add,
+    Call,
+    Const,
+    Div,
+    Mul,
+    OracleConfig,
+    Pow,
+    Var,
+    is_zero_expr,
+    parse_expr,
+    simplify,
+    to_text,
+)
+from supersasaki.symexpr.canonical import to_canonical
 
 PROPERTY_SETTINGS = settings(max_examples=25, derandomize=True, deadline=None)
+TREE_SETTINGS = settings(max_examples=300, derandomize=True, deadline=None)
 
 CHARTS = (
     Chart(("x", "y"), intervals={"x": (-1.0, 1.0), "y": (-1.0, 1.0)}, name="euclidean2"),
@@ -94,3 +113,62 @@ def test_gmul_is_associative_and_graded_commutative(data):
     cfg = _config(chart)
     assert graded_equal(gmul(gmul(f, g), h), gmul(f, gmul(g, h)), cfg)
     assert graded_equal(gmul(f, g), gmul(g, f).scale(_sign(pf, pg)), cfg)
+
+
+# ---------------------------------------------------------------------------
+# canonical form: what GradedExpr relies on when it zero-tests a stored
+# coefficient with == ZERO and compares coefficients as trees
+
+TREE_VARS = ("x", "y")
+
+TREES = st.recursive(
+    st.one_of(
+        st.sampled_from([Var(v) for v in TREE_VARS]),
+        st.builds(lambda n, d: Const(Fraction(n, d)), st.integers(-3, 3), st.integers(1, 3)),
+    ),
+    lambda kids: st.one_of(
+        st.builds(Add.of, kids, kids),
+        st.builds(Mul.of, kids, kids),
+        st.builds(Div, kids, kids),
+        st.builds(Pow, kids, st.integers(-3, 3)),
+        st.builds(Call, st.sampled_from(FUNCTIONS), kids),
+    ),
+    max_leaves=8,
+)
+
+
+def _simplified(e):
+    """simplify(e), discarding draws that divide by zero or otherwise fail
+    in exact arithmetic (ZeroDivisionError is an ArithmeticError)."""
+    try:
+        return simplify(e)
+    except ArithmeticError:
+        reject()
+
+
+@TREE_SETTINGS
+@given(e=TREES)
+def test_simplify_is_a_structural_fixed_point(e):
+    s = _simplified(e)
+    assert simplify(s) == s
+
+
+@TREE_SETTINGS
+@given(e=TREES)
+def test_simplify_keeps_the_canonical_pair(e):
+    s = _simplified(e)
+    assert to_canonical(s) == to_canonical(e)
+
+
+@TREE_SETTINGS
+@given(e=TREES)
+def test_zero_is_the_literal_zero_after_simplify(e):
+    s = _simplified(e)
+    assert (s == ZERO) == is_zero_expr(e)
+
+
+@TREE_SETTINGS
+@given(e=TREES)
+def test_printed_canonical_form_parses_back(e):
+    s = _simplified(e)
+    assert to_canonical(parse_expr(to_text(s), TREE_VARS)) == to_canonical(s)

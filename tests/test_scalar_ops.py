@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from supersasaki.symexpr import (
     OracleConfig,
     canonical_equal,
@@ -92,8 +94,6 @@ def test_oracle_config_intervals_avoid_singular_points():
 
 
 def test_eval_numeric_values_and_errors():
-    import pytest
-
     from supersasaki.symexpr import EvalError
 
     assert eval_numeric(_p("2*t + t^2"), {"t": 3.0}) == 15.0
@@ -109,6 +109,18 @@ def test_eval_numeric_values_and_errors():
 def test_tolerance_separates_a_micro_shift():
     assert not expr_equal(_p("t"), _p("t + 1/1000000"), tol=1e-9, seed=SEED)
     assert expr_equal(_p("t"), _p("t + 1/1000000"), tol=1e-3, seed=SEED)
+
+
+def test_sampling_refuses_settings_that_pass_anything():
+    # zero samples or a tolerance of the values' own size would call
+    # sin(2*x) equal to x
+    with pytest.raises(ValueError, match="samples"):
+        OracleConfig(samples=0).equal(_p("sin(2*x)"), _p("x"))
+    with pytest.raises(ValueError, match="tol"):
+        OracleConfig(tol=10).equal(_p("sin(x)"), _p("x"))
+    with pytest.raises(ValueError, match="tol"):
+        sample_compare(_p("x"), _p("x"), tol=0.0)
+    assert not OracleConfig(samples=1).equal(_p("sin(2*x)"), _p("x"))
 
 
 def test_simplify_is_idempotent_on_random_trees():
