@@ -23,10 +23,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .geometry import (
-    AlmostSymplectic,
     Chart,
-    ChristoffelSymbols,
-    MetricTensor,
     OMEGA_DICTIONARY_NOTE,
     VectorFieldM,
     bilinear_eval,
@@ -48,7 +45,6 @@ from .sasakilift import (
     VectorFieldPTM,
     apply_first_order,
     field_operator,
-    lift_geometry,
     odd_fiber_name,
     pairing_via_lift,
     ptm_table,
@@ -56,32 +52,25 @@ from .sasakilift import (
 from .symexpr import Add, Const, OracleConfig, differentiate, neg
 
 
-@dataclass(frozen=True)
-class CartanField(VectorFieldPTM):
-    """A vector field on the odd tangent bundle tagged with how it arose."""
-
-    origin: str = "custom"
-
-
-def de_rham(chart: Chart) -> CartanField:
+def de_rham(chart: Chart) -> VectorFieldPTM:
     """The odd field d = dx^a d/dx^a; squares to zero."""
     table = ptm_table(chart)
     comps = tuple(
         GradedExpr.generator(table, odd_fiber_name(c)) for c in chart.coords
     )
     zeros = tuple(GradedExpr.zero(table) for _ in chart.coords)
-    return CartanField(table, comps, zeros, ODD, origin="deRham")
+    return VectorFieldPTM(table, comps, zeros, ODD)
 
 
-def interior(X: VectorFieldM) -> CartanField:
+def interior(X: VectorFieldM) -> VectorFieldPTM:
     """The odd field i_X = X^a(x) d/d(dx^a)."""
     table = ptm_table(X.chart)
     zeros = tuple(GradedExpr.zero(table) for _ in X.chart.coords)
     barred = tuple(GradedExpr.scalar(table, c) for c in X.components)
-    return CartanField(table, zeros, barred, ODD, origin="interior")
+    return VectorFieldPTM(table, zeros, barred, ODD)
 
 
-def lie_derivative(X: VectorFieldM) -> CartanField:
+def lie_derivative(X: VectorFieldM) -> VectorFieldPTM:
     """The even field L_X = X^a d/dx^a + dx^b (dX^a/dx^b) d/d(dx^a)."""
     chart = X.chart
     table = ptm_table(chart)
@@ -92,7 +81,7 @@ def lie_derivative(X: VectorFieldM) -> CartanField:
         )
         for Xa in X.components
     )
-    return CartanField(table, comps, barred, EVEN, origin="lie")
+    return VectorFieldPTM(table, comps, barred, EVEN)
 
 
 def super_commutator(U: VectorFieldPTM, V: VectorFieldPTM) -> VectorFieldPTM:
@@ -193,18 +182,16 @@ def cartan_commutators(
 
 
 def verify_proposition(
-    g: MetricTensor,
-    omega: AlmostSymplectic,
-    gamma: ChristoffelSymbols,
+    lift: LiftedGeometry,
     X: VectorFieldM,
     Y: VectorFieldM,
     config: OracleConfig | None = None,
-    lift: LiftedGeometry | None = None,
 ) -> CheckReport:
     """The six pairing identities for the lifted metric.
 
-    Left sides come from the vertical-lift pairing against the lifted
-    metric; right sides are assembled from the chart data:
+    Left sides come from the vertical-lift pairing against lift.lifted;
+    right sides are assembled from the chart data lift.metric, lift.omega
+    and lift.gamma:
 
       (i)   <i_X|i_Y> = omega(X,Y)
       (ii)  <i_X|d>   = 0
@@ -216,9 +203,8 @@ def verify_proposition(
 
     Every entry is evaluated even if an earlier one fails.
     """
-    chart = g.chart
-    if lift is None:
-        lift = lift_geometry(g, omega, gamma)
+    g, omega, gamma = lift.metric, lift.omega, lift.gamma
+    chart = lift.chart
     table = lift.ptm
     n = chart.dim
     d = de_rham(chart)

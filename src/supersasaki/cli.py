@@ -65,6 +65,7 @@ from .grassmann import (
 )
 from .report import RunReport, render_structured, render_text
 from .sasakilift import (
+    LiftedGeometry,
     classical_sasaki,
     lift_geometry,
     odd_velocity_name,
@@ -360,7 +361,7 @@ def cmd_pair(args: argparse.Namespace, spec: GeometrySpec) -> RunReport:
     lift = lift_geometry(spec.metric, omega)
     cfg = _config(args, spec)
     via = pairing_via_lift(X, Y, lift.lifted)
-    closed = pairing_closed_form(X, Y, spec.metric, omega, lift.gamma)
+    closed = pairing_closed_form(X, Y, lift)
     report.values["pairing (vertical lift)"] = graded_to_text(via)
     report.values["pairing (closed form)"] = graded_to_text(closed)
     outcome = residual_outcome("vertical lift and closed form agree", [via], [closed], cfg)
@@ -394,40 +395,41 @@ def _suite_cartan(args: argparse.Namespace, spec: GeometrySpec) -> RunReport:
 
 
 def _suite_proposition(args: argparse.Namespace, spec: GeometrySpec) -> RunReport:
-    omega = spec.require_omega()
+    lift = lift_geometry(spec.metric, spec.require_omega())
     cfg = _config(args, spec)
-    gamma = spec.connection()
-    lift = lift_geometry(spec.metric, omega, gamma)
     return _seeded_rounds(
         args,
         spec,
         "check proposition",
-        lambda X, Y: verify_proposition(spec.metric, omega, gamma, X, Y, cfg, lift),
+        lambda X, Y: verify_proposition(lift, X, Y, cfg),
     )
 
 
-def _load_pair_of_charts(
-    args: argparse.Namespace, spec: GeometrySpec
-) -> tuple[GeometrySpec, SmoothMap]:
+def _chart_change(
+    args: argparse.Namespace, spec: GeometrySpec, title: str
+) -> tuple[RunReport, SmoothMap, LiftedGeometry, LiftedGeometry]:
+    """Load --map and --target (default: the source spec), start the report
+    and build the lift of each chart once: (report, map, source lift,
+    target lift)."""
     if not args.map_path:
         raise SpecError(f"suite {args.suite!r} needs --map")
+    report = RunReport(title, inputs={"geometry": spec.name})
     target = load_geometry(args.target) if args.target else spec
     psi = load_map(args.map_path, spec, target)
-    return target, psi
-
-
-def _suite_invariance(args: argparse.Namespace, spec: GeometrySpec) -> RunReport:
-    report = RunReport("check invariance", inputs={"geometry": spec.name})
-    target, psi = _load_pair_of_charts(args, spec)
     report.inputs["map"] = psi.name
     report.inputs["target"] = target.name
     omega_m = spec.require_omega()
     omega_n = target.require_omega()
-    cfg = _config(args, spec)
     lift_m = lift_geometry(spec.metric, omega_m)
-    lift_n = lift_geometry(target.metric, omega_n)
+    lift_n = lift_m if target is spec else lift_geometry(target.metric, omega_n)
+    return report, psi, lift_m, lift_n
 
-    tchart = target.chart
+
+def _suite_invariance(args: argparse.Namespace, spec: GeometrySpec) -> RunReport:
+    report, psi, lift_m, lift_n = _chart_change(args, spec, "check invariance")
+    cfg = _config(args, spec)
+
+    tchart = lift_n.chart
     fixed: list[tuple[str, object]] = []
     frame = vector_field_on_base(
         tchart, tuple(parse_expr("1" if i == 0 else "0", list(tchart.coords)) for i in range(tchart.dim))
@@ -459,16 +461,8 @@ def _suite_invariance(args: argparse.Namespace, spec: GeometrySpec) -> RunReport
 
 
 def _suite_naturality(args: argparse.Namespace, spec: GeometrySpec) -> RunReport:
-    report = RunReport("check naturality", inputs={"geometry": spec.name})
-    target, psi = _load_pair_of_charts(args, spec)
-    report.inputs["map"] = psi.name
-    report.inputs["target"] = target.name
-    omega_m = spec.require_omega()
-    omega_n = target.require_omega()
-    cfg = _config(args, spec)
-    outcome = check_naturality(
-        psi, (spec.metric, omega_m), (target.metric, omega_n), cfg
-    )
+    report, psi, lift_m, lift_n = _chart_change(args, spec, "check naturality")
+    outcome = check_naturality(psi, lift_m, lift_n, _config(args, spec))
     report.info(f"map is an isometry: {'yes' if outcome.isometry else 'no'}")
     report.info(
         f"map is a symplectomorphism: {'yes' if outcome.symplectomorphism else 'no'}"

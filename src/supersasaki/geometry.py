@@ -391,9 +391,10 @@ def squares_to_minus_identity(J: Matrix) -> bool:
 # ---------------------------------------------------------------------------
 # numeric cross-check: connection symbols by finite differences
 
-def christoffel_fd(
-    g: MetricTensor, point: Mapping[str, float], step: float = 1e-5
-) -> list[list[list[float]]]:
+_FD_STEP = 1e-5
+
+
+def christoffel_fd(g: MetricTensor, point: Mapping[str, float]) -> list[list[list[float]]]:
     """Levi-Civita symbols at a point from central differences of the
     metric entries; independent of the symbolic derivative path."""
     chart = g.chart
@@ -411,8 +412,8 @@ def christoffel_fd(
     dg = [
         [
             [
-                (metric_at(shifted(coords[c], step))[a][b]
-                 - metric_at(shifted(coords[c], -step))[a][b]) / (2 * step)
+                (metric_at(shifted(coords[c], _FD_STEP))[a][b]
+                 - metric_at(shifted(coords[c], -_FD_STEP))[a][b]) / (2 * _FD_STEP)
                 for c in range(n)
             ]
             for b in range(n)

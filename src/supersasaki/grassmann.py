@@ -9,10 +9,12 @@ merge inversions); odd squares vanish. Odd partial derivatives act from
 the left: differentiating by the generator at position p of a monomial
 costs the sign (-1)^p.
 
-Substitution is an algebra morphism: even generators may be sent to even
-graded expressions (a nilpotent part is handled by the finite Taylor
-expansion of each scalar operation around the body), odd generators to odd
-expressions.
+Substitution is an algebra morphism: even generators go to scalars (the
+prolongation of a chart change sends every even generator to a function of
+the base chart, never to an expression with a nilpotent part), odd
+generators to odd expressions. A nilpotent argument of a scalar operation
+arises only inside parse_graded, for text such as 1/(1 + dx*dy); there each
+operation is expanded as a finite Taylor series around the body.
 """
 
 from __future__ import annotations
@@ -373,31 +375,27 @@ def graded_inverse(ge: GradedExpr) -> GradedExpr:
     return _graded_compose(Div(ONE, Var(_FRESH)), _FRESH, ge)
 
 
-def graded_eval_scalar(
-    e: Expr, images: Mapping[str, GradedExpr], table: GeneratorTable
-) -> GradedExpr:
-    """Evaluate a scalar tree on graded arguments, as an algebra morphism.
-    Variables not in images must name even generators of the table."""
+def graded_eval_scalar(e: Expr, table: GeneratorTable) -> GradedExpr:
+    """Evaluate a scalar tree whose variables name generators of the table,
+    as an algebra morphism; the evaluator behind parse_graded."""
     if isinstance(e, Const):
         return GradedExpr(table, {} if e.value == 0 else {(): e})
     if isinstance(e, Var):
-        if e.name in images:
-            return images[e.name]
         if e.name not in table:
             raise GradedError(f"{e.name!r} is not a generator of the target table")
         return GradedExpr.generator(table, e.name)
     if isinstance(e, Add):
         total = GradedExpr.zero(table)
         for t in e.terms:
-            total = total + graded_eval_scalar(t, images, table)
+            total = total + graded_eval_scalar(t, table)
         return total
     if isinstance(e, Mul):
         total = GradedExpr.one(table)
         for f in e.factors:
-            total = gmul(total, graded_eval_scalar(f, images, table))
+            total = gmul(total, graded_eval_scalar(f, table))
         return total
     if isinstance(e, Pow):
-        base = graded_eval_scalar(e.base, images, table)
+        base = graded_eval_scalar(e.base, table)
         k = e.exponent
         if k < 0:
             base = graded_inverse(base)
@@ -407,11 +405,11 @@ def graded_eval_scalar(
             total = gmul(total, base)
         return total
     if isinstance(e, Div):
-        num = graded_eval_scalar(e.num, images, table)
-        den = graded_eval_scalar(e.den, images, table)
+        num = graded_eval_scalar(e.num, table)
+        den = graded_eval_scalar(e.den, table)
         return gmul(num, graded_inverse(den))
     if isinstance(e, Call):
-        arg = graded_eval_scalar(e.arg, images, table)
+        arg = graded_eval_scalar(e.arg, table)
         if not any(m for m in arg.terms):
             return GradedExpr.scalar(table, Call(e.func, arg.body()))
         return _graded_compose(Call(e.func, Var(_FRESH)), _FRESH, arg)
@@ -425,10 +423,10 @@ def gsubstitute(
 ) -> GradedExpr:
     """Algebra morphism determined by generator images. Generators without
     an image must exist in the target with the same parity and map to
-    themselves. Image parities must match generator parities (zero images
-    are allowed for either)."""
+    themselves. Odd images must be odd (or zero); even images must be
+    scalars, with no nilpotent part, so each coefficient is composed with
+    the image bodies as a plain scalar."""
     source = f.table
-    complete: dict[str, GradedExpr] = {}
     for name, parity in source.gens:
         if name in images:
             img = images[name]
@@ -439,60 +437,55 @@ def gsubstitute(
                 raise GradedError(
                     f"image of {name!r} has parity {img_parity}, expected {parity}"
                 )
-            complete[name] = img
-        else:
-            if name not in target or target.parity(name) != parity:
+            if parity == EVEN and any(img.terms):
                 raise GradedError(
-                    f"no image given for {name!r} and the target table has no "
-                    f"matching generator"
+                    f"image of {name!r} has a nilpotent part; even images must be scalars"
                 )
-            complete[name] = GradedExpr.generator(target, name)
+        elif name not in target or target.parity(name) != parity:
+            raise GradedError(
+                f"no image given for {name!r} and the target table has no "
+                f"matching generator"
+            )
     extra = set(images) - set(source.names)
     if extra:
         raise GradedError(f"images given for unknown generators {sorted(extra)}")
-    even_images = {n: complete[n] for n, p in source.gens if p == EVEN}
+    bodies = {n: images[n].body() for n, p in source.gens if p == EVEN and n in images}
+    odd_images = {
+        i: images[n] if n in images else GradedExpr.generator(target, n)
+        for i, (n, p) in enumerate(source.gens)
+        if p == ODD
+    }
     total = GradedExpr.zero(target)
     for mono, coeff in f.terms.items():
-        piece = graded_eval_scalar(coeff, even_images, target)
+        piece = GradedExpr.scalar(target, substitute(coeff, bodies))
         for idx in mono:
-            piece = gmul(piece, complete[source.gens[idx][0]])
+            piece = gmul(piece, odd_images[idx])
         total = total + piece
     return total
 
 
+def _check_prefix(short: GeneratorTable, long: GeneratorTable) -> None:
+    if long.gens[: len(short)] != short.gens:
+        raise GradedError("the smaller table is not a leading part of the larger one")
+
+
 def extend_to(f: GradedExpr, super_table: GeneratorTable) -> GradedExpr:
-    """Reinterpret f over a larger table containing all its generators."""
-    mapping: dict[int, int] = {}
-    for i, (name, parity) in enumerate(f.table.gens):
-        if name not in super_table or super_table.parity(name) != parity:
-            raise GradedError(f"target table lacks generator {name!r} with parity {parity}")
-        mapping[i] = super_table.index(name)
-    out: dict[Monomial, Expr] = {}
-    for mono, coeff in f.terms.items():
-        new = tuple(mapping[i] for i in mono)
-        if any(new[k] >= new[k + 1] for k in range(len(new) - 1)):
-            # same relative order is required for a plain reinterpretation
-            raise GradedError("target table permutes odd generators; cannot extend")
-        out[new] = coeff
-    return GradedExpr(super_table, out)
+    """Reinterpret f over a larger table that starts with f's table."""
+    _check_prefix(f.table, super_table)
+    return GradedExpr(super_table, f.terms)
 
 
 def restrict_to(f: GradedExpr, sub_table: GeneratorTable) -> GradedExpr:
-    """Reinterpret f over a smaller table; fails if f uses dropped names."""
+    """Reinterpret f over a leading part of its table; fails if f uses
+    dropped names."""
+    _check_prefix(sub_table, f.table)
     allowed = set(sub_table.names)
     for mono, coeff in f.terms.items():
         used = {f.table.gens[i][0] for i in mono} | set(free_vars(coeff))
         stray = used - allowed
         if stray:
             raise GradedError(f"expression uses generators {sorted(stray)} not in target")
-    mapping = {f.table.index(n): sub_table.index(n) for n in sub_table.names if n in f.table}
-    out: dict[Monomial, Expr] = {}
-    for mono, coeff in f.terms.items():
-        new = tuple(mapping[i] for i in mono)
-        if any(new[k] >= new[k + 1] for k in range(len(new) - 1)):
-            raise GradedError("target table permutes odd generators; cannot restrict")
-        out[new] = coeff
-    return GradedExpr(sub_table, out)
+    return GradedExpr(sub_table, f.terms)
 
 
 def graded_equal(f: GradedExpr, g: GradedExpr, config: OracleConfig | None = None) -> bool:
@@ -508,7 +501,7 @@ def graded_equal(f: GradedExpr, g: GradedExpr, config: OracleConfig | None = Non
 def parse_graded(text: str, table: GeneratorTable) -> GradedExpr:
     """Parse text whose identifiers are the table's generator names."""
     tree = parse_expr(text, table.names)
-    return graded_eval_scalar(tree, {}, table)
+    return graded_eval_scalar(tree, table)
 
 
 # ---------------------------------------------------------------------------

@@ -118,10 +118,11 @@ def classical_table(chart: Chart) -> GeneratorTable:
     return GeneratorTable(tuple(gens))
 
 
-def nabla_dot(gamma: ChristoffelSymbols, table: GeneratorTable | None = None) -> tuple[GradedExpr, ...]:
-    """Splitting covectors nabla(xdot^a) = dxdot^a + dx^b xdot^c Gamma^a_{cb}."""
+def nabla_dot(gamma: ChristoffelSymbols) -> tuple[GradedExpr, ...]:
+    """Splitting covectors nabla(xdot^a) = dxdot^a + dx^b xdot^c Gamma^a_{cb},
+    over the chart's tptm table."""
     chart = gamma.chart
-    table = table or tptm_table(chart)
+    table = tptm_table(chart)
     n = chart.dim
     coords = chart.coords
     xdot = [Var(velocity_name(c)) for c in coords]
@@ -139,14 +140,12 @@ def nabla_dot(gamma: ChristoffelSymbols, table: GeneratorTable | None = None) ->
     )
 
 
-def metric_function(
-    g: MetricTensor, omega: AlmostSymplectic, table: GeneratorTable | None = None
-) -> GradedExpr:
+def metric_function(g: MetricTensor, omega: AlmostSymplectic) -> GradedExpr:
     """G = xdot^a xdot^b g_ba + xi^a xi^b omega_ba over the auxiliary table;
     the a > b terms of the odd block join the a < b monomial with
     xi^b xi^a = -xi^a xi^b."""
     chart = g.chart
-    table = table or aux_table(chart)
+    table = aux_table(chart)
     n = chart.dim
     xdot = [Var(velocity_name(c)) for c in chart.coords]
     xi = [table.index(aux_fiber_name(c)) for c in chart.coords]
@@ -165,7 +164,8 @@ def metric_function(
 
 @dataclass(frozen=True)
 class LiftedGeometry:
-    """Everything the downstream checks need about one chart's lift."""
+    """Everything the downstream checks need about one chart's lift; gamma
+    is the Levi-Civita connection of metric."""
 
     chart: Chart
     metric: MetricTensor
@@ -177,29 +177,20 @@ class LiftedGeometry:
     lifted: GradedExpr  # over tptm
 
 
-def lift_geometry(
-    g: MetricTensor,
-    omega: AlmostSymplectic,
-    gamma: ChristoffelSymbols | None = None,
-) -> LiftedGeometry:
-    """Build the lifted metric by substituting the splitting covectors for
-    the auxiliary odd fiber generators of G; bundle everything downstream
-    consumers reuse."""
+def lift_geometry(g: MetricTensor, omega: AlmostSymplectic) -> LiftedGeometry:
+    """Build the lifted metric by substituting the splitting covectors of
+    the Levi-Civita connection of g for the auxiliary odd fiber generators
+    of G; bundle everything downstream consumers reuse."""
     if g.chart != omega.chart:
         raise GeometryError("metric and two-form live on different charts")
     chart = g.chart
-    if gamma is None:
-        gamma = christoffel(g)
-    elif gamma.chart != chart:
-        raise GeometryError("connection lives on a different chart")
+    gamma = christoffel(g)
     tptm = tptm_table(chart)
-    nabla = nabla_dot(gamma, tptm)
-    aux = aux_table(chart)
-    G = metric_function(g, omega, aux)
+    nabla = nabla_dot(gamma)
     images = {
         aux_fiber_name(c): nabla[i] for i, c in enumerate(chart.coords)
     }
-    lifted = gsubstitute(G, images, tptm)
+    lifted = gsubstitute(metric_function(g, omega), images, tptm)
     return LiftedGeometry(
         chart=chart,
         metric=g,
@@ -212,26 +203,19 @@ def lift_geometry(
     )
 
 
-def super_sasaki(
-    g: MetricTensor,
-    omega: AlmostSymplectic,
-    gamma: ChristoffelSymbols | None = None,
-) -> GradedExpr:
+def super_sasaki(g: MetricTensor, omega: AlmostSymplectic) -> GradedExpr:
     """The even metric function on the odd tangent bundle: substitute
     nabla(xdot^a) for xi^a in G = xdot^a xdot^b g_ba + xi^a xi^b omega_ba."""
-    return lift_geometry(g, omega, gamma).lifted
+    return lift_geometry(g, omega).lifted
 
 
-def classical_sasaki(
-    g: MetricTensor, gamma: ChristoffelSymbols | None = None
-) -> GradedExpr:
+def classical_sasaki(g: MetricTensor) -> GradedExpr:
     """All-even analogue: xdot^a xdot^b g_ba + D(xdot)^a D(xdot)^b g_ba
-    with D(xdot)^a = delta_xdot^a + delta_x^b xdot^c Gamma^a_{cb}, over the
-    purely even table."""
+    with D(xdot)^a = delta_xdot^a + delta_x^b xdot^c Gamma^a_{cb}, Gamma
+    the Levi-Civita symbols of g, over the purely even table."""
     chart = g.chart
     n = chart.dim
-    if gamma is None:
-        gamma = christoffel(g)
+    gamma = christoffel(g)
     table = classical_table(chart)
     D: list[Expr] = []
     for a in range(n):
@@ -309,14 +293,11 @@ def field_operator(X: VectorFieldPTM) -> tuple[tuple[GradedExpr, str], ...]:
     return tuple(ops)
 
 
-def vertical_lift(
-    X: VectorFieldPTM, table: GeneratorTable | None = None
-) -> tuple[tuple[GradedExpr, str], ...]:
+def vertical_lift(X: VectorFieldPTM) -> tuple[tuple[GradedExpr, str], ...]:
     """iota_X = X^a d/d(xdot^a) + Xbar^a d/d(dxdot^a), as (coefficient,
-    generator-name) pairs over the velocity-extended table: X's operator
-    with each generator w replaced by its velocity w + "dot"."""
-    if table is None:
-        table = tptm_table(Chart(X.table.even_names))
+    generator-name) pairs over the chart's tptm table: X's operator with
+    each generator w replaced by its velocity w + "dot"."""
+    table = tptm_table(Chart(X.table.even_names))
     return tuple(
         (extend_to(coeff, table), velocity_name(gen)) for coeff, gen in field_operator(X)
     )
@@ -340,21 +321,16 @@ def pairing_via_lift(
     tangent bundle chart."""
     if X.table != Y.table:
         raise GradedError("paired fields live over different tables")
-    base = X.table.even_names
-    if gS.table.even_names[: len(base)] != base:
-        raise GradedError("metric function does not extend the fields' chart")
-    inner = apply_first_order(vertical_lift(Y, gS.table), gS)
-    outer = apply_first_order(vertical_lift(X, gS.table), inner)
+    if gS.table != tptm_table(Chart(X.table.even_names)):
+        raise GradedError("metric function does not live over the fields' tptm table")
+    inner = apply_first_order(vertical_lift(Y), gS)
+    outer = apply_first_order(vertical_lift(X), inner)
     scaled = outer.scale(Const(Fraction(1, 2)))
     return restrict_to(scaled, X.table)
 
 
 def pairing_closed_form(
-    X: VectorFieldPTM,
-    Y: VectorFieldPTM,
-    g: MetricTensor,
-    omega: AlmostSymplectic,
-    gamma: ChristoffelSymbols,
+    X: VectorFieldPTM, Y: VectorFieldPTM, lift: LiftedGeometry
 ) -> GradedExpr:
     """The expanded pairing formula:
 
@@ -363,7 +339,12 @@ def pairing_closed_form(
               + [ (-1)^|Y| Xbar^a Y^b + (-1)^(|X|(|Y|+1)) Ybar^a X^b ]
                   dx^c Gamma^d_{cb} omega_da
               + (-1)^|Y| Xbar^a Ybar^b omega_ba
+
+    It is the independent reference for pairing_via_lift, so it reads only
+    the chart data lift.metric, lift.omega and lift.gamma, never the lifted
+    metric or the splitting covectors.
     """
+    g, omega, gamma = lift.metric, lift.omega, lift.gamma
     chart = g.chart
     ptm = X.table
     if ptm.even_names != chart.coords:

@@ -60,7 +60,6 @@ def sample_compare(
     tol: float = DEFAULT_TOL,
     domain: Mapping[str, Interval] | None = None,
     seed: int = 0,
-    default_interval: Interval = DEFAULT_INTERVAL,
 ) -> Witness | None:
     """Sampling tier alone: None if all samples agree, else a witness.
     Raises ValueError unless samples >= 1 and 0 < tol < 1: no samples, or
@@ -90,7 +89,7 @@ def sample_compare(
             )
         point = {}
         for name in names:
-            lo, hi = domain.get(name, default_interval)
+            lo, hi = domain.get(name, DEFAULT_INTERVAL)
             point[name] = rng.uniform(lo, hi)
         try:
             va = eval_numeric(a, point)
@@ -112,28 +111,30 @@ def expr_equal(
     tol: float = DEFAULT_TOL,
     domain: Mapping[str, Interval] | None = None,
     seed: int = 0,
-    default_interval: Interval = DEFAULT_INTERVAL,
 ) -> bool:
     """Two-tier equality: exact canonical coincidence, else sampling."""
     if canonical_equal(a, b):
         return True
-    witness = sample_compare(
-        a, b, samples=samples, tol=tol, domain=domain, seed=seed,
-        default_interval=default_interval,
-    )
+    witness = sample_compare(a, b, samples=samples, tol=tol, domain=domain, seed=seed)
     return witness is None
 
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """Equality-check policy shared across a computation: sample count,
-    tolerance, RNG seed, and per-variable sampling intervals."""
+    """Equality-check policy shared across a computation: sample count
+    (at least 1), tolerance (in (0, 1)), RNG seed, and per-variable sampling
+    intervals. Other settings raise ValueError: they would pass anything."""
 
     samples: int = DEFAULT_SAMPLES
     tol: float = DEFAULT_TOL
     seed: int = 0
     intervals: Mapping[str, Interval] = field(default_factory=dict)
-    default_interval: Interval = DEFAULT_INTERVAL
+
+    def __post_init__(self) -> None:
+        if self.samples < 1:
+            raise ValueError(f"samples must be at least 1, got {self.samples}")
+        if not 0 < self.tol < 1:
+            raise ValueError(f"tol must lie strictly between 0 and 1, got {self.tol}")
 
     def with_intervals(self, extra: Mapping[str, Interval]) -> "OracleConfig":
         merged = dict(self.intervals)
@@ -143,7 +144,7 @@ class OracleConfig:
     def equal(self, a: Expr, b: Expr) -> bool:
         return expr_equal(
             a, b, samples=self.samples, tol=self.tol, domain=self.intervals,
-            seed=self.seed, default_interval=self.default_interval,
+            seed=self.seed,
         )
 
     def witness(self, a: Expr, b: Expr) -> Witness | None:
@@ -151,5 +152,5 @@ class OracleConfig:
             return None
         return sample_compare(
             a, b, samples=self.samples, tol=self.tol, domain=self.intervals,
-            seed=self.seed, default_interval=self.default_interval,
+            seed=self.seed,
         )

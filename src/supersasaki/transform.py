@@ -45,7 +45,6 @@ from .grassmann import (
 from .sasakilift import (
     LiftedGeometry,
     VectorFieldPTM,
-    lift_geometry,
     odd_fiber_name,
     odd_velocity_name,
     pairing_via_lift,
@@ -353,28 +352,22 @@ class NaturalityReport:
 
 def check_naturality(
     psi: SmoothMap,
-    source_data: tuple[MetricTensor, AlmostSymplectic],
-    target_data: tuple[MetricTensor, AlmostSymplectic],
+    source_lift: LiftedGeometry,
+    target_lift: LiftedGeometry,
     config: OracleConfig | None = None,
-    source_lift: LiftedGeometry | None = None,
-    target_lift: LiftedGeometry | None = None,
 ) -> NaturalityReport:
     """Pull the target's lifted metric back along the prolonged map and
     compare with the source's own lifted metric."""
-    g_m, om_m = source_data
-    g_n, om_n = target_data
     cfg = config or OracleConfig().with_intervals(psi.source.intervals)
-    if source_lift is None:
-        source_lift = lift_geometry(g_m, om_m)
-    if target_lift is None:
-        target_lift = lift_geometry(g_n, om_n)
     outcome = residual_outcome(
         "naturality", [pullback(psi, target_lift.lifted)], [source_lift.lifted], cfg
     )
     return NaturalityReport(
         map_name=psi.name,
-        isometry=is_isometry(psi, g_m, g_n, cfg),
-        symplectomorphism=is_symplectomorphism(psi, om_m, om_n, cfg),
+        isometry=is_isometry(psi, source_lift.metric, target_lift.metric, cfg),
+        symplectomorphism=is_symplectomorphism(
+            psi, source_lift.omega, target_lift.omega, cfg
+        ),
         holds=outcome.holds,
         residual=outcome.residual,
     )

@@ -172,13 +172,12 @@ def test_03_pairing_identities_randomized():
     for name in CORE_GEOMETRIES:
         spec = _spec(name)
         om = spec.require_omega()
-        gamma = spec.connection()
-        lift = lift_geometry(spec.metric, om, gamma)
+        lift = lift_geometry(spec.metric, om)
         cfg = _cfg(spec)
         for _ in range(20):
             X = random_base_field(spec.chart, rng)
             Y = random_base_field(spec.chart, rng)
-            report = verify_proposition(spec.metric, om, gamma, X, Y, cfg, lift=lift)
+            report = verify_proposition(lift, X, Y, cfg)
             assert len(report.entries) == 6
             for entry in report.entries:
                 assert entry.holds, f"{name}: {entry.name}: residual {entry.residual}"
@@ -204,7 +203,7 @@ def test_04_closed_form_equals_lift():
                 X = random_field(spec.chart, parity, rng)
                 Y = random_field(spec.chart, rng.choice((EVEN, ODD)), rng)
                 via = pairing_via_lift(X, Y, lift.lifted)
-                closed = pairing_closed_form(X, Y, spec.metric, om, lift.gamma)
+                closed = pairing_closed_form(X, Y, lift)
                 assert (via - closed).is_zero(), (
                     f"{name}: closed form != lift for a parity-{parity} field"
                 )

@@ -15,7 +15,6 @@ from supersasaki.geometry import (
     Chart,
     MetricTensor,
     VectorFieldM,
-    christoffel,
     vector_commutator,
 )
 from supersasaki.grassmann import EVEN, ODD, epsilon, graded_equal, graded_to_text, parse_graded
@@ -156,12 +155,11 @@ def test_lie_against_d_gives_the_flat_one_form():
 
 def test_proposition_on_fixed_fields():
     for g, om in (euclidean2(), misner(), polar()):
-        gamma = christoffel(g)
         cfg = OracleConfig(samples=20, tol=1e-9, seed=SEED).with_intervals(g.chart.intervals)
         c0, c1 = g.chart.coords
         X = VectorFieldM(g.chart, (_p(c1), _p(c0)))
         Y = VectorFieldM(g.chart, (_p("1"), _p(f"{c0}*{c1}")))
-        report = verify_proposition(g, om, gamma, X, Y, cfg)
+        report = verify_proposition(lift_geometry(g, om), X, Y, cfg)
         assert len(report.entries) == 6
         for entry in report.entries:
             assert entry.holds, f"{g.chart.name}: {entry.name}: {entry.residual}"
@@ -169,11 +167,11 @@ def test_proposition_on_fixed_fields():
 
 def test_proposition_holds_for_a_zero_field():
     g, om = euclidean2()
-    gamma = christoffel(g)
+    lift = lift_geometry(g, om)
     zero = VectorFieldM(g.chart, (_p("0"), _p("0")))
     other = VectorFieldM(g.chart, (_p("y"), _p("x^2")))
     for X, Y in ((zero, other), (other, zero), (zero, zero)):
-        report = verify_proposition(g, om, gamma, X, Y)
+        report = verify_proposition(lift, X, Y)
         assert len(report.entries) == 6
         for entry in report.entries:
             assert entry.holds, f"{entry.name}: {entry.residual}"
@@ -183,7 +181,7 @@ def test_reports_disclose_their_sign_conventions():
     g, om = euclidean2()
     X = VectorFieldM(g.chart, (_p("y"), _p("0")))
     Y = VectorFieldM(g.chart, (_p("x"), _p("1")))
-    report = verify_proposition(g, om, christoffel(g), X, Y)
+    report = verify_proposition(lift_geometry(g, om), X, Y)
     assert any("two-form dictionary" in line for line in report.conventions), (
         "the identity report must say which two-form sign dictionary was used"
     )
@@ -196,13 +194,12 @@ def test_proposition_randomized_all_geometries():
     rng = random.Random(SEED + 1)
     start = time.monotonic()
     for g, om in (euclidean2(), misner(), polar()):
-        gamma = christoffel(g)
-        lift = lift_geometry(g, om, gamma)
+        lift = lift_geometry(g, om)
         cfg = OracleConfig(samples=20, tol=1e-9, seed=SEED).with_intervals(g.chart.intervals)
         for round_no in range(5):
             X = random_base_field(g.chart, rng)
             Y = random_base_field(g.chart, rng)
-            report = verify_proposition(g, om, gamma, X, Y, cfg, lift=lift)
+            report = verify_proposition(lift, X, Y, cfg)
             for entry in report.entries:
                 assert entry.holds, f"{g.chart.name} round {round_no}: {entry.name}"
     elapsed = time.monotonic() - start

@@ -9,6 +9,7 @@ from supersasaki.grassmann import (
     GradedError,
     GradedExpr,
     epsilon,
+    extend_to,
     gmul,
     graded_equal,
     graded_to_text,
@@ -16,6 +17,7 @@ from supersasaki.grassmann import (
     parse_graded,
     parity_of,
     partial,
+    restrict_to,
 )
 from supersasaki.symexpr import canonical_text, parse_expr, to_text
 
@@ -106,6 +108,35 @@ def test_substitute_parity_violation_rejected():
     f = _g("dx")
     with pytest.raises(GradedError):
         gsubstitute(f, {"dx": parse_graded("u", U)}, U)
+
+
+def test_even_image_with_a_nilpotent_part_is_refused():
+    # chart changes send even generators to scalars; a soul would need the
+    # Taylor expansion that only parse_graded performs
+    U = GeneratorTable.of(("u", EVEN), ("v", EVEN), ("du", ODD), ("dv", ODD))
+    f = _g("x^2*dy")
+    images = {"x": parse_graded("u + du*dv", U), "dx": parse_graded("du", U)}
+    with pytest.raises(GradedError, match="nilpotent"):
+        gsubstitute(f, images, U)
+
+
+def test_parse_graded_expands_around_the_body():
+    assert graded_to_text(_g("1/(1 + dx*dy)")) == "1 - dx*dy"
+
+
+def test_tables_must_be_leading_parts_of_each_other():
+    longer = GeneratorTable(T.gens + (("z", EVEN), ("dz", ODD)))
+    f = _g("x*dx + y*dx*dy")
+    assert graded_to_text(extend_to(f, longer)) == graded_to_text(f)
+    assert restrict_to(extend_to(f, longer), T).terms == f.terms
+    # same names in another order: not a reinterpretation
+    permuted = GeneratorTable.of(("y", EVEN), ("x", EVEN), ("dx", ODD), ("dy", ODD), ("z", EVEN))
+    with pytest.raises(GradedError, match="leading part"):
+        extend_to(f, permuted)
+    with pytest.raises(GradedError, match="leading part"):
+        restrict_to(extend_to(f, longer), GeneratorTable.of(("x", EVEN), ("dx", ODD)))
+    with pytest.raises(GradedError, match="not in target"):
+        restrict_to(extend_to(f, longer) + _g("z", longer), T)
 
 
 def test_unimaged_generator_must_exist_in_target():

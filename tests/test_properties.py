@@ -1,6 +1,7 @@
 """Property tests for the algebra the identity checks rest on: the
-canonical form every stored coefficient is in, first-order operator
-application and the graded product."""
+canonical form every stored coefficient is in, the polynomial ring under
+it, first-order operator application, the graded product and chart
+substitution."""
 
 import random
 from fractions import Fraction
@@ -9,7 +10,15 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from supersasaki.geometry import Chart
-from supersasaki.grassmann import EVEN, ODD, GradedExpr, gmul, graded_equal, parity_of
+from supersasaki.grassmann import (
+    EVEN,
+    ODD,
+    GradedExpr,
+    gmul,
+    graded_equal,
+    gsubstitute,
+    parity_of,
+)
 from supersasaki.sasakilift import (
     apply_first_order,
     field_operator,
@@ -33,7 +42,8 @@ from supersasaki.symexpr import (
     simplify,
     to_text,
 )
-from supersasaki.symexpr.canonical import to_canonical
+from supersasaki.symexpr.canonical import Poly, _div_exact, _var_atom, poly_gcd, to_canonical
+from supersasaki.transform import SmoothMap, prolong
 
 PROPERTY_SETTINGS = settings(max_examples=25, derandomize=True, deadline=None)
 TREE_SETTINGS = settings(max_examples=300, derandomize=True, deadline=None)
@@ -113,6 +123,77 @@ def test_gmul_is_associative_and_graded_commutative(data):
     cfg = _config(chart)
     assert graded_equal(gmul(gmul(f, g), h), gmul(f, gmul(g, h)), cfg)
     assert graded_equal(gmul(f, g), gmul(g, f).scale(_sign(pf, pg)), cfg)
+
+
+POLAR_TO_CARTESIAN = SmoothMap(
+    CHARTS[1], CHARTS[0], (parse_expr("r*cos(theta)"), parse_expr("r*sin(theta)"))
+)
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_chart_substitution_is_an_algebra_morphism(data):
+    # f, g over the Cartesian odd tangent bundle, pulled back to ptm_table(polar)
+    # through the prolonged images of polar_to_cartesian
+    psi = POLAR_TO_CARTESIAN
+    target = ptm_table(psi.source)
+    images = prolong(psi, target)
+    f, g = (
+        data.draw(homogeneous(psi.target, EVEN)) + data.draw(homogeneous(psi.target, ODD))
+        for _ in range(2)
+    )
+
+    def pull(h):
+        return gsubstitute(h, images, target)
+
+    cfg = _config(psi.source)
+    assert graded_equal(pull(f + g), pull(f) + pull(g), cfg)
+    assert graded_equal(pull(gmul(f, g)), gmul(pull(f), pull(g)), cfg)
+
+
+# ---------------------------------------------------------------------------
+# Poly: the ring the canonical form computes in
+
+ATOMS = (_var_atom("x"), _var_atom("y"))
+
+
+@st.composite
+def polys(draw):
+    """A polynomial in x and y with small integer coefficients."""
+    total = Poly.zero()
+    for _ in range(draw(st.integers(0, 4))):
+        term = Poly.const(draw(st.integers(-3, 3)))
+        for atom in ATOMS:
+            term = term * Poly.from_atom(atom) ** draw(st.integers(0, 2))
+        total = total + term
+    return total
+
+
+@PROPERTY_SETTINGS
+@given(p=polys(), q=polys(), r=polys())
+def test_poly_ring_laws(p, q, r):
+    zero, one = Poly.zero(), Poly.const(1)
+    assert p + q == q + p and p * q == q * p
+    assert (p + q) + r == p + (q + r)
+    assert (p * q) * r == p * (q * r)
+    assert p * (q + r) == p * q + p * r
+    assert p + zero == p and p * one == p and p * zero == zero
+    assert p - p == zero
+
+
+@PROPERTY_SETTINGS
+@given(p=polys(), q=polys(), c=polys())
+def test_poly_gcd_divides_both_arguments(p, q, c):
+    # a common factor c makes the gcd nontrivial; it must divide the gcd too
+    a, b = c * p, c * q
+    g = poly_gcd(a, b)
+    if g.is_zero():
+        assert a.is_zero() and b.is_zero()
+        return
+    for h in (a, b):
+        assert _div_exact(h, g) * g == h
+    if not c.is_zero():
+        assert _div_exact(g, c) * c == g
 
 
 # ---------------------------------------------------------------------------

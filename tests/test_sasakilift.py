@@ -103,12 +103,6 @@ def test_lift_is_even_and_vanishes_on_zero_section():
             )
 
 
-def test_explicit_connection_matches_default():
-    g, om = misner()
-    gamma = christoffel(g)
-    assert graded_equal(super_sasaki(g, om), super_sasaki(g, om, gamma))
-
-
 def test_classical_lift_flat_case():
     g, _ = euclidean2()
     got = classical_sasaki(g)
@@ -138,7 +132,7 @@ def test_vertical_lift_applied_to_the_flat_lift():
     g, om = euclidean2()
     lift = lift_geometry(g, om)
     X = vector_field_on_base(g.chart, (_p("1"), _p("0")))
-    got = apply_first_order(vertical_lift(X, lift.tptm), lift.lifted)
+    got = apply_first_order(vertical_lift(X), lift.lifted)
     assert graded_to_text(got) == "2*xdot"
 
 
@@ -150,9 +144,9 @@ def test_vertical_lift_is_additive():
     X = vector_field_on_base(g.chart, (_p("r"), _p("1")))
     Y = vector_field_on_base(g.chart, (_p("theta"), _p("r^2")))
     XY = vector_field_on_base(g.chart, (_p("r + theta"), _p("1 + r^2")))
-    lhs = apply_first_order(vertical_lift(XY, lift.tptm), lift.lifted)
-    rhs = apply_first_order(vertical_lift(X, lift.tptm), lift.lifted) + apply_first_order(
-        vertical_lift(Y, lift.tptm), lift.lifted
+    lhs = apply_first_order(vertical_lift(XY), lift.lifted)
+    rhs = apply_first_order(vertical_lift(X), lift.lifted) + apply_first_order(
+        vertical_lift(Y), lift.lifted
     )
     assert graded_equal(lhs, rhs)
 
@@ -190,7 +184,7 @@ def test_closed_form_matches_lift_on_random_fields():
                 X = random_field(g.chart, parity, rng)
                 Y = random_field(g.chart, rng.choice((EVEN, ODD)), rng)
                 via = pairing_via_lift(X, Y, lift.lifted)
-                closed = pairing_closed_form(X, Y, g, om, lift.gamma)
+                closed = pairing_closed_form(X, Y, lift)
                 assert graded_equal(via, closed, cfg), (
                     f"{g.chart.name}: closed form disagrees with the lift"
                 )

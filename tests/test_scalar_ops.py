@@ -123,6 +123,18 @@ def test_sampling_refuses_settings_that_pass_anything():
     assert not OracleConfig(samples=1).equal(_p("sin(2*x)"), _p("x"))
 
 
+def test_oracle_config_refuses_settings_that_pass_anything_when_built():
+    # refused before any comparison, so also before one the exact tier
+    # decides: OracleConfig(samples=0).equal(x, x) used to answer True
+    for settings in ({"samples": 0}, {"samples": -3}):
+        with pytest.raises(ValueError, match="samples"):
+            OracleConfig(**settings)
+    for settings in ({"tol": 0.0}, {"tol": 1.0}, {"tol": 10}):
+        with pytest.raises(ValueError, match="tol"):
+            OracleConfig(**settings)
+    assert OracleConfig(samples=1, tol=0.5).equal(_p("x"), _p("x"))
+
+
 def test_simplify_is_idempotent_on_random_trees():
     rng = random.Random(SEED)
     atoms = ["x", "y", "2", "1/3", "sin(x)", "exp(y)"]

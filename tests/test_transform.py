@@ -260,7 +260,9 @@ def test_preserving_both_structures_forces_naturality():
     preserved = 0
     for psi, source_data, target_data in cases:
         cfg = OracleConfig(samples=25, tol=1e-9, seed=SEED).with_intervals(psi.source.intervals)
-        report = check_naturality(psi, source_data, target_data, cfg)
+        report = check_naturality(
+            psi, lift_geometry(*source_data), lift_geometry(*target_data), cfg
+        )
         if report.isometry and report.symplectomorphism:
             preserved += 1
             assert report.holds, f"{psi.name}: preserved both structures but broke the lift"
@@ -273,7 +275,8 @@ def test_rotation_is_an_isometry_and_natural():
     cfg = OracleConfig(samples=25, tol=1e-9, seed=SEED).with_intervals(psi.source.intervals)
     assert is_isometry(psi, gE, gE, cfg)
     assert is_symplectomorphism(psi, omE, omE, cfg)
-    report = check_naturality(psi, (gE, omE), (gE, omE), cfg)
+    lift = lift_geometry(gE, omE)
+    report = check_naturality(psi, lift, lift, cfg)
     assert report.holds
     assert report.residual == "0"
 
@@ -282,7 +285,8 @@ def test_scaling_breaks_naturality_with_a_visible_residual():
     psi = doubling()
     gE, omE = euclidean_data()
     cfg = OracleConfig(samples=25, tol=1e-9, seed=SEED).with_intervals(psi.source.intervals)
-    report = check_naturality(psi, (gE, omE), (gE, omE), cfg)
+    lift = lift_geometry(gE, omE)
+    report = check_naturality(psi, lift, lift, cfg)
     assert not report.isometry
     assert not report.holds
     assert report.residual == "3*xdot^2 + 3*ydot^2 + 6*dxdot*dydot"
@@ -294,7 +298,7 @@ def test_polar_chart_naturality_is_exact():
     gP = pullback_metric(psi, gE)
     omP = pullback_two_form(psi, omE)
     cfg = OracleConfig(samples=25, tol=1e-9, seed=SEED).with_intervals(psi.source.intervals)
-    report = check_naturality(psi, (gP, omP), (gE, omE), cfg)
+    report = check_naturality(psi, lift_geometry(gP, omP), lift_geometry(gE, omE), cfg)
     assert report.isometry and report.symplectomorphism and report.holds
 
 
@@ -333,5 +337,6 @@ def test_translation_along_a_symmetry_direction():
     om = AlmostSymplectic(ch, [[_p("0"), _p("-1")], [_p("1"), _p("0")]])
     psi = SmoothMap(ch, ch, (_p("t"), _p("phi + 1")), inverse=(_p("t"), _p("phi - 1")), name="phi_translation")
     cfg = OracleConfig(samples=25, tol=1e-9, seed=SEED).with_intervals(ch.intervals)
-    report = check_naturality(psi, (g, om), (g, om), cfg)
+    lift = lift_geometry(g, om)
+    report = check_naturality(psi, lift, lift, cfg)
     assert report.isometry and report.holds
