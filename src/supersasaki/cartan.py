@@ -123,10 +123,6 @@ class CheckReport:
     entries: tuple[CheckOutcome, ...]
     conventions: tuple[str, ...]
 
-    @property
-    def all_hold(self) -> bool:
-        return all(e.holds for e in self.entries)
-
 
 CONVENTIONS = (ODD_DERIVATIVE_NOTE, OMEGA_DICTIONARY_NOTE)
 
@@ -248,13 +244,13 @@ def verify_proposition(
 
     zero = GradedExpr.zero(table)
     checks = (
-        ("(i) <i_X|i_Y> = omega(X,Y)", pairing_via_lift(iX, iY, lift.lifted), rhs_i),
-        ("(ii) <i_X|d> = 0", pairing_via_lift(iX, d, lift.lifted), zero),
-        ("(iii) <d|d> = 0", pairing_via_lift(d, d, lift.lifted), zero),
-        ("(iv) <L_X|d> = flat(X)", pairing_via_lift(LX, d, lift.lifted), rhs_iv),
-        ("(v) <L_X|i_Y> = omega(DX,Y)", pairing_via_lift(LX, iY, lift.lifted), rhs_v),
+        ("(i) <i_X|i_Y> = omega(X,Y)", pairing_via_lift(iX, iY, lift), rhs_i),
+        ("(ii) <i_X|d> = 0", pairing_via_lift(iX, d, lift), zero),
+        ("(iii) <d|d> = 0", pairing_via_lift(d, d, lift), zero),
+        ("(iv) <L_X|d> = flat(X)", pairing_via_lift(LX, d, lift), rhs_iv),
+        ("(v) <L_X|i_Y> = omega(DX,Y)", pairing_via_lift(LX, iY, lift), rhs_v),
         ("(vi) <L_X|L_Y> = g(X,Y) + omega(dxDX,dxDY)",
-         pairing_via_lift(LX, LY, lift.lifted), rhs_vi),
+         pairing_via_lift(LX, LY, lift), rhs_vi),
     )
     entries = tuple(
         residual_outcome(name, [lhs], [rhs], config) for name, lhs, rhs in checks

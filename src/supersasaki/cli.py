@@ -360,7 +360,7 @@ def cmd_pair(args: argparse.Namespace, spec: GeometrySpec) -> RunReport:
     report.inputs["y"] = y_label
     lift = lift_geometry(spec.metric, omega)
     cfg = _config(args, spec)
-    via = pairing_via_lift(X, Y, lift.lifted)
+    via = pairing_via_lift(X, Y, lift)
     closed = pairing_closed_form(X, Y, lift)
     report.values["pairing (vertical lift)"] = graded_to_text(via)
     report.values["pairing (closed form)"] = graded_to_text(closed)

@@ -401,26 +401,18 @@ def christoffel_fd(g: MetricTensor, point: Mapping[str, float]) -> list[list[lis
     n = chart.dim
     coords = chart.coords
 
-    def metric_at(p: Mapping[str, float]) -> list[list[float]]:
-        return eval_matrix(g.matrix, p)
-
-    def shifted(c: str, delta: float) -> dict[str, float]:
+    def metric_shifted(c: str, delta: float) -> list[list[float]]:
         q = dict(point)
         q[c] = q[c] + delta
-        return q
+        return eval_matrix(g.matrix, q)
 
+    plus = [metric_shifted(c, _FD_STEP) for c in coords]
+    minus = [metric_shifted(c, -_FD_STEP) for c in coords]
     dg = [
-        [
-            [
-                (metric_at(shifted(coords[c], _FD_STEP))[a][b]
-                 - metric_at(shifted(coords[c], -_FD_STEP))[a][b]) / (2 * _FD_STEP)
-                for c in range(n)
-            ]
-            for b in range(n)
-        ]
+        [[(plus[c][a][b] - minus[c][a][b]) / (2 * _FD_STEP) for c in range(n)] for b in range(n)]
         for a in range(n)
     ]
-    gmat = metric_at(point)
+    gmat = eval_matrix(g.matrix, point)
     ginv = invert_numeric(gmat)
     gamma = [[[0.0] * n for _ in range(n)] for _ in range(n)]
     for a in range(n):

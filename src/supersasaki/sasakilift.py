@@ -7,18 +7,25 @@ Coordinate naming, derived from the chart's coordinate names:
   * odd fiber              d<x>     (odd)
   * velocity               <x>dot   (even)
   * odd velocity fiber     d<x>dot  (odd)
-  * auxiliary odd fiber    xi_<x>   (odd, only inside the construction)
+
+Every generator w of the odd tangent bundle has the velocity w + "dot" of
+the same parity.
 
 The construction: with Gamma the Levi-Civita symbols of g, form the
 splitting covectors
 
-    nabla(xdot^a) = dxdot^a + dx^b * xdot^c * Gamma^a_{cb}
+    nabla(xdot^a) = dxdot^a + dx^b * xdot^c * Gamma^a_{cb} .
 
-and the auxiliary quadratic function (no 1/2 on the two-form block)
+The paper substitutes them for the odd fibers xi^a of the auxiliary form
+G = xdot^a xdot^b g_ba + xi^a xi^b omega_ba (no 1/2 on the two-form
+block). Substitution is an algebra morphism, so the lifted metric is
+assembled directly as
 
-    G = xdot^a xdot^b g_ba + xi^a xi^b omega_ba ;
+    xdot^a xdot^b g_ba + nabla(xdot^a) nabla(xdot^b) omega_ba ,
 
-the lifted metric is G with xi^a replaced by nabla(xdot^a).
+which is Sasaki's classical form xdot^a xdot^b g_ba + D(xdot)^a D(xdot)^b g_ba
+with the odd splitting in place of the even one D(xdot) and omega in place
+of g. Both lifts go through the one assembly `_sasaki_form`.
 
 Vector fields on the odd tangent bundle pair through either the vertical
 lift (1/2 iota_X iota_Y applied to the lifted metric) or the closed
@@ -37,6 +44,7 @@ from .geometry import (
     Chart,
     ChristoffelSymbols,
     GeometryError,
+    Matrix,
     MetricTensor,
     VectorFieldM,
     christoffel,
@@ -50,7 +58,6 @@ from .grassmann import (
     extend_to,
     gmul,
     graded_to_text,
-    gsubstitute,
     parity_of,
     partial,
     restrict_to,
@@ -62,7 +69,7 @@ from .symexpr import (
     Mul,
     ONE,
     Var,
-    neg,
+    ZERO,
     simplify,
 )
 
@@ -75,9 +82,6 @@ def velocity_name(coord: str) -> str:
 
 def odd_velocity_name(coord: str) -> str:
     return "d" + coord + "dot"
-
-def aux_fiber_name(coord: str) -> str:
-    return "xi_" + coord
 
 def classical_fiber_name(coord: str) -> str:
     return "delta_" + coord
@@ -93,20 +97,16 @@ def ptm_table(chart: Chart) -> GeneratorTable:
     return GeneratorTable(tuple(gens))
 
 
+def _with_velocities(ptm: GeneratorTable) -> GeneratorTable:
+    """The odd tangent bundle table followed by the velocity w + "dot" of
+    each of its generators w, with w's parity."""
+    return GeneratorTable(ptm.gens + tuple((velocity_name(w), p) for w, p in ptm.gens))
+
+
 def tptm_table(chart: Chart) -> GeneratorTable:
     """Generators of the tangent bundle of the odd tangent bundle:
     x even, dx odd, xdot even, dxdot odd."""
-    gens = [(c, EVEN) for c in chart.coords]
-    gens += [(odd_fiber_name(c), ODD) for c in chart.coords]
-    gens += [(velocity_name(c), EVEN) for c in chart.coords]
-    gens += [(odd_velocity_name(c), ODD) for c in chart.coords]
-    return GeneratorTable(tuple(gens))
-
-
-def aux_table(chart: Chart) -> GeneratorTable:
-    gens = list(tptm_table(chart).gens)
-    gens += [(aux_fiber_name(c), ODD) for c in chart.coords]
-    return GeneratorTable(tuple(gens))
+    return _with_velocities(ptm_table(chart))
 
 
 def classical_table(chart: Chart) -> GeneratorTable:
@@ -118,48 +118,57 @@ def classical_table(chart: Chart) -> GeneratorTable:
     return GeneratorTable(tuple(gens))
 
 
+def _connection_terms(gamma: ChristoffelSymbols) -> list[list[Expr]]:
+    """K[a][b] = xdot^c Gamma^a_{cb}, the part of both splittings that
+    couples a fiber to the velocity."""
+    n = gamma.chart.dim
+    xdot = [Var(velocity_name(c)) for c in gamma.chart.coords]
+    return [
+        [Add.of(*(Mul.of(xdot[c], gamma.entry(a, c, b)) for c in range(n))) for b in range(n)]
+        for a in range(n)
+    ]
+
+
 def nabla_dot(gamma: ChristoffelSymbols) -> tuple[GradedExpr, ...]:
     """Splitting covectors nabla(xdot^a) = dxdot^a + dx^b xdot^c Gamma^a_{cb},
     over the chart's tptm table."""
-    chart = gamma.chart
-    table = tptm_table(chart)
-    n = chart.dim
-    coords = chart.coords
-    xdot = [Var(velocity_name(c)) for c in coords]
-
-    def coefficient(a: int, b: int) -> Expr:  # xdot^c Gamma^a_{cb}
-        return Add.of(*(Mul.of(xdot[c], gamma.entry(a, c, b)) for c in range(n)))
-
+    coords = gamma.chart.coords
+    table = tptm_table(gamma.chart)
+    K = _connection_terms(gamma)
     return tuple(
         GradedExpr.linear(
             table,
-            [(odd_velocity_name(coords[a]), ONE)]
-            + [(odd_fiber_name(coords[b]), coefficient(a, b)) for b in range(n)],
+            [(odd_velocity_name(xa), ONE)]
+            + [(odd_fiber_name(xb), K[a][b]) for b, xb in enumerate(coords)],
         )
-        for a in range(n)
+        for a, xa in enumerate(coords)
     )
 
 
-def metric_function(g: MetricTensor, omega: AlmostSymplectic) -> GradedExpr:
-    """G = xdot^a xdot^b g_ba + xi^a xi^b omega_ba over the auxiliary table;
-    the a > b terms of the odd block join the a < b monomial with
-    xi^b xi^a = -xi^a xi^b."""
-    chart = g.chart
-    table = aux_table(chart)
-    n = chart.dim
-    xdot = [Var(velocity_name(c)) for c in chart.coords]
-    xi = [table.index(aux_fiber_name(c)) for c in chart.coords]
-    gmat, om = g.matrix, omega.matrix
-    body = Add.of(*(Mul.of(xdot[a], xdot[b], gmat[b][a]) for a in range(n) for b in range(n)))
-    return GradedExpr.make(
+def _sasaki_form(
+    table: GeneratorTable,
+    g: MetricTensor,
+    fibers: Sequence[GradedExpr],
+    block: Matrix,
+) -> GradedExpr:
+    """xdot^a xdot^b g_ba + F^a F^b B_ba over `table`, summed as
+    sum_{a<=b} w_ab F^a F^b with w_aa = B_aa and w_ab = 2 B_ba for a < b.
+    That is exact because B is symmetric when the fibers F are even and
+    antisymmetric when they are odd; zero block entries are skipped."""
+    n = g.chart.dim
+    xdot = [Var(velocity_name(c)) for c in g.chart.coords]
+    total = GradedExpr.scalar(
         table,
-        [((), body)]
-        + [
-            ((xi[a], xi[b]), Add.of(om[b][a], neg(om[a][b])))
-            for a in range(n)
-            for b in range(a + 1, n)
-        ],
+        Add.of(*(Mul.of(xdot[a], xdot[b], g.matrix[b][a]) for a in range(n) for b in range(n))),
     )
+    two = Const(Fraction(2))
+    for a in range(n):
+        for b in range(a, n):
+            if block[b][a] == ZERO:
+                continue
+            w = block[a][a] if a == b else Mul.of(two, block[b][a])
+            total = total + gmul(fibers[a], fibers[b]).scale(w)
+    return total
 
 
 @dataclass(frozen=True)
@@ -178,19 +187,15 @@ class LiftedGeometry:
 
 
 def lift_geometry(g: MetricTensor, omega: AlmostSymplectic) -> LiftedGeometry:
-    """Build the lifted metric by substituting the splitting covectors of
-    the Levi-Civita connection of g for the auxiliary odd fiber generators
-    of G; bundle everything downstream consumers reuse."""
+    """Assemble the lifted metric from the splitting covectors of the
+    Levi-Civita connection of g and the block omega; bundle everything
+    downstream consumers reuse."""
     if g.chart != omega.chart:
         raise GeometryError("metric and two-form live on different charts")
     chart = g.chart
     gamma = christoffel(g)
-    tptm = tptm_table(chart)
     nabla = nabla_dot(gamma)
-    images = {
-        aux_fiber_name(c): nabla[i] for i, c in enumerate(chart.coords)
-    }
-    lifted = gsubstitute(metric_function(g, omega), images, tptm)
+    tptm = nabla[0].table
     return LiftedGeometry(
         chart=chart,
         metric=g,
@@ -199,49 +204,28 @@ def lift_geometry(g: MetricTensor, omega: AlmostSymplectic) -> LiftedGeometry:
         ptm=ptm_table(chart),
         tptm=tptm,
         nabla=nabla,
-        lifted=lifted,
+        lifted=_sasaki_form(tptm, g, nabla, omega.matrix),
     )
 
 
-def super_sasaki(g: MetricTensor, omega: AlmostSymplectic) -> GradedExpr:
-    """The even metric function on the odd tangent bundle: substitute
-    nabla(xdot^a) for xi^a in G = xdot^a xdot^b g_ba + xi^a xi^b omega_ba."""
-    return lift_geometry(g, omega).lifted
-
-
 def classical_sasaki(g: MetricTensor) -> GradedExpr:
-    """All-even analogue: xdot^a xdot^b g_ba + D(xdot)^a D(xdot)^b g_ba
-    with D(xdot)^a = delta_xdot^a + delta_x^b xdot^c Gamma^a_{cb}, Gamma
-    the Levi-Civita symbols of g, over the purely even table."""
-    chart = g.chart
-    n = chart.dim
-    gamma = christoffel(g)
-    table = classical_table(chart)
-    D: list[Expr] = []
-    for a in range(n):
-        terms: list[Expr] = [Var(classical_velocity_fiber_name(chart.coords[a]))]
-        for b in range(n):
-            for c in range(n):
-                terms.append(
-                    Mul.of(
-                        Var(classical_fiber_name(chart.coords[b])),
-                        Var(velocity_name(chart.coords[c])),
-                        gamma.entry(a, c, b),
-                    )
-                )
-        D.append(Add.of(*terms))
-    total_terms: list[Expr] = []
-    for a in range(n):
-        for b in range(n):
-            total_terms.append(
-                Mul.of(
-                    Var(velocity_name(chart.coords[a])),
-                    Var(velocity_name(chart.coords[b])),
-                    g.matrix[b][a],
-                )
-            )
-            total_terms.append(Mul.of(D[a], D[b], g.matrix[b][a]))
-    return GradedExpr.scalar(table, Add.of(*total_terms))
+    """Sasaki's metric xdot^a xdot^b g_ba + D(xdot)^a D(xdot)^b g_ba over
+    the purely even table, with D(xdot)^a = delta_xdot^a + delta_x^b xdot^c
+    Gamma^a_{cb} and Gamma the Levi-Civita symbols of g."""
+    coords = g.chart.coords
+    table = classical_table(g.chart)
+    K = _connection_terms(christoffel(g))
+    D = [
+        GradedExpr.scalar(
+            table,
+            Add.of(
+                Var(classical_velocity_fiber_name(xa)),
+                *(Mul.of(Var(classical_fiber_name(xb)), K[a][b]) for b, xb in enumerate(coords)),
+            ),
+        )
+        for a, xa in enumerate(coords)
+    ]
+    return _sasaki_form(table, g, D, g.matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +281,7 @@ def vertical_lift(X: VectorFieldPTM) -> tuple[tuple[GradedExpr, str], ...]:
     """iota_X = X^a d/d(xdot^a) + Xbar^a d/d(dxdot^a), as (coefficient,
     generator-name) pairs over the chart's tptm table: X's operator with
     each generator w replaced by its velocity w + "dot"."""
-    table = tptm_table(Chart(X.table.even_names))
+    table = _with_velocities(X.table)
     return tuple(
         (extend_to(coeff, table), velocity_name(gen)) for coeff, gen in field_operator(X)
     )
@@ -315,18 +299,16 @@ def apply_first_order(
 
 
 def pairing_via_lift(
-    X: VectorFieldPTM, Y: VectorFieldPTM, gS: GradedExpr
+    X: VectorFieldPTM, Y: VectorFieldPTM, lift: LiftedGeometry
 ) -> GradedExpr:
-    """<X|Y> = 1/2 iota_X iota_Y gS, projected back down to the odd
-    tangent bundle chart."""
-    if X.table != Y.table:
-        raise GradedError("paired fields live over different tables")
-    if gS.table != tptm_table(Chart(X.table.even_names)):
-        raise GradedError("metric function does not live over the fields' tptm table")
-    inner = apply_first_order(vertical_lift(Y), gS)
+    """<X|Y> = 1/2 iota_X iota_Y G for G the lifted metric, projected back
+    down to the odd tangent bundle chart."""
+    if X.table != lift.ptm or Y.table != lift.ptm:
+        raise GradedError("paired fields do not live over the lift's odd tangent bundle")
+    inner = apply_first_order(vertical_lift(Y), lift.lifted)
     outer = apply_first_order(vertical_lift(X), inner)
     scaled = outer.scale(Const(Fraction(1, 2)))
-    return restrict_to(scaled, X.table)
+    return restrict_to(scaled, lift.ptm)
 
 
 def pairing_closed_form(

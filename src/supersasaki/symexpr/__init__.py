@@ -24,7 +24,6 @@ from .expr import (
     Var,
     ZERO,
     as_expr,
-    const,
     cos,
     eval_numeric,
     exp,
@@ -35,7 +34,6 @@ from .expr import (
     sqrt,
     substitute,
     to_text,
-    var,
 )
 from .oracle import (
     Assignment,
@@ -53,8 +51,8 @@ __all__ = [
     "FUNCTIONS", "Interval", "MONOMIAL_ORDER_NOTE", "Mul", "ONE",
     "OracleConfig", "OracleError",
     "ParseError", "Pow", "UnknownIdentifierError", "Var", "Witness", "ZERO",
-    "as_expr", "canonical_equal", "canonical_text", "const", "cos",
+    "as_expr", "canonical_equal", "canonical_text", "cos",
     "differentiate", "eval_numeric", "exp", "expr_equal", "free_vars",
     "is_zero_expr", "ln", "neg", "parse_expr", "sample_compare", "simplify",
-    "sin", "sqrt", "substitute", "to_text", "var",
+    "sin", "sqrt", "substitute", "to_text",
 ]

@@ -169,14 +169,6 @@ def as_expr(value: Expr | Rational) -> Expr:
     raise TypeError(f"cannot coerce {value!r} to an expression")
 
 
-def const(value: Rational) -> Const:
-    return Const(Fraction(value))
-
-
-def var(name: str) -> Var:
-    return Var(name)
-
-
 def neg(e: Expr) -> Expr:
     if isinstance(e, Const):
         return Const(-e.value)

@@ -384,10 +384,8 @@ def pairing_invariance(
     """<psi*X | psi*Y> on the source chart against psi*<X|Y> from the
     target chart, for fields given over the target's odd tangent bundle."""
     cfg = config or OracleConfig().with_intervals(psi.source.intervals)
-    lhs = pairing_via_lift(
-        field_pullback(psi, X), field_pullback(psi, Y), source_lift.lifted
-    )
-    rhs = pullback(psi, pairing_via_lift(X, Y, target_lift.lifted))
+    lhs = pairing_via_lift(field_pullback(psi, X), field_pullback(psi, Y), source_lift)
+    rhs = pullback(psi, pairing_via_lift(X, Y, target_lift))
     return residual_outcome(f"pairing invariance under {psi.name}", [lhs], [rhs], cfg)
 
 

@@ -202,7 +202,7 @@ def test_04_closed_form_equals_lift():
             for _ in range(50):
                 X = random_field(spec.chart, parity, rng)
                 Y = random_field(spec.chart, rng.choice((EVEN, ODD)), rng)
-                via = pairing_via_lift(X, Y, lift.lifted)
+                via = pairing_via_lift(X, Y, lift)
                 closed = pairing_closed_form(X, Y, lift)
                 assert (via - closed).is_zero(), (
                     f"{name}: closed form != lift for a parity-{parity} field"
@@ -226,12 +226,12 @@ def test_05_metric_axioms_and_nondegeneracy():
         for _ in range(6):
             X = random_field(spec.chart, rng.choice((EVEN, ODD)), rng)
             Y = random_field(spec.chart, rng.choice((EVEN, ODD)), rng)
-            pair = pairing_via_lift(X, Y, lift.lifted)
+            pair = pairing_via_lift(X, Y, lift)
             if not pair.is_zero():
                 assert parity_of(pair) == (X.parity + Y.parity) % 2, (
                     "pairing parity is not additive"
                 )
-            flipped = pairing_via_lift(Y, X, lift.lifted)
+            flipped = pairing_via_lift(Y, X, lift)
             if X.parity == ODD and Y.parity == ODD:
                 flipped = -flipped
             assert graded_equal(pair, flipped, cfg), "graded symmetry failed"
@@ -243,8 +243,8 @@ def test_05_metric_axioms_and_nondegeneracy():
                 tuple(gmul(f, c) + d for c, d in zip(X.barred, Z.barred)),
                 X.parity,
             )
-            lhs = pairing_via_lift(fX_plus_Z, Y, lift.lifted)
-            rhs = gmul(f, pair) + pairing_via_lift(Z, Y, lift.lifted)
+            lhs = pairing_via_lift(fX_plus_Z, Y, lift)
+            rhs = gmul(f, pair) + pairing_via_lift(Z, Y, lift)
             assert graded_equal(lhs, rhs, cfg), "linearity over even scalars failed"
 
     # nondegeneracy proxy: frame pairing blocks at form degree zero keep
@@ -270,11 +270,11 @@ def test_05_metric_axioms_and_nondegeneracy():
             for a in range(n)
         ]
         even_block = [
-            [epsilon(pairing_via_lift(lie_derivative(X), lie_derivative(Y), lift.lifted)) for Y in base_fields]
+            [epsilon(pairing_via_lift(lie_derivative(X), lie_derivative(Y), lift)) for Y in base_fields]
             for X in base_fields
         ]
         odd_block = [
-            [epsilon(pairing_via_lift(interior(X), interior(Y), lift.lifted)) for Y in base_fields]
+            [epsilon(pairing_via_lift(interior(X), interior(Y), lift)) for Y in base_fields]
             for X in base_fields
         ]
         for _ in range(5):
@@ -286,7 +286,7 @@ def test_05_metric_axioms_and_nondegeneracy():
             worst_even = min(worst_even, abs(de))
             worst_odd = min(worst_odd, abs(do))
         # mixed block carries no degree-zero part
-        mixed = pairing_via_lift(lie_derivative(base_fields[0]), interior(base_fields[-1]), lift.lifted)
+        mixed = pairing_via_lift(lie_derivative(base_fields[0]), interior(base_fields[-1]), lift)
         from supersasaki.symexpr import is_zero_expr
 
         assert is_zero_expr(epsilon(mixed)), f"{name}: mixed block leaks into degree zero"
@@ -354,10 +354,10 @@ def test_08_degree_zero_observations():
         for _ in range(3):
             X = random_base_field(spec.chart, rng)
             Y = random_base_field(spec.chart, rng)
-            lie_pair = pairing_via_lift(lie_derivative(X), lie_derivative(Y), lift.lifted)
+            lie_pair = pairing_via_lift(lie_derivative(X), lie_derivative(Y), lift)
             gXY = bilinear_eval(spec.metric.matrix, X.components, Y.components)
             assert cfg.equal(epsilon(lie_pair), gXY), f"{name}: eps<L_X|L_Y> != g(X,Y)"
-            int_pair = pairing_via_lift(interior(X), interior(Y), lift.lifted)
+            int_pair = pairing_via_lift(interior(X), interior(Y), lift)
             omXY = bilinear_eval(om.matrix, X.components, Y.components)
             want = GradedExpr.make(table, [((), omXY)])
             assert graded_equal(int_pair, want, cfg), f"{name}: <i_X|i_Y> != omega(X,Y)"

@@ -134,11 +134,11 @@ def test_interior_fields_pair_to_the_two_form():
     lift = lift_geometry(g, om)
     e0 = VectorFieldM(g.chart, (_p("1"), _p("0")))
     e1 = VectorFieldM(g.chart, (_p("0"), _p("1")))
-    got = pairing_via_lift(interior(e0), interior(e1), lift.lifted)
+    got = pairing_via_lift(interior(e0), interior(e1), lift)
     assert graded_to_text(got) == "-1"
-    got = pairing_via_lift(interior(e1), interior(e0), lift.lifted)
+    got = pairing_via_lift(interior(e1), interior(e0), lift)
     assert graded_to_text(got) == "1"
-    got = pairing_via_lift(interior(e0), interior(e0), lift.lifted)
+    got = pairing_via_lift(interior(e0), interior(e0), lift)
     assert got.is_zero()
 
 
@@ -146,11 +146,11 @@ def test_lie_against_d_gives_the_flat_one_form():
     g, om = euclidean2()
     lift = lift_geometry(g, om)
     X = VectorFieldM(g.chart, (_p("y"), _p("0")))
-    got = pairing_via_lift(lie_derivative(X), de_rham(g.chart), lift.lifted)
+    got = pairing_via_lift(lie_derivative(X), de_rham(g.chart), lift)
     assert graded_to_text(got) == "y*dx"
     d = de_rham(g.chart)
-    assert pairing_via_lift(d, d, lift.lifted).is_zero()
-    assert pairing_via_lift(interior(X), d, lift.lifted).is_zero()
+    assert pairing_via_lift(d, d, lift).is_zero()
+    assert pairing_via_lift(interior(X), d, lift).is_zero()
 
 
 def test_proposition_on_fixed_fields():
@@ -214,14 +214,14 @@ def test_epsilon_level_pairing_recovers_base_tensors():
         for _ in range(4):
             X = random_base_field(g.chart, rng)
             Y = random_base_field(g.chart, rng)
-            pair = pairing_via_lift(lie_derivative(X), lie_derivative(Y), lift.lifted)
+            pair = pairing_via_lift(lie_derivative(X), lie_derivative(Y), lift)
             n = g.chart.dim
             gXY = _p("0")
             from supersasaki.geometry import bilinear_eval
 
             gXY = bilinear_eval(g.matrix, X.components, Y.components)
             assert cfg.equal(epsilon(pair), gXY), "epsilon part is not g(X,Y)"
-            ipair = pairing_via_lift(interior(X), interior(Y), lift.lifted)
+            ipair = pairing_via_lift(interior(X), interior(Y), lift)
             omXY = bilinear_eval(om.matrix, X.components, Y.components)
             assert cfg.equal(epsilon(ipair), omXY), "interior pairing is not omega(X,Y)"
 

@@ -61,6 +61,7 @@ def _commands():
     cmds += [
         ("christoffel", curved4),
         ("sasaki", curved4),
+        ("classical-sasaki", curved4),
         ("acs", curved4),
         ("check", curved4, "--suite", "cartan", "--fields", "1"),
         ("pair", curved4, "--x", "lie:y,0,1,x", "--y", "interior:1,z,0,0"),
@@ -137,6 +138,7 @@ GOLDEN = {
     'pair specs/varcoef.json --x lie:u*v+1,v-2 --y interior:u+1,2*u*v': (0, '5a13d8c8b44a486f49492cc8181ae485e203bc26fbcc07b355a38ea66cf62bf3'),
     'christoffel specs/curved4.json': (0, '5b616d1732d76038b9861cb9caf0d88f42adaa6c43a500852f719543b67ea925'),
     'sasaki specs/curved4.json': (0, '78eb4c7d2ea31be746aaa84d007e660849bf2240741efe630a154801afaa9641'),
+    'classical-sasaki specs/curved4.json': (0, 'ceadc1ae797c4bc4d4ca6541d8808c0cbe791949ee615a37dc86a2874e043a29'),
     'acs specs/curved4.json': (0, 'b09dc45db98473b1697ef7b0b74ed568c158015047a016021fd2abcfe4f532cf'),
     'check specs/curved4.json --suite cartan --fields 1': (0, '19e8f33f8469b4665c08c9bb603012e16fbf2966a01e2b75dd85fa92dcdacbf4'),
     'pair specs/curved4.json --x lie:y,0,1,x --y interior:1,z,0,0': (0, '69a47c3dd80823e65c54758c16d131bb42d58ececa6f13488c0aca27a8e13699'),

@@ -25,11 +25,10 @@ from supersasaki.sasakilift import (
     pairing_via_lift,
     ptm_table,
     random_field,
-    super_sasaki,
     vector_field_on_base,
     vertical_lift,
 )
-from supersasaki.symexpr import OracleConfig, canonical_text, parse_expr
+from supersasaki.symexpr import OracleConfig, canonical_text, eval_numeric, parse_expr
 
 SEED = 1108
 
@@ -59,10 +58,18 @@ def polar():
     return g, om
 
 
+def curved4():
+    coords = ("x", "y", "z", "w")
+    ch = Chart(coords, intervals={c: (-1.0, 1.0) for c in coords}, name="curved4")
+    diag = ("1 + y^2", "1 + z^2", "1 + w^2", "1 + x^2")
+    g = MetricTensor(ch, [[_p(diag[a] if a == b else "0") for b in range(4)] for a in range(4)])
+    return g
+
+
 def test_flat_lift_is_the_golden_form():
     g, om = euclidean2()
     start = time.monotonic()
-    lifted = super_sasaki(g, om)
+    lifted = lift_geometry(g, om).lifted
     elapsed = time.monotonic() - start
     assert graded_to_text(lifted) == "xdot^2 + ydot^2 + 2*dxdot*dydot"
     assert elapsed < 1.0, f"flat lift took {elapsed:.3f}s"
@@ -70,7 +77,7 @@ def test_flat_lift_is_the_golden_form():
 
 def test_lift_with_degenerate_block_metric():
     g, om = misner()
-    lifted = super_sasaki(g, om)
+    lifted = lift_geometry(g, om).lifted
     assert graded_to_text(lifted) == (
         "phidot^2*t + 2*phidot*tdot - 1/2*phidot^2*dt*dphi + phidot*dt*dphidot"
         " + phidot*dphi*dtdot + (phidot*t + tdot)*dphi*dphidot + 2*dtdot*dphidot"
@@ -88,7 +95,7 @@ def test_splitting_covectors():
 
 def test_lift_is_even_and_vanishes_on_zero_section():
     for g, om in (euclidean2(), misner(), polar()):
-        lifted = super_sasaki(g, om)
+        lifted = lift_geometry(g, om).lifted
         assert parity_of(lifted) == EVEN
         # every monomial must carry a velocity generator, odd or even
         velocity = {n for n in lifted.table.names if n.endswith("dot")}
@@ -116,6 +123,39 @@ def test_classical_lift_has_no_odd_generators_anywhere():
     got = classical_sasaki(g)
     assert got.table.odd_names == ()
     assert parity_of(got) == EVEN
+
+
+def test_classical_lift_matches_a_numeric_reference_on_curved4():
+    g = curved4()
+    start = time.monotonic()
+    got = classical_sasaki(g)
+    elapsed = time.monotonic() - start
+    assert elapsed < 10.0, f"classical lift of curved4 took {elapsed:.1f}s"
+    assert set(got.terms) == {()}
+    gamma = christoffel(g)
+    coords = g.chart.coords
+    n = g.chart.dim
+    rng = random.Random(SEED)
+    for _ in range(5):
+        point = {name: rng.uniform(-1.0, 1.0) for name in got.table.names}
+        gm = [[eval_numeric(e, point) for e in row] for row in g.matrix]
+        xdot = [point[c + "dot"] for c in coords]
+        dx = [point["delta_" + c] for c in coords]
+        dxdot = [point["delta_" + c + "dot"] for c in coords]
+        D = [
+            dxdot[a]
+            + sum(
+                dx[b] * xdot[c] * eval_numeric(gamma.entry(a, c, b), point)
+                for b in range(n)
+                for c in range(n)
+            )
+            for a in range(n)
+        ]
+        ref = sum(
+            (xdot[a] * xdot[b] + D[a] * D[b]) * gm[b][a] for a in range(n) for b in range(n)
+        )
+        value = eval_numeric(got.body(), point)
+        assert abs(value - ref) <= 1e-9 * abs(ref), (point, value, ref)
 
 
 def test_vertical_lift_targets_velocity_slots():
@@ -156,9 +196,9 @@ def test_pairing_of_constant_base_fields_is_the_metric():
     lift = lift_geometry(g, om)
     ex = vector_field_on_base(g.chart, (_p("1"), _p("0")))
     ey = vector_field_on_base(g.chart, (_p("0"), _p("1")))
-    assert graded_to_text(pairing_via_lift(ex, ex, lift.lifted)) == "1"
-    assert graded_to_text(pairing_via_lift(ex, ey, lift.lifted)) == "0"
-    assert graded_to_text(pairing_via_lift(ey, ey, lift.lifted)) == "1"
+    assert graded_to_text(pairing_via_lift(ex, ex, lift)) == "1"
+    assert graded_to_text(pairing_via_lift(ex, ey, lift)) == "0"
+    assert graded_to_text(pairing_via_lift(ey, ey, lift)) == "1"
 
 
 def test_pairing_epsilon_part_recovers_the_base_metric():
@@ -166,11 +206,11 @@ def test_pairing_epsilon_part_recovers_the_base_metric():
     lift = lift_geometry(g, om)
     dt = vector_field_on_base(g.chart, (_p("1"), _p("0")))
     dphi = vector_field_on_base(g.chart, (_p("0"), _p("1")))
-    got = pairing_via_lift(dt, dphi, lift.lifted)
+    got = pairing_via_lift(dt, dphi, lift)
     assert canonical_text(epsilon(got)) == "1"
-    got = pairing_via_lift(dt, dt, lift.lifted)
+    got = pairing_via_lift(dt, dt, lift)
     assert canonical_text(epsilon(got)) == "0"
-    got = pairing_via_lift(dphi, dphi, lift.lifted)
+    got = pairing_via_lift(dphi, dphi, lift)
     assert canonical_text(epsilon(got)) == canonical_text(_p("t"))
 
 
@@ -183,7 +223,7 @@ def test_closed_form_matches_lift_on_random_fields():
             for _ in range(8):
                 X = random_field(g.chart, parity, rng)
                 Y = random_field(g.chart, rng.choice((EVEN, ODD)), rng)
-                via = pairing_via_lift(X, Y, lift.lifted)
+                via = pairing_via_lift(X, Y, lift)
                 closed = pairing_closed_form(X, Y, lift)
                 assert graded_equal(via, closed, cfg), (
                     f"{g.chart.name}: closed form disagrees with the lift"
@@ -202,10 +242,10 @@ def test_pairing_rejects_mismatched_inputs():
     X = vector_field_on_base(g.chart, (_p("1"), _p("0")))
     W = vector_field_on_base(gP.chart, (_p("1"), _p("0")))
     with pytest.raises(GradedError):
-        pairing_via_lift(X, W, lift.lifted)
+        pairing_via_lift(X, W, lift)
     wrong_lift = lift_geometry(gP, omP)
     with pytest.raises(GradedError):
-        pairing_via_lift(X, X, wrong_lift.lifted)
+        pairing_via_lift(X, X, wrong_lift)
 
 
 def test_pairing_is_graded_symmetric():
@@ -216,8 +256,8 @@ def test_pairing_is_graded_symmetric():
     for _ in range(10):
         X = random_field(g.chart, rng.choice((EVEN, ODD)), rng)
         Y = random_field(g.chart, rng.choice((EVEN, ODD)), rng)
-        left = pairing_via_lift(X, Y, lift.lifted)
-        right = pairing_via_lift(Y, X, lift.lifted)
+        left = pairing_via_lift(X, Y, lift)
+        right = pairing_via_lift(Y, X, lift)
         if X.parity == ODD and Y.parity == ODD:
             right = -right
         assert graded_equal(left, right, cfg), "graded symmetry failed"
@@ -242,6 +282,6 @@ def test_pairing_is_left_linear_over_even_scalars():
             tuple(gmul(f, c) + d for c, d in zip(X.barred, Y.barred)),
             X.parity,
         )
-        lhs = pairing_via_lift(fX_plus_Y, Z, lift.lifted)
-        rhs = gmul(f, pairing_via_lift(X, Z, lift.lifted)) + pairing_via_lift(Y, Z, lift.lifted)
+        lhs = pairing_via_lift(fX_plus_Y, Z, lift)
+        rhs = gmul(f, pairing_via_lift(X, Z, lift)) + pairing_via_lift(Y, Z, lift)
         assert graded_equal(lhs, rhs, cfg), "left module linearity failed"
