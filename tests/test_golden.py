@@ -67,6 +67,18 @@ def _commands():
         ("pair", curved4, "--x", "lie:y,0,1,x", "--y", "interior:1,z,0,0"),
         ("pair", curved4, "--x", "interior:w,1,0,0", "--y", "deRham"),
     ]
+    # The first chart with exp, sqrt and ln entries.
+    transcendental = "specs/transcendental.json"
+    cmds += [
+        ("christoffel", transcendental),
+        ("sasaki", transcendental),
+        ("classical-sasaki", transcendental),
+        ("acs", transcendental),
+        ("pair", transcendental, "--x", "lie:y,x", "--y", "interior:1,x"),
+        ("pair", transcendental, "--x", "lie:x*y,1", "--y", "lie:1,x^2"),
+        ("check", transcendental, "--suite", "cartan", "--fields", "1"),
+        ("check", transcendental, "--suite", "proposition", "--fields", "2"),
+    ]
     return cmds
 
 
@@ -143,6 +155,14 @@ GOLDEN = {
     'check specs/curved4.json --suite cartan --fields 1': (0, '19e8f33f8469b4665c08c9bb603012e16fbf2966a01e2b75dd85fa92dcdacbf4'),
     'pair specs/curved4.json --x lie:y,0,1,x --y interior:1,z,0,0': (0, '69a47c3dd80823e65c54758c16d131bb42d58ececa6f13488c0aca27a8e13699'),
     'pair specs/curved4.json --x interior:w,1,0,0 --y deRham': (0, '3de1bd5673441e8bde48620d4176b64b06f62844d70c29299bee0eff22d3a48d'),
+    'christoffel specs/transcendental.json': (0, 'd2225bd45c92f2ff71cce7a7b28b271a7e56207de3295f6cb35ebd7ffe8f5d16'),
+    'sasaki specs/transcendental.json': (0, 'c3adb8dedc43399d3cdf0bee412aa5103e1f9735d3b1c357c8672bbef8e0e889'),
+    'classical-sasaki specs/transcendental.json': (0, '515ca3ed381e88b40bb14d86d2fb538212ca5650e382d6b481011f3b0b4ea0ae'),
+    'acs specs/transcendental.json': (0, '3aba7359384a16f6b680eedef3dbc2046cbec5dcd9716859f008c1f6d3659345'),
+    'pair specs/transcendental.json --x lie:y,x --y interior:1,x': (0, '42bb70fd815dfed4b152c4b2724a9b07665607e2fb2e02990301671b7b15ea4c'),
+    'pair specs/transcendental.json --x lie:x*y,1 --y lie:1,x^2': (0, 'd6227955ac055d713aca80ae162ce7453cbeb5ab8d9f61df80fa29e62675c8b7'),
+    'check specs/transcendental.json --suite cartan --fields 1': (0, 'f2d113124a0b46b67f6eaab0ce4f8120da6a12c87fe7454a176d58c2731984b6'),
+    'check specs/transcendental.json --suite proposition --fields 2': (0, '2e5558f8ca37555c27029643243ca19ea19910428174f62bc1e972309c2b1080'),
 }
 
 
