@@ -277,8 +277,8 @@ def cmd_sasaki(args: argparse.Namespace, spec: GeometrySpec) -> RunReport:
     names = lift.tptm.names
     at_zero_section = all(
         any(names[i] in odd_velocities for i in mono)
-        or (free_vars(coeff) & velocities)
-        for mono, coeff in lift.lifted.terms.items()
+        or (free_vars(lift.lifted.coefficient(mono)) & velocities)
+        for mono in lift.lifted.terms
     )
     report.add("vanishes at the zero section", at_zero_section)
 

@@ -1,9 +1,10 @@
 """Functions on a coordinate superdomain: polynomial data in anticommuting
-generators with scalar-expression coefficients.
+generators with rational-function coefficients.
 
 A GeneratorTable fixes an ordered list of named generators, each even or
 odd. A GradedExpr stores, per sorted tuple of odd generator indices, a
-scalar coefficient depending only on the even generator names. Products
+scalar coefficient depending only on the even generator names, kept as its
+canonical (num, den) pair; graded arithmetic works on the pairs. Products
 pick up the sign of the permutation that sorts the odd factors (counted by
 merge inversions); odd squares vanish. Odd partial derivatives act from
 the left: differentiating by the generator at position p of a monomial
@@ -38,13 +39,12 @@ from .symexpr import (
     as_expr,
     differentiate,
     free_vars,
-    is_zero_expr,
     parse_expr,
-    simplify,
     substitute,
     to_text,
 )
-from .symexpr.expr import FUNCTIONS, _negative_head
+from .symexpr.canonical import Poly, canonicalize, pair_to_expr, rat_add, to_canonical
+from .symexpr.expr import FUNCTIONS, _negative_head, derivative_raw
 
 EVEN = 0
 ODD = 1
@@ -56,6 +56,10 @@ ODD_DERIVATIVE_NOTE = (
 )
 
 Monomial = tuple[int, ...]
+Pair = tuple[Poly, Poly]  # to_canonical output: num, monic den, gcd 1
+
+_ZERO_PAIR, _ONE_PAIR = (Poly.zero(), Poly.const(1)), (Poly.const(1), Poly.const(1))
+_MINUS_ONE = Fraction(-1)
 
 
 class GradedError(ValueError):
@@ -147,30 +151,23 @@ def _merge_with_sign(m1: Monomial, m2: Monomial) -> tuple[Monomial | None, int]:
     return tuple(out), sign
 
 
-def _canonical_terms(entries: Iterable[tuple[Monomial, Expr]]) -> dict[Monomial, Expr]:
-    """The stored form of a term table: each coefficient simplified, and
-    the monomials whose coefficient vanishes dropped."""
-    out = {}
-    for mono, coeff in entries:
-        c = simplify(coeff)
-        if c != ZERO:
-            out[mono] = c
-    return out
+def _drop_zeros(entries: Iterable[tuple[Monomial, Pair]]) -> dict[Monomial, Pair]:
+    return {mono: pair for mono, pair in entries if not pair[0].is_zero()}
 
 
 class GradedExpr:
     """Element of the function algebra over a GeneratorTable. Immutable by
     convention.
 
-    Canonical by construction: every stored coefficient is `simplify`
-    output and never ZERO (a vanishing monomial is absent). So a stored
-    coefficient is zero-tested with `== ZERO`, and two stored coefficients
-    are equal as rational functions exactly when they are equal as trees.
+    Canonical by construction: every stored coefficient is a `to_canonical`
+    pair with a nonzero numerator (a vanishing monomial is absent). `+`,
+    `gmul`, `scale` and the odd `partial` combine pairs with `rat_add` and
+    `canonicalize`; `coefficient()` and `body()` print a pair as a tree.
     """
 
     __slots__ = ("table", "terms")
 
-    def __init__(self, table: GeneratorTable, terms: dict[Monomial, Expr]):
+    def __init__(self, table: GeneratorTable, terms: dict[Monomial, Pair]):
         # private: use make()/scalar()/generator() which normalize
         self.table = table
         self.terms = terms
@@ -181,7 +178,7 @@ class GradedExpr:
     ) -> "GradedExpr":
         """Sum of coefficient * monomial over the entries; repeated
         monomials add up."""
-        acc: dict[Monomial, Expr] = {}
+        acc: dict[Monomial, Pair] = {}
         for mono, coeff in entries:
             mono = tuple(mono)
             if any(mono[k] >= mono[k + 1] for k in range(len(mono) - 1)):
@@ -189,19 +186,17 @@ class GradedExpr:
             for idx in mono:
                 if idx < 0 or idx >= len(table) or table.gens[idx][1] != ODD:
                     raise GradedError(f"monomial index {idx} is not an odd generator")
-            if mono in acc:
-                acc[mono] = Add.of(acc[mono], coeff)
-            else:
-                acc[mono] = coeff
-        out = _canonical_terms(acc.items())
+            pair = to_canonical(coeff)
+            acc[mono] = canonicalize(*rat_add(acc[mono], pair)) if mono in acc else pair
+        out = GradedExpr(table, _drop_zeros(acc.items()))
         even = set(table.even_names)
-        for c in out.values():
+        for c in map(out.coefficient, out.terms):
             stray = free_vars(c) - even
             if stray:
                 raise GradedError(
                     f"coefficient {to_text(c)} depends on non-even names {sorted(stray)}"
                 )
-        return GradedExpr(table, out)
+        return out
 
     @staticmethod
     def linear(
@@ -221,51 +216,53 @@ class GradedExpr:
 
     @staticmethod
     def one(table: GeneratorTable) -> "GradedExpr":
-        return GradedExpr(table, {(): ONE})
+        return GradedExpr(table, {(): _ONE_PAIR})
 
     @staticmethod
     def generator(table: GeneratorTable, name: str) -> "GradedExpr":
         idx = table.index(name)
         if table.gens[idx][1] == ODD:
-            return GradedExpr(table, {(idx,): ONE})
-        return GradedExpr(table, {(): Var(name)})
+            return GradedExpr(table, {(idx,): _ONE_PAIR})
+        return GradedExpr(table, {(): to_canonical(Var(name))})
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def coefficient(self, mono: Monomial) -> Expr:
-        return self.terms.get(tuple(mono), ZERO)
+        return pair_to_expr(self.terms.get(tuple(mono), _ZERO_PAIR))
 
     def body(self) -> Expr:
-        return self.terms.get((), ZERO)
+        return self.coefficient(())
 
     def __add__(self, other: "GradedExpr") -> "GradedExpr":
         self._same_table(other)
         out = dict(self.terms)
-        for mono, coeff in other.terms.items():
+        for mono, pair in other.terms.items():
             if mono in out:
-                s = simplify(Add.of(out[mono], coeff))
-                if s == ZERO:
+                s = canonicalize(*rat_add(out[mono], pair))
+                if s[0].is_zero():
                     del out[mono]
                 else:
                     out[mono] = s
             else:
-                out[mono] = coeff
+                out[mono] = pair
         return GradedExpr(self.table, out)
 
     def __sub__(self, other: "GradedExpr") -> "GradedExpr":
-        return self + other.scale(Const(Fraction(-1)))
+        return self + -other
 
     def __neg__(self) -> "GradedExpr":
-        return self.scale(Const(Fraction(-1)))
+        return GradedExpr(
+            self.table, {m: (n.scale(_MINUS_ONE), d) for m, (n, d) in self.terms.items()}
+        )
 
     def scale(self, factor: Expr | int | Fraction) -> "GradedExpr":
-        factor = as_expr(factor)
-        if is_zero_expr(factor):
+        fn, fd = to_canonical(as_expr(factor))
+        if fn.is_zero():
             return GradedExpr.zero(self.table)
         return GradedExpr(
             self.table,
-            _canonical_terms((m, Mul.of(factor, c)) for m, c in self.terms.items()),
+            _drop_zeros((m, canonicalize(n * fn, d * fd)) for m, (n, d) in self.terms.items()),
         )
 
     def __mul__(self, other: "GradedExpr") -> "GradedExpr":
@@ -285,15 +282,15 @@ class GradedExpr:
 def gmul(f: GradedExpr, g: GradedExpr) -> GradedExpr:
     """Product in the graded-commutative algebra (Koszul signs)."""
     f._same_table(g)
-    acc: dict[Monomial, Expr] = {}
-    for m1, c1 in f.terms.items():
-        for m2, c2 in g.terms.items():
+    acc: dict[Monomial, Pair] = {}
+    for m1, (n1, d1) in f.terms.items():
+        for m2, (n2, d2) in g.terms.items():
             merged, sign = _merge_with_sign(m1, m2)
             if merged is None:
                 continue
-            piece = Mul.of(c1, c2) if sign == 1 else Mul.of(Const(Fraction(-1)), c1, c2)
-            acc[merged] = Add.of(acc[merged], piece) if merged in acc else piece
-    return GradedExpr(f.table, _canonical_terms(acc.items()))
+            piece = ((n1 * n2).scale(Fraction(sign)), d1 * d2)
+            acc[merged] = rat_add(acc[merged], piece) if merged in acc else piece
+    return GradedExpr(f.table, _drop_zeros((m, canonicalize(*c)) for m, c in acc.items()))
 
 
 def parity_of(f: GradedExpr) -> int | None:
@@ -316,16 +313,16 @@ def partial(f: GradedExpr, name: str) -> GradedExpr:
     the left; even generators differentiate the coefficients."""
     idx = f.table.index(name)
     if f.table.gens[idx][1] == EVEN:
-        derivs = ((mono, differentiate(c, name)) for mono, c in f.terms.items())
-        return GradedExpr(f.table, {mono: d for mono, d in derivs if d != ZERO})
+        # on the tree: a quotient rule on pairs can reach another pair for a sqrt denominator
+        derivs = ((m, to_canonical(derivative_raw(f.coefficient(m), name))) for m in f.terms)
+        return GradedExpr(f.table, _drop_zeros(derivs))
     out = {}
-    for mono, coeff in f.terms.items():
+    for mono, (n, d) in f.terms.items():
         if idx not in mono:
             continue
         pos = mono.index(idx)
         rest = mono[:pos] + mono[pos + 1 :]
-        c = coeff if pos % 2 == 0 else simplify(Mul.of(Const(Fraction(-1)), coeff))
-        out[rest] = c
+        out[rest] = (n, d) if pos % 2 == 0 else (n.scale(_MINUS_ONE), d)
     return GradedExpr(f.table, out)
 
 
@@ -370,7 +367,7 @@ def graded_inverse(ge: GradedExpr) -> GradedExpr:
     """Multiplicative inverse; requires an even argument with nonzero body."""
     if parity_of(ge) not in (EVEN,):
         raise GradedError("only even graded quantities are invertible")
-    if ge.body() == ZERO:
+    if () not in ge.terms:
         raise ZeroDivisionError("graded quantity has zero body, not invertible")
     return _graded_compose(Div(ONE, Var(_FRESH)), _FRESH, ge)
 
@@ -379,7 +376,7 @@ def graded_eval_scalar(e: Expr, table: GeneratorTable) -> GradedExpr:
     """Evaluate a scalar tree whose variables name generators of the table,
     as an algebra morphism; the evaluator behind parse_graded."""
     if isinstance(e, Const):
-        return GradedExpr(table, {} if e.value == 0 else {(): e})
+        return GradedExpr.scalar(table, e)
     if isinstance(e, Var):
         if e.name not in table:
             raise GradedError(f"{e.name!r} is not a generator of the target table")
@@ -456,8 +453,8 @@ def gsubstitute(
         if p == ODD
     }
     total = GradedExpr.zero(target)
-    for mono, coeff in f.terms.items():
-        piece = GradedExpr.scalar(target, substitute(coeff, bodies))
+    for mono in f.terms:
+        piece = GradedExpr.scalar(target, substitute(f.coefficient(mono), bodies))
         for idx in mono:
             piece = gmul(piece, odd_images[idx])
         total = total + piece
@@ -480,8 +477,8 @@ def restrict_to(f: GradedExpr, sub_table: GeneratorTable) -> GradedExpr:
     dropped names."""
     _check_prefix(sub_table, f.table)
     allowed = set(sub_table.names)
-    for mono, coeff in f.terms.items():
-        used = {f.table.gens[i][0] for i in mono} | set(free_vars(coeff))
+    for mono in f.terms:
+        used = {f.table.gens[i][0] for i in mono} | set(free_vars(f.coefficient(mono)))
         stray = used - allowed
         if stray:
             raise GradedError(f"expression uses generators {sorted(stray)} not in target")
@@ -526,7 +523,7 @@ def graded_to_text(f: GradedExpr) -> str:
     names = f.table.names
     pieces: list[str] = []
     for mono in sorted(f.terms, key=lambda m: (len(m), m)):
-        coeff = f.terms[mono]
+        coeff = f.coefficient(mono)
         if not mono:
             pieces.append(to_text(coeff))
             continue

@@ -10,16 +10,16 @@ canonical arguments), with:
   * the gcd of num and den cancelled (primitive PRS over the integers),
   * the denominator made monic (leading coefficient 1 under graded lex).
 
-Two expressions are equal as rational functions iff they canonicalize to
-identical pairs, which backs both simplify() and the fast tier of the
-equality oracle. Coefficients stay exact rationals throughout.
+Identical pairs mean equal expressions, and a pair is zero exactly when its
+expression is. The converse fails where sqrt or sin atoms meet a
+denominator: 1/sqrt(x^2 + 2) and sqrt(x^2 + 2)/(x^2 + 2) keep different
+pairs, and only the oracle's sampling tier finds them equal. Coefficients
+stay exact rationals throughout.
 
-simplify() prints the pair back as a tree, and that tree is a fixed point:
-simplify(s) == s for s = simplify(e), s == ZERO exactly when e is zero,
-and two such trees are equal exactly when their expressions are. Values
-built from simplify output (GradedExpr coefficients, metric and connection
-entries) are therefore zero-tested with == ZERO and compared with ==;
-is_zero_expr and canonical_equal are for trees not yet in this form.
+simplify() prints a pair as a tree, a fixed point: simplify(s) == s, and
+s == ZERO exactly when e is zero, for s = simplify(e). GradedExpr keeps its
+coefficients as pairs, combined with rat_add and canonicalize; a pair is
+zero when its numerator is, and pair_to_expr prints one for tree consumers.
 """
 
 from __future__ import annotations
@@ -380,7 +380,9 @@ def _is_reducible(atom: Atom, exp: int) -> bool:
     return exp >= 2 and atom.key[0] == "f" and atom.key[1] in ("sin", "sqrt")
 
 
-def _rat_add(n1: Poly, d1: Poly, n2: Poly, d2: Poly) -> tuple[Poly, Poly]:
+def rat_add(a: tuple[Poly, Poly], b: tuple[Poly, Poly]) -> tuple[Poly, Poly]:
+    """Sum of two num/den pairs, not reduced."""
+    (n1, d1), (n2, d2) = a, b
     if d1 == d2:
         return n1 + n2, d1
     return n1 * d2 + n2 * d1, d1 * d2
@@ -426,10 +428,10 @@ def _reduce_pass(p: Poly) -> tuple[Poly, Poly, bool]:
             num_plain = num_plain + n_i
         else:
             fractional.append((n_i, d_i))
-    num, den = num_plain, _POLY_ONE
-    for n_i, d_i in fractional:
-        num, den = _rat_add(num, den, n_i, d_i)
-    return num, den, changed
+    pair = num_plain, _POLY_ONE
+    for piece in fractional:
+        pair = rat_add(pair, piece)
+    return (*pair, changed)
 
 
 # ---------------------------------------------------------------------------
@@ -512,11 +514,10 @@ def _walk(e: Expr) -> tuple[Poly, Poly]:
     if isinstance(e, Var):
         return Poly.from_atom(_var_atom(e.name)), _POLY_ONE
     if isinstance(e, Add):
-        num, den = Poly.zero(), _POLY_ONE
+        pair = Poly.zero(), _POLY_ONE
         for t in e.terms:
-            tn, td = _walk(t)
-            num, den = _rat_add(num, den, tn, td)
-        return num, den
+            pair = rat_add(pair, _walk(t))
+        return pair
     if isinstance(e, Mul):
         num, den = _POLY_ONE, _POLY_ONE
         for f in e.factors:
@@ -537,8 +538,7 @@ def _walk(e: Expr) -> tuple[Poly, Poly]:
         dn, dd = _walk(e.den)
         return nn * dd, nd * dn
     if isinstance(e, Call):
-        an, ad = canonicalize(*_walk(e.arg))
-        arg_tree = _pair_to_expr(an, ad)
+        arg_tree = pair_to_expr(canonicalize(*_walk(e.arg)))
         return Poly.from_atom(_call_atom(e.func, arg_tree)), _POLY_ONE
     raise TypeError(f"not an expression node: {e!r}")
 
@@ -561,7 +561,8 @@ def _poly_to_expr(p: Poly) -> Expr:
     return Add.of(*terms)
 
 
-def _pair_to_expr(num: Poly, den: Poly) -> Expr:
+def pair_to_expr(pair: tuple[Poly, Poly]) -> Expr:
+    num, den = pair
     if den == _POLY_ONE:
         return _poly_to_expr(num)
     return Div(_poly_to_expr(num), _poly_to_expr(den))
@@ -574,7 +575,7 @@ def to_canonical(e: Expr) -> tuple[Poly, Poly]:
 
 def simplify(e: Expr) -> Expr:
     """Canonical representative of e as a rational expression."""
-    return _pair_to_expr(*to_canonical(e))
+    return pair_to_expr(to_canonical(e))
 
 
 def is_zero_expr(e: Expr) -> bool:

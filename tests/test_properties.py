@@ -14,10 +14,12 @@ from supersasaki.grassmann import (
     EVEN,
     ODD,
     GradedExpr,
+    _merge_with_sign,
     gmul,
     graded_equal,
     gsubstitute,
     parity_of,
+    partial,
 )
 from supersasaki.sasakilift import (
     apply_first_order,
@@ -37,6 +39,7 @@ from supersasaki.symexpr import (
     OracleConfig,
     Pow,
     Var,
+    differentiate,
     is_zero_expr,
     parse_expr,
     simplify,
@@ -151,6 +154,87 @@ def test_chart_substitution_is_an_algebra_morphism(data):
     assert graded_equal(pull(gmul(f, g)), gmul(pull(f), pull(g)), cfg)
 
 
+@st.composite
+def transcendental(draw, chart):
+    """A small polynomial in the chart coordinates and in sqrt, sin and ln
+    atoms of them, over a product of factors drawn from a short list, so
+    that the denominators of two draws often share a factor; not in
+    canonical form."""
+    x, y = (Var(c) for c in chart.coords)
+    u = Add.of(Pow(x, 2), Const(2))
+    atoms = (x, y, Call("sqrt", u), Call("sin", y), Call("ln", u))
+    terms = []
+    for _ in range(draw(st.integers(1, 2))):
+        factors = [Const(draw(st.sampled_from((-2, -1, 1, 3))))]
+        for atom in draw(st.lists(st.sampled_from(atoms), max_size=2)):
+            factors.append(Pow(atom, draw(st.integers(1, 2))))
+        terms.append(Mul.of(*factors))
+    den_factors = draw(st.lists(st.sampled_from((x, y, u) + atoms[2:4]), max_size=2))
+    den = [Pow(d, draw(st.integers(1, 2))) for d in den_factors]
+    e = Div(Add.of(*terms), Mul.of(*den)) if den else Add.of(*terms)
+    _simplified(e)
+    return e
+
+
+@st.composite
+def graded_transcendental(draw, chart):
+    """A graded polynomial of mixed parity over the chart's odd tangent
+    bundle table, with transcendental coefficients."""
+    table = ptm_table(chart)
+    odd = [table.index(odd_fiber_name(c)) for c in chart.coords]
+    monomials = [(), *((i,) for i in odd), tuple(odd)]
+    chosen = draw(st.lists(st.sampled_from(monomials), min_size=1, unique=True))
+    return GradedExpr.make(table, [(m, draw(transcendental(chart))) for m in chosen])
+
+
+def _assert_coefficients(h, expected):
+    """Each coefficient of h is simplify of the expected tree (ZERO where
+    none is expected), byte for byte."""
+    for mono in set(h.terms) | set(expected):
+        assert h.coefficient(mono) == simplify(expected.get(mono, ZERO)), mono
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_graded_arithmetic_on_pairs_matches_simplify_of_trees(data):
+    # the stored pairs must print as what simplify gives for the tree built
+    # from the operands' coefficients, so that no report changes with them
+    chart = data.draw(st.sampled_from(CHARTS))
+    f, g = (data.draw(graded_transcendental(chart)) for _ in range(2))
+    # scale factors are simplify output wherever the program scales; a raw
+    # factor with a sqrt denominator may print differently (see canonical.py)
+    c = simplify(data.draw(transcendental(chart)))
+    name = data.draw(st.sampled_from(f.table.names))
+
+    monos = set(f.terms) | set(g.terms)
+    _assert_coefficients(f + g, {m: Add.of(f.coefficient(m), g.coefficient(m)) for m in monos})
+
+    products = {}
+    for m1 in f.terms:
+        for m2 in g.terms:
+            merged, sign = _merge_with_sign(m1, m2)
+            if merged is not None:
+                piece = Mul.of(Const(sign), f.coefficient(m1), g.coefficient(m2))
+                products[merged] = Add.of(products.get(merged, ZERO), piece)
+    _assert_coefficients(gmul(f, g), products)
+
+    _assert_coefficients(f.scale(c), {m: Mul.of(c, f.coefficient(m)) for m in f.terms})
+    _assert_coefficients(-f, {m: Mul.of(Const(-1), f.coefficient(m)) for m in f.terms})
+
+    idx = f.table.index(name)
+    if f.table.parity(name) == EVEN:
+        derivs = {m: differentiate(f.coefficient(m), name) for m in f.terms}
+    else:
+        derivs = {
+            m[: m.index(idx)] + m[m.index(idx) + 1 :]: Mul.of(
+                Const((-1) ** m.index(idx)), f.coefficient(m)
+            )
+            for m in f.terms
+            if idx in m
+        }
+    _assert_coefficients(partial(f, name), derivs)
+
+
 # ---------------------------------------------------------------------------
 # Poly: the ring the canonical form computes in
 
@@ -197,8 +281,8 @@ def test_poly_gcd_divides_both_arguments(p, q, c):
 
 
 # ---------------------------------------------------------------------------
-# canonical form: what GradedExpr relies on when it zero-tests a stored
-# coefficient with == ZERO and compares coefficients as trees
+# canonical form: what values built from simplify output rely on when they
+# are zero-tested with == ZERO
 
 TREE_VARS = ("x", "y")
 

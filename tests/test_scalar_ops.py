@@ -87,6 +87,13 @@ def test_sampling_oracle_separates_pythagorean_pair():
     assert abs(witness.left - witness.right) > 1e-9
 
 
+def test_oracle_equates_the_forms_of_a_sqrt_denominator():
+    # the canonical pair of a sqrt denominator depends on how it was built,
+    # so equality of these two rests on the sampling tier
+    assert OracleConfig().equal(_p("1/sqrt(x^2 + 2)"), _p("sqrt(x^2 + 2)/(x^2 + 2)"))
+    assert not OracleConfig().equal(_p("1/sqrt(x^2 + 2)"), _p("sqrt(x^2 + 2)/(x^2 + 3)"))
+
+
 def test_oracle_config_intervals_avoid_singular_points():
     cfg = OracleConfig(samples=30, tol=1e-9, seed=SEED, intervals={"r": (0.5, 1.5)})
     assert cfg.equal(_p("ln(r^2)"), _p("2*ln(r)"))
