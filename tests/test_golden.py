@@ -79,6 +79,17 @@ def _commands():
         ("check", transcendental, "--suite", "cartan", "--fields", "1"),
         ("check", transcendental, "--suite", "proposition", "--fields", "2"),
     ]
+    # The first chart with non-integer constants and a non-monic denominator.
+    rational = "specs/rational.json"
+    cmds += [
+        ("christoffel", rational),
+        ("sasaki", rational),
+        ("classical-sasaki", rational),
+        ("acs", rational),
+        ("pair", rational, "--x", "lie:1+v,u", "--y", "interior:u,1"),
+        ("check", rational, "--suite", "cartan", "--fields", "1"),
+        ("check", rational, "--suite", "proposition", "--fields", "2"),
+    ]
     return cmds
 
 
@@ -163,6 +174,13 @@ GOLDEN = {
     'pair specs/transcendental.json --x lie:x*y,1 --y lie:1,x^2': (0, 'd6227955ac055d713aca80ae162ce7453cbeb5ab8d9f61df80fa29e62675c8b7'),
     'check specs/transcendental.json --suite cartan --fields 1': (0, 'f2d113124a0b46b67f6eaab0ce4f8120da6a12c87fe7454a176d58c2731984b6'),
     'check specs/transcendental.json --suite proposition --fields 2': (0, '2e5558f8ca37555c27029643243ca19ea19910428174f62bc1e972309c2b1080'),
+    'christoffel specs/rational.json': (0, '2d283556b0b1e7077a74b3a9d3e10e26379ce2d0898469765485457958385b9b'),
+    'sasaki specs/rational.json': (0, 'c93d48a3b2dbc841b049dcf8b559cf13aef6c64dcb20411674a5f45849702672'),
+    'classical-sasaki specs/rational.json': (0, '4aec1b8413caba0412d540c3424f197dd4ee459080f2d90957fef8fb7e34f89c'),
+    'acs specs/rational.json': (0, '7d0fdcb390ebdf016bae28f5c4e6f9486a2875193d5e375eb8e1991edbdd8d9b'),
+    'pair specs/rational.json --x lie:1+v,u --y interior:u,1': (0, '6c85be21e48a7d1b3df84a227e1f255080eba0f631db300adc7f050e7639a68d'),
+    'check specs/rational.json --suite cartan --fields 1': (0, 'ac7499dc30de970ef3822f9f17f3ab8405ce29f3634af96dc17387c112ceeb7b'),
+    'check specs/rational.json --suite proposition --fields 2': (0, 'a291f40bc69ad7d8cd8642a9ed5a6164c4969f5ec855c4f1933f37b9beb3b40b'),
 }
 
 
