@@ -56,10 +56,9 @@ ODD_DERIVATIVE_NOTE = (
 )
 
 Monomial = tuple[int, ...]
-Pair = tuple[Poly, Poly]  # to_canonical output: num, monic den, gcd 1
+Pair = tuple[Poly, Poly]  # to_canonical output: int num, den; gcd 1, content 1, den lead > 0
 
 _ZERO_PAIR, _ONE_PAIR = (Poly.zero(), Poly.const(1)), (Poly.const(1), Poly.const(1))
-_MINUS_ONE = Fraction(-1)
 
 
 class GradedError(ValueError):
@@ -253,7 +252,7 @@ class GradedExpr:
 
     def __neg__(self) -> "GradedExpr":
         return GradedExpr(
-            self.table, {m: (n.scale(_MINUS_ONE), d) for m, (n, d) in self.terms.items()}
+            self.table, {m: (n.scale(-1), d) for m, (n, d) in self.terms.items()}
         )
 
     def scale(self, factor: Expr | int | Fraction) -> "GradedExpr":
@@ -288,7 +287,7 @@ def gmul(f: GradedExpr, g: GradedExpr) -> GradedExpr:
             merged, sign = _merge_with_sign(m1, m2)
             if merged is None:
                 continue
-            piece = ((n1 * n2).scale(Fraction(sign)), d1 * d2)
+            piece = ((n1 * n2).scale(sign), d1 * d2)
             acc[merged] = rat_add(acc[merged], piece) if merged in acc else piece
     return GradedExpr(f.table, _drop_zeros((m, canonicalize(*c)) for m, c in acc.items()))
 
@@ -322,7 +321,7 @@ def partial(f: GradedExpr, name: str) -> GradedExpr:
             continue
         pos = mono.index(idx)
         rest = mono[:pos] + mono[pos + 1 :]
-        out[rest] = (n, d) if pos % 2 == 0 else (n.scale(_MINUS_ONE), d)
+        out[rest] = (n, d) if pos % 2 == 0 else (n.scale(-1), d)
     return GradedExpr(f.table, out)
 
 

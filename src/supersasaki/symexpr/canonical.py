@@ -8,13 +8,15 @@ canonical arguments), with:
       sin(u)^(2k+r) -> (1 - cos(u)^2)^k * sin(u)^r
       sqrt(u)^(2k+r) -> u^k * sqrt(u)^r
   * the gcd of num and den cancelled (primitive PRS over the integers),
-  * the denominator made monic (leading coefficient 1 under graded lex).
+  * the pair primitive: integer coefficients with joint content 1, and the
+    denominator's leading coefficient (under graded lex) positive.
 
 Identical pairs mean equal expressions, and a pair is zero exactly when its
 expression is. The converse fails where sqrt or sin atoms meet a
 denominator: 1/sqrt(x^2 + 2) and sqrt(x^2 + 2)/(x^2 + 2) keep different
 pairs, and only the oracle's sampling tier finds them equal. Coefficients
-stay exact rationals throughout.
+are Python ints throughout; a rational constant p/q enters as the pair
+(p, q), and the denominator is made monic only when a pair is printed.
 
 simplify() prints a pair as a tree, a fixed point: simplify(s) == s, and
 s == ZERO exactly when e is zero, for s = simplify(e). GradedExpr keeps its
@@ -38,13 +40,10 @@ from .expr import (
     Mul,
     Pow,
     Var,
+    ZERO,
     derivative_raw,
     to_text,
 )
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
 
 class Atom:
     """A variable or a function application, identified by a sortable key.
@@ -143,11 +142,11 @@ def term_sort_key(m: Monomial):
 
 
 class Poly:
-    """Multivariate polynomial with Fraction coefficients, sparse dict."""
+    """Multivariate polynomial with int coefficients, sparse dict."""
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: dict[Monomial, Fraction]):
+    def __init__(self, terms: dict[Monomial, int]):
         self.terms = terms
 
     @staticmethod
@@ -155,13 +154,12 @@ class Poly:
         return Poly({})
 
     @staticmethod
-    def const(c: Fraction | int) -> "Poly":
-        c = Fraction(c)
+    def const(c: int) -> "Poly":
         return Poly({} if c == 0 else {_UNIT: c})
 
     @staticmethod
     def from_atom(atom: Atom, exp: int = 1) -> "Poly":
-        return Poly({((atom, exp),): _ONE})
+        return Poly({((atom, exp),): 1})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -169,8 +167,8 @@ class Poly:
     def is_const(self) -> bool:
         return not self.terms or (len(self.terms) == 1 and _UNIT in self.terms)
 
-    def const_value(self) -> Fraction:
-        return self.terms.get(_UNIT, _ZERO)
+    def const_value(self) -> int:
+        return self.terms.get(_UNIT, 0)
 
     def atoms(self) -> set[Atom]:
         out: set[Atom] = set()
@@ -189,7 +187,7 @@ class Poly:
             return self
         out = dict(self.terms)
         for m, c in other.terms.items():
-            s = out.get(m, _ZERO) + c
+            s = out.get(m, 0) + c
             if s == 0:
                 out.pop(m, None)
             else:
@@ -197,9 +195,9 @@ class Poly:
         return Poly(out)
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return self + other.scale(Fraction(-1))
+        return self + other.scale(-1)
 
-    def scale(self, c: Fraction) -> "Poly":
+    def scale(self, c: int) -> "Poly":
         if c == 0:
             return Poly({})
         if c == 1:
@@ -209,11 +207,11 @@ class Poly:
     def __mul__(self, other: "Poly") -> "Poly":
         if not self.terms or not other.terms:
             return Poly({})
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, int] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = _mono_mul(m1, m2)
-                s = out.get(m, _ZERO) + c1 * c2
+                s = out.get(m, 0) + c1 * c2
                 if s == 0:
                     out.pop(m, None)
                 else:
@@ -247,41 +245,46 @@ _POLY_ONE = Poly.const(1)
 def _int_content(p: Poly) -> int:
     g = 0
     for c in p.terms.values():
-        g = math.gcd(g, abs(c.numerator))
+        g = math.gcd(g, c)
         if g == 1:
             break
     return g
-
-
-def _clear_denominators(p: Poly) -> Poly:
-    lcm = 1
-    for c in p.terms.values():
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-    return p.scale(Fraction(lcm))
 
 
 def _positive_lead(p: Poly) -> Poly:
     if p.is_zero():
         return p
     if p.terms[p.lead()] < 0:
-        return p.scale(Fraction(-1))
+        return p.scale(-1)
     return p
 
 
+def _div_int(p: Poly, k: int) -> Poly:
+    if k == 1:
+        return p
+    out: dict[Monomial, int] = {}
+    for m, c in p.terms.items():
+        q, r = divmod(c, k)
+        if r:
+            raise ArithmeticError("inexact polynomial division")
+        out[m] = q
+    return Poly(out)
+
+
 def _div_exact(p: Poly, g: Poly) -> Poly:
-    """Exact polynomial division; raises if g does not divide p."""
+    """Exact division over the integers; raises if g does not divide p."""
     if g.is_const():
-        return p.scale(1 / g.const_value())
-    out: dict[Monomial, Fraction] = {}
+        return _div_int(p, g.const_value())
+    out: dict[Monomial, int] = {}
     r = p
     glead = g.lead()
     gcoeff = g.terms[glead]
     while not r.is_zero():
         rlead = r.lead()
         t = _mono_div(rlead, glead)
-        if t is None:
+        c, rem = divmod(r.terms[rlead], gcoeff)
+        if t is None or rem:
             raise ArithmeticError("inexact polynomial division")
-        c = r.terms[rlead] / gcoeff
         out[t] = c
         r = r - g * Poly({t: c})
     return Poly(out)
@@ -289,7 +292,7 @@ def _div_exact(p: Poly, g: Poly) -> Poly:
 
 def _coeffs_in(p: Poly, v: Atom) -> dict[int, Poly]:
     """View p as a polynomial in v with coefficients free of v."""
-    out: dict[int, dict[Monomial, Fraction]] = {}
+    out: dict[int, dict[Monomial, int]] = {}
     for m, c in p.terms.items():
         deg = 0
         rest: list[tuple[Atom, int]] = []
@@ -299,7 +302,7 @@ def _coeffs_in(p: Poly, v: Atom) -> dict[int, Poly]:
             else:
                 rest.append((atom, e))
         bucket = out.setdefault(deg, {})
-        bucket[tuple(rest)] = bucket.get(tuple(rest), _ZERO) + c
+        bucket[tuple(rest)] = bucket.get(tuple(rest), 0) + c
     return {d: Poly({m: c for m, c in terms.items() if c != 0}) for d, terms in out.items()}
 
 
@@ -347,7 +350,8 @@ def _primitive_view(R: dict[int, Poly]) -> dict[int, Poly]:
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Gcd of integer-coefficient polynomials, primitive with positive lead."""
+    """Gcd over the integers: the integer gcd of the contents times the
+    primitive gcd, with positive lead."""
     if a.is_zero():
         return _positive_lead(b)
     if b.is_zero():
@@ -451,22 +455,18 @@ def canonicalize(num: Poly, den: Poly) -> tuple[Poly, Poly]:
         return Poly.zero(), _POLY_ONE
     if den.is_zero():
         raise ZeroDivisionError("division by an expression that is identically zero")
-    if den.is_const():
-        c = den.const_value()
-        return num.scale(1 / c), _POLY_ONE
-    # strip any common monomial factor, cheap and frequent (powers of r etc.)
-    num, den = _cancel_monomial(num, den)
     if not den.is_const():
-        ni = _clear_denominators(num)
-        di = _clear_denominators(den)
-        g = poly_gcd(ni, di)
-        if not g.is_const():
-            num = _div_exact(num, g)
-            den = _div_exact(den, g)
-    if den.is_const():
-        return num.scale(1 / den.const_value()), _POLY_ONE
-    lc = den.terms[den.lead()]
-    return num.scale(1 / lc), den.scale(1 / lc)
+        # strip any common monomial factor, cheap and frequent (powers of r etc.)
+        num, den = _cancel_monomial(num, den)
+        if not den.is_const():
+            g = poly_gcd(num, den)
+            if not g.is_const():
+                num = _div_exact(num, g)
+                den = _div_exact(den, g)
+    k = math.gcd(_int_content(num), _int_content(den))
+    if den.terms[den.lead()] < 0:
+        k = -k
+    return _div_int(num, k), _div_int(den, k)
 
 
 def _common_mono(p: Poly) -> Monomial:
@@ -510,7 +510,7 @@ def _cancel_monomial(num: Poly, den: Poly) -> tuple[Poly, Poly]:
 
 def _walk(e: Expr) -> tuple[Poly, Poly]:
     if isinstance(e, Const):
-        return Poly.const(e.value), _POLY_ONE
+        return Poly.const(e.value.numerator), Poly.const(e.value.denominator)
     if isinstance(e, Var):
         return Poly.from_atom(_var_atom(e.name)), _POLY_ONE
     if isinstance(e, Add):
@@ -543,29 +543,32 @@ def _walk(e: Expr) -> tuple[Poly, Poly]:
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def _poly_to_expr(p: Poly) -> Expr:
+def _poly_to_expr(p: Poly, lc: int = 1) -> Expr:
+    """p / lc as a tree, the one place a Fraction is made."""
     if p.is_zero():
-        return Const(_ZERO)
+        return ZERO
     terms: list[Expr] = []
     for mono in sorted(p.terms, key=term_sort_key):
-        coeff = p.terms[mono]
+        c = p.terms[mono]
         factors: list[Expr] = []
         for atom, e in mono:
             factors.append(atom.expr if e == 1 else Pow(atom.expr, e))
         if not factors:
-            terms.append(Const(coeff))
-        elif coeff == 1:
+            terms.append(Const(Fraction(c, lc)))
+        elif c == lc:
             terms.append(factors[0] if len(factors) == 1 else Mul(tuple(factors)))
         else:
-            terms.append(Mul(tuple([Const(coeff)] + factors)))
+            terms.append(Mul(tuple([Const(Fraction(c, lc))] + factors)))
     return Add.of(*terms)
 
 
 def pair_to_expr(pair: tuple[Poly, Poly]) -> Expr:
+    """num/den printed with a monic denominator."""
     num, den = pair
-    if den == _POLY_ONE:
-        return _poly_to_expr(num)
-    return Div(_poly_to_expr(num), _poly_to_expr(den))
+    if den.is_const():
+        return _poly_to_expr(num, den.const_value())
+    lc = den.terms[den.lead()]
+    return Div(_poly_to_expr(num, lc), _poly_to_expr(den, lc))
 
 
 @lru_cache(maxsize=8192)

@@ -3,9 +3,11 @@ canonical form every stored coefficient is in, the polynomial ring under
 it, first-order operator application, the graded product and chart
 substitution."""
 
+import math
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
@@ -45,7 +47,14 @@ from supersasaki.symexpr import (
     simplify,
     to_text,
 )
-from supersasaki.symexpr.canonical import Poly, _div_exact, _var_atom, poly_gcd, to_canonical
+from supersasaki.symexpr.canonical import (
+    Poly,
+    _div_exact,
+    _var_atom,
+    canonicalize,
+    poly_gcd,
+    to_canonical,
+)
 from supersasaki.transform import SmoothMap, prolong
 
 PROPERTY_SETTINGS = settings(max_examples=25, derandomize=True, deadline=None)
@@ -280,6 +289,13 @@ def test_poly_gcd_divides_both_arguments(p, q, c):
         assert _div_exact(g, c) * c == g
 
 
+def test_div_exact_refuses_a_rational_quotient():
+    # (x + 1) / (2x + 2) = 1/2 is not an integer polynomial
+    x, one = Poly.from_atom(ATOMS[0]), Poly.const(1)
+    with pytest.raises(ArithmeticError):
+        _div_exact(x + one, x.scale(2) + one.scale(2))
+
+
 # ---------------------------------------------------------------------------
 # canonical form: what values built from simplify output rely on when they
 # are zero-tested with == ZERO
@@ -337,3 +353,32 @@ def test_zero_is_the_literal_zero_after_simplify(e):
 def test_printed_canonical_form_parses_back(e):
     s = _simplified(e)
     assert to_canonical(parse_expr(to_text(s), TREE_VARS)) == to_canonical(s)
+
+
+# ---------------------------------------------------------------------------
+# the stored pair: integer coefficients, unique up to nothing
+
+def _canonical_pair(e):
+    try:
+        return to_canonical(e)
+    except ArithmeticError:
+        reject()
+
+
+@TREE_SETTINGS
+@given(e=TREES)
+def test_canonical_pair_is_primitive_with_positive_lead(e):
+    num, den = _canonical_pair(e)
+    coefficients = [*num.terms.values(), *den.terms.values()]
+    assert all(type(c) is int for c in coefficients)
+    assert math.gcd(*coefficients) == 1
+    assert den.terms[den.lead()] > 0
+    if num.is_zero():
+        assert den == Poly.const(1)
+
+
+@TREE_SETTINGS
+@given(e=TREES, k=st.integers(-6, 6).filter(bool))
+def test_canonicalize_divides_out_a_common_integer(e, k):
+    num, den = _canonical_pair(e)
+    assert canonicalize(num.scale(k), den.scale(k)) == (num, den)
