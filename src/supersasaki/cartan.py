@@ -24,19 +24,17 @@ from typing import Sequence
 
 from .geometry import (
     Chart,
-    OMEGA_DICTIONARY_NOTE,
+    Matrix,
     VectorFieldM,
-    bilinear_eval,
     covariant_derivative,
-    flat,
     vector_commutator,
 )
 from .grassmann import (
     EVEN,
     ODD,
-    ODD_DERIVATIVE_NOTE,
     GradedError,
     GradedExpr,
+    gmul,
     graded_equal,
     graded_to_text,
 )
@@ -49,7 +47,7 @@ from .sasakilift import (
     pairing_via_lift,
     ptm_table,
 )
-from .symexpr import Add, Const, OracleConfig, differentiate, neg
+from .symexpr import Const, OracleConfig, ZERO, differentiate
 
 
 def de_rham(chart: Chart) -> VectorFieldPTM:
@@ -117,16 +115,6 @@ class CheckOutcome:
     residual: str  # canonical text of the residual, "0" when it vanishes
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    title: str
-    entries: tuple[CheckOutcome, ...]
-    conventions: tuple[str, ...]
-
-
-CONVENTIONS = (ODD_DERIVATIVE_NOTE, OMEGA_DICTIONARY_NOTE)
-
-
 def residual_outcome(
     name: str,
     lhs: Sequence[GradedExpr],
@@ -146,7 +134,7 @@ def residual_outcome(
 
 def cartan_commutators(
     X: VectorFieldM, Y: VectorFieldM, config: OracleConfig | None = None
-) -> CheckReport:
+) -> tuple[CheckOutcome, ...]:
     """The graded commutation table of d, i, and L on one chart."""
     chart = X.chart
     table = ptm_table(chart)
@@ -168,13 +156,26 @@ def cartan_commutators(
         ("[d,L_X] = 0", super_commutator(d, LX), zero_field),
         ("[L_X,L_Y] = L_[X,Y]", super_commutator(LX, LY), lie_derivative(XY)),
     )
-    entries = tuple(
+    return tuple(
         residual_outcome(
             name, got.components + got.barred, want.components + want.barred, config
         )
         for name, got, want in checks
     )
-    return CheckReport("cartan commutators", entries, CONVENTIONS)
+
+
+def _contract(
+    B: Matrix, U: Sequence[GradedExpr], V: Sequence[GradedExpr]
+) -> GradedExpr:
+    """sum_ab U^a V^b B[b][a], the "X^a Y^b g_ba" layout of the identities
+    below; zero entries of B are skipped."""
+    n = len(B)
+    total = GradedExpr.zero(U[0].table)
+    for a in range(n):
+        for b in range(n):
+            if B[b][a] != ZERO:
+                total = total + gmul(U[a], V[b]).scale(B[b][a])
+    return total
 
 
 def verify_proposition(
@@ -182,77 +183,47 @@ def verify_proposition(
     X: VectorFieldM,
     Y: VectorFieldM,
     config: OracleConfig | None = None,
-) -> CheckReport:
+) -> tuple[CheckOutcome, ...]:
     """The six pairing identities for the lifted metric.
 
     Left sides come from the vertical-lift pairing against lift.lifted;
-    right sides are assembled from the chart data lift.metric, lift.omega
-    and lift.gamma:
+    right sides are contracted in the graded algebra from the chart data
+    lift.metric, lift.omega and lift.gamma, with dX^a = dx^c (DX)^a_c:
 
-      (i)   <i_X|i_Y> = omega(X,Y)
+      (i)   <i_X|i_Y> = Y^a X^b omega_ba
       (ii)  <i_X|d>   = 0
       (iii) <d|d>     = 0
-      (iv)  <L_X|d>   = dx^b (flat X)_b
-      (v)   <L_X|i_Y> = -dx^c (DX)^a_c Y^b omega_ba
-      (vi)  <L_X|L_Y> = X^a Y^b g_ba
-                        + dx^c (DX)^a_c dx^e (DY)^b_e omega_ba
+      (iv)  <L_X|d>   = X^a dx^b g_ba
+      (v)   <L_X|i_Y> = -dX^a Y^b omega_ba
+      (vi)  <L_X|L_Y> = X^a Y^b g_ba + dX^a dY^b omega_ba
 
     Every entry is evaluated even if an earlier one fails.
     """
-    g, omega, gamma = lift.metric, lift.omega, lift.gamma
-    chart = lift.chart
-    table = lift.ptm
-    n = chart.dim
-    d = de_rham(chart)
+    g, om = lift.metric.matrix, lift.omega.matrix
+    ptm = lift.ptm
+    d = de_rham(lift.chart)
     iX, iY = interior(X), interior(Y)
     LX, LY = lie_derivative(X), lie_derivative(Y)
-    DX = covariant_derivative(gamma, X)
-    DY = covariant_derivative(gamma, Y)
-    om = omega.matrix
-    dx = [odd_fiber_name(c) for c in chart.coords]
-    # column c of DX is (DX)^a_c over a
-    DX_col = [[DX[a][c] for a in range(n)] for c in range(n)]
-    DY_col = [[DY[b][e] for b in range(n)] for e in range(n)]
+    Xs, Ys = LX.components, LY.components
 
-    # (i)
-    rhs_i = GradedExpr.scalar(table, bilinear_eval(om, X.components, Y.components))
-    # (iv)
-    rhs_iv = GradedExpr.linear(table, zip(dx, flat(g, X).components))
-    # (v): -dx^c (DX)^a_c Y^b omega_ba, the omega indices reversed relative
-    # to bilinear_eval's layout
-    rhs_v = GradedExpr.linear(
-        table, [(dx[c], neg(bilinear_eval(om, Y.components, DX_col[c]))) for c in range(n)]
-    )
-    # (vi): scalar g block plus dx^c (DX)^a_c dx^e (DY)^b_e omega_ba; the
-    # c > e terms join the c < e monomial with dx^e dx^c = -dx^c dx^e
-    odd = [table.index(w) for w in dx]
-    rhs_vi = GradedExpr.make(
-        table,
-        [((), bilinear_eval(g.matrix, X.components, Y.components))]
-        + [
-            (
-                (odd[c], odd[e]),
-                Add.of(
-                    bilinear_eval(om, DY_col[e], DX_col[c]),
-                    neg(bilinear_eval(om, DY_col[c], DX_col[e])),
-                ),
-            )
-            for c in range(n)
-            for e in range(c + 1, n)
-        ],
-    )
+    def one_forms(Z: VectorFieldM) -> list[GradedExpr]:
+        return [
+            GradedExpr.linear(ptm, zip(ptm.odd_names, row))
+            for row in covariant_derivative(lift.gamma, Z)
+        ]
 
-    zero = GradedExpr.zero(table)
+    dX, dY = one_forms(X), one_forms(Y)
+    zero = GradedExpr.zero(ptm)
     checks = (
-        ("(i) <i_X|i_Y> = omega(X,Y)", pairing_via_lift(iX, iY, lift), rhs_i),
+        ("(i) <i_X|i_Y> = omega(X,Y)", pairing_via_lift(iX, iY, lift), _contract(om, Ys, Xs)),
         ("(ii) <i_X|d> = 0", pairing_via_lift(iX, d, lift), zero),
         ("(iii) <d|d> = 0", pairing_via_lift(d, d, lift), zero),
-        ("(iv) <L_X|d> = flat(X)", pairing_via_lift(LX, d, lift), rhs_iv),
-        ("(v) <L_X|i_Y> = omega(DX,Y)", pairing_via_lift(LX, iY, lift), rhs_v),
+        ("(iv) <L_X|d> = flat(X)", pairing_via_lift(LX, d, lift),
+         _contract(g, Xs, d.components)),
+        ("(v) <L_X|i_Y> = omega(DX,Y)", pairing_via_lift(LX, iY, lift), -_contract(om, dX, Ys)),
         ("(vi) <L_X|L_Y> = g(X,Y) + omega(dxDX,dxDY)",
-         pairing_via_lift(LX, LY, lift), rhs_vi),
+         pairing_via_lift(LX, LY, lift), _contract(g, Xs, Ys) + _contract(om, dX, dY)),
     )
-    entries = tuple(
+    return tuple(
         residual_outcome(name, [lhs], [rhs], config) for name, lhs, rhs in checks
     )
-    return CheckReport("pairing identities", entries, CONVENTIONS)

@@ -38,7 +38,7 @@ import time
 from typing import Callable, Sequence
 
 from .cartan import (
-    CheckReport,
+    CheckOutcome,
     cartan_commutators,
     de_rham,
     interior,
@@ -373,7 +373,7 @@ def _seeded_rounds(
     args: argparse.Namespace,
     spec: GeometrySpec,
     title: str,
-    check: Callable[[VectorFieldM, VectorFieldM], CheckReport],
+    check: Callable[[VectorFieldM, VectorFieldM], tuple[CheckOutcome, ...]],
 ) -> RunReport:
     """Run `check` on --fields rounds of seeded random base fields, drawing
     X then Y once per round."""
@@ -382,7 +382,7 @@ def _seeded_rounds(
     for k in range(args.fields):
         X = random_base_field(spec.chart, rng)
         Y = random_base_field(spec.chart, rng)
-        for entry in check(X, Y).entries:
+        for entry in check(X, Y):
             report.add(f"round {k}: {entry.name}", entry.holds, entry.residual)
     return report
 

@@ -1,5 +1,5 @@
 """Classical chart-level geometry: metric, two-form, Levi-Civita symbols,
-musical isomorphism, and numeric finite-difference cross-checks.
+and numeric finite-difference cross-checks.
 
 Index conventions, fixed once for the whole package:
 
@@ -7,7 +7,6 @@ Index conventions, fixed once for the whole package:
   * christoffel: Gamma^a_{bc} = 1/2 g^{ad} (d_b g_dc + d_c g_bd - d_d g_bc),
     symmetric in the lower pair
   * covariant_derivative(X): (DX)^a_b = d_b X^a + X^c Gamma^a_{cb}
-  * flat(X)_a = X^b g_ba
 """
 
 from __future__ import annotations
@@ -147,19 +146,6 @@ class VectorFieldM:
     def __post_init__(self) -> None:
         if len(self.components) != self.chart.dim:
             raise GeometryError("vector field has wrong number of components")
-        object.__setattr__(
-            self, "components", tuple(simplify(e) for e in self.components)
-        )
-
-
-@dataclass(frozen=True)
-class OneForm:
-    chart: Chart
-    components: tuple[Expr, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.components) != self.chart.dim:
-            raise GeometryError("one-form has wrong number of components")
         object.__setattr__(
             self, "components", tuple(simplify(e) for e in self.components)
         )
@@ -326,16 +312,6 @@ def covariant_derivative(gamma: ChristoffelSymbols, X: VectorFieldM) -> Matrix:
             row.append(simplify(Add.of(*terms)))
         out.append(tuple(row))
     return tuple(out)
-
-
-def flat(g: MetricTensor, X: VectorFieldM) -> OneForm:
-    """Musical lowering: flat(X)_a = X^b g_ba."""
-    n = g.chart.dim
-    comps = tuple(
-        simplify(Add.of(*(Mul.of(X.components[b], g.matrix[b][a]) for b in range(n))))
-        for a in range(n)
-    )
-    return OneForm(g.chart, comps)
 
 
 def bilinear_eval(

@@ -25,7 +25,8 @@ assembled directly as
 
 which is Sasaki's classical form xdot^a xdot^b g_ba + D(xdot)^a D(xdot)^b g_ba
 with the odd splitting in place of the even one D(xdot) and omega in place
-of g. Both lifts go through the one assembly `_sasaki_form`.
+of g. Both lifts go through the one splitting `_splitting` and the one
+assembly `_sasaki_form`.
 
 Vector fields on the odd tangent bundle pair through either the vertical
 lift (1/2 iota_X iota_Y applied to the lifted metric) or the closed
@@ -37,7 +38,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .geometry import (
     AlmostSymplectic,
@@ -67,7 +68,6 @@ from .symexpr import (
     Const,
     Expr,
     Mul,
-    ONE,
     Var,
     ZERO,
     simplify,
@@ -118,31 +118,31 @@ def classical_table(chart: Chart) -> GeneratorTable:
     return GeneratorTable(tuple(gens))
 
 
-def _connection_terms(gamma: ChristoffelSymbols) -> list[list[Expr]]:
-    """K[a][b] = xdot^c Gamma^a_{cb}, the part of both splittings that
-    couples a fiber to the velocity."""
-    n = gamma.chart.dim
-    xdot = [Var(velocity_name(c)) for c in gamma.chart.coords]
-    return [
-        [Add.of(*(Mul.of(xdot[c], gamma.entry(a, c, b)) for c in range(n))) for b in range(n)]
-        for a in range(n)
-    ]
+def _splitting(
+    gamma: ChristoffelSymbols,
+    table: GeneratorTable,
+    fiber: Callable[[str], str],
+    velocity_fiber: Callable[[str], str],
+) -> tuple[GradedExpr, ...]:
+    """F^a = velocity_fiber(x^a) + fiber(x^b) xdot^c Gamma^a_{cb} over
+    `table`, the splitting of both lifts: the fibers are odd generators in
+    nabla_dot and even ones in classical_sasaki."""
+    coords = gamma.chart.coords
+    xdot = [Var(velocity_name(c)) for c in coords]
+    out = []
+    for a, xa in enumerate(coords):
+        F = GradedExpr.generator(table, velocity_fiber(xa))
+        for b, xb in enumerate(coords):
+            K = Add.of(*(Mul.of(x, gamma.entry(a, c, b)) for c, x in enumerate(xdot)))
+            F = F + GradedExpr.generator(table, fiber(xb)).scale(K)
+        out.append(F)
+    return tuple(out)
 
 
 def nabla_dot(gamma: ChristoffelSymbols) -> tuple[GradedExpr, ...]:
     """Splitting covectors nabla(xdot^a) = dxdot^a + dx^b xdot^c Gamma^a_{cb},
     over the chart's tptm table."""
-    coords = gamma.chart.coords
-    table = tptm_table(gamma.chart)
-    K = _connection_terms(gamma)
-    return tuple(
-        GradedExpr.linear(
-            table,
-            [(odd_velocity_name(xa), ONE)]
-            + [(odd_fiber_name(xb), K[a][b]) for b, xb in enumerate(coords)],
-        )
-        for a, xa in enumerate(coords)
-    )
+    return _splitting(gamma, tptm_table(gamma.chart), odd_fiber_name, odd_velocity_name)
 
 
 def _sasaki_form(
@@ -212,19 +212,10 @@ def classical_sasaki(g: MetricTensor) -> GradedExpr:
     """Sasaki's metric xdot^a xdot^b g_ba + D(xdot)^a D(xdot)^b g_ba over
     the purely even table, with D(xdot)^a = delta_xdot^a + delta_x^b xdot^c
     Gamma^a_{cb} and Gamma the Levi-Civita symbols of g."""
-    coords = g.chart.coords
     table = classical_table(g.chart)
-    K = _connection_terms(christoffel(g))
-    D = [
-        GradedExpr.scalar(
-            table,
-            Add.of(
-                Var(classical_velocity_fiber_name(xa)),
-                *(Mul.of(Var(classical_fiber_name(xb)), K[a][b]) for b, xb in enumerate(coords)),
-            ),
-        )
-        for a, xa in enumerate(coords)
-    ]
+    D = _splitting(
+        christoffel(g), table, classical_fiber_name, classical_velocity_fiber_name
+    )
     return _sasaki_form(table, g, D, g.matrix)
 
 

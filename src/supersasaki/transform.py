@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cartan import CONVENTIONS, CheckOutcome, residual_outcome
+from .cartan import CheckOutcome, residual_outcome
 from .geometry import (
     AlmostSymplectic,
     Chart,
@@ -342,12 +342,10 @@ def field_pullback(psi: SmoothMap, V: VectorFieldPTM) -> VectorFieldPTM:
 
 @dataclass(frozen=True)
 class NaturalityReport:
-    map_name: str
     isometry: bool
     symplectomorphism: bool
     holds: bool
     residual: str
-    conventions: tuple[str, ...] = CONVENTIONS
 
 
 def check_naturality(
@@ -363,7 +361,6 @@ def check_naturality(
         "naturality", [pullback(psi, target_lift.lifted)], [source_lift.lifted], cfg
     )
     return NaturalityReport(
-        map_name=psi.name,
         isometry=is_isometry(psi, source_lift.metric, target_lift.metric, cfg),
         symplectomorphism=is_symplectomorphism(
             psi, source_lift.omega, target_lift.omega, cfg
@@ -387,23 +384,3 @@ def pairing_invariance(
     lhs = pairing_via_lift(field_pullback(psi, X), field_pullback(psi, Y), source_lift)
     rhs = pullback(psi, pairing_via_lift(X, Y, target_lift))
     return residual_outcome(f"pairing invariance under {psi.name}", [lhs], [rhs], cfg)
-
-
-def compose_maps(outer: SmoothMap, inner: SmoothMap) -> SmoothMap:
-    """outer o inner, defined when inner's target chart is outer's source."""
-    if inner.target.coords != outer.source.coords:
-        raise GeometryError("map composition needs matching middle charts")
-    comps = tuple(compose_scalar(inner, e) for e in outer.components)
-    inv = None
-    if inner.inverse is not None and outer.inverse is not None:
-        back = dict(zip(outer.source.coords, outer.inverse))
-        inv = tuple(
-            simplify(substitute(e, back)) for e in inner.inverse
-        )
-    return SmoothMap(
-        inner.source,
-        outer.target,
-        comps,
-        inv,
-        name=f"{outer.name} o {inner.name}",
-    )

@@ -177,9 +177,9 @@ def test_03_pairing_identities_randomized():
         for _ in range(20):
             X = random_base_field(spec.chart, rng)
             Y = random_base_field(spec.chart, rng)
-            report = verify_proposition(lift, X, Y, cfg)
-            assert len(report.entries) == 6
-            for entry in report.entries:
+            entries = verify_proposition(lift, X, Y, cfg)
+            assert len(entries) == 6
+            for entry in entries:
                 assert entry.holds, f"{name}: {entry.name}: residual {entry.residual}"
             rounds += 1
     elapsed = time.monotonic() - start
@@ -384,10 +384,10 @@ def test_09_commutator_table_randomized():
         for _ in range(4):
             X = random_base_field(spec.chart, rng)
             Y = random_base_field(spec.chart, rng)
-            report = cartan_commutators(X, Y, cfg)
-            names = {e.name for e in report.entries}
+            entries = cartan_commutators(X, Y, cfg)
+            names = {e.name for e in entries}
             assert needed <= names, f"table is missing {needed - names}"
-            for entry in report.entries:
+            for entry in entries:
                 assert entry.holds, f"{name}: {entry.name}: {entry.residual}"
     elapsed = time.monotonic() - start
     assert elapsed < 10.0, f"commutator table took {elapsed:.1f}s, budget 10s"

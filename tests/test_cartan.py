@@ -1,3 +1,4 @@
+import json
 import random
 import time
 
@@ -18,6 +19,7 @@ from supersasaki.geometry import (
     vector_commutator,
 )
 from supersasaki.grassmann import EVEN, ODD, epsilon, graded_equal, graded_to_text, parse_graded
+from supersasaki.report import CONVENTION_LEDGER, RunReport, render_structured, render_text
 from supersasaki.sasakilift import (
     apply_first_order,
     field_operator,
@@ -58,6 +60,23 @@ def polar():
     ch = Chart(("r", "theta"), intervals={"r": (0.4, 1.6), "theta": (0.1, 1.3)}, name="polar")
     g = MetricTensor(ch, [[_p("1"), _p("0")], [_p("0"), _p("r^2")]])
     om = AlmostSymplectic(ch, [[_p("0"), _p("-r")], [_p("r"), _p("0")]])
+    return g, om
+
+
+def curved4():
+    coords = ("x", "y", "z", "w")
+    ch = Chart(coords, intervals={c: (-1.0, 1.0) for c in coords}, name="curved4")
+    diag = ("1 + y^2", "1 + z^2", "1 + w^2", "1")
+    g = MetricTensor(
+        ch, [[_p(diag[a] if a == b else "0") for b in range(4)] for a in range(4)]
+    )
+    rows = [
+        ["0", "-1", "0", "0"],
+        ["1", "0", "0", "0"],
+        ["0", "0", "0", "-1"],
+        ["0", "0", "1", "0"],
+    ]
+    om = AlmostSymplectic(ch, [[_p(e) for e in row] for row in rows])
     return g, om
 
 
@@ -120,9 +139,9 @@ def test_commutator_table_randomized():
         for round_no in range(4):
             X = random_base_field(g.chart, rng)
             Y = random_base_field(g.chart, rng)
-            report = cartan_commutators(X, Y, cfg)
-            assert len(report.entries) == 6
-            for entry in report.entries:
+            entries = cartan_commutators(X, Y, cfg)
+            assert len(entries) == 6
+            for entry in entries:
                 assert entry.holds, f"{g.chart.name} round {round_no}: {entry.name}"
     elapsed = time.monotonic() - start
     assert elapsed < 10.0, f"commutator table too slow: {elapsed:.1f}s"
@@ -159,9 +178,9 @@ def test_proposition_on_fixed_fields():
         c0, c1 = g.chart.coords
         X = VectorFieldM(g.chart, (_p(c1), _p(c0)))
         Y = VectorFieldM(g.chart, (_p("1"), _p(f"{c0}*{c1}")))
-        report = verify_proposition(lift_geometry(g, om), X, Y, cfg)
-        assert len(report.entries) == 6
-        for entry in report.entries:
+        entries = verify_proposition(lift_geometry(g, om), X, Y, cfg)
+        assert len(entries) == 6
+        for entry in entries:
             assert entry.holds, f"{g.chart.name}: {entry.name}: {entry.residual}"
 
 
@@ -171,9 +190,9 @@ def test_proposition_holds_for_a_zero_field():
     zero = VectorFieldM(g.chart, (_p("0"), _p("0")))
     other = VectorFieldM(g.chart, (_p("y"), _p("x^2")))
     for X, Y in ((zero, other), (other, zero), (zero, zero)):
-        report = verify_proposition(lift, X, Y)
-        assert len(report.entries) == 6
-        for entry in report.entries:
+        entries = verify_proposition(lift, X, Y)
+        assert len(entries) == 6
+        for entry in entries:
             assert entry.holds, f"{entry.name}: {entry.residual}"
 
 
@@ -181,29 +200,35 @@ def test_reports_disclose_their_sign_conventions():
     g, om = euclidean2()
     X = VectorFieldM(g.chart, (_p("y"), _p("0")))
     Y = VectorFieldM(g.chart, (_p("x"), _p("1")))
-    report = verify_proposition(lift_geometry(g, om), X, Y)
-    assert any("two-form dictionary" in line for line in report.conventions), (
-        "the identity report must say which two-form sign dictionary was used"
+    report = RunReport("check proposition")
+    for entry in verify_proposition(lift_geometry(g, om), X, Y) + cartan_commutators(X, Y):
+        report.add(entry.name, entry.holds, entry.residual)
+    assert any("two-form dictionary" in line for line in CONVENTION_LEDGER), (
+        "the report must say which two-form sign dictionary was used"
     )
-    assert any("left" in line for line in report.conventions)
-    table_report = cartan_commutators(X, Y)
-    assert table_report.conventions == report.conventions
+    assert any("from the left" in line for line in CONVENTION_LEDGER)
+    text = render_text(report).splitlines()
+    ledger = text.index("conventions:")
+    assert text[ledger + 1 : ledger + 1 + len(CONVENTION_LEDGER)] == [
+        f"  - {line}" for line in CONVENTION_LEDGER
+    ]
+    assert json.loads(render_structured(report))["conventions"] == list(CONVENTION_LEDGER)
 
 
 def test_proposition_randomized_all_geometries():
     rng = random.Random(SEED + 1)
     start = time.monotonic()
-    for g, om in (euclidean2(), misner(), polar()):
+    # curved4 comes last so that the earlier charts keep their draws
+    for g, om in (euclidean2(), misner(), polar(), curved4()):
         lift = lift_geometry(g, om)
         cfg = OracleConfig(samples=20, tol=1e-9, seed=SEED).with_intervals(g.chart.intervals)
         for round_no in range(5):
             X = random_base_field(g.chart, rng)
             Y = random_base_field(g.chart, rng)
-            report = verify_proposition(lift, X, Y, cfg)
-            for entry in report.entries:
+            for entry in verify_proposition(lift, X, Y, cfg):
                 assert entry.holds, f"{g.chart.name} round {round_no}: {entry.name}"
     elapsed = time.monotonic() - start
-    print(f"proposition suite over 15 random rounds in {elapsed:.2f}s")
+    print(f"proposition suite over 20 random rounds in {elapsed:.2f}s")
 
 
 def test_epsilon_level_pairing_recovers_base_tensors():

@@ -14,7 +14,6 @@ from supersasaki.geometry import (
     christoffel_fd,
     covariant_derivative,
     eval_matrix,
-    flat,
     metric_compatibility_residual,
     squares_to_minus_identity,
     torsion_residual,
@@ -147,14 +146,6 @@ def test_covariant_derivative_of_coordinate_field():
     assert is_zero_expr(DX[1][1])
 
 
-def test_flat_lowers_with_the_metric():
-    g = polar_metric()
-    X = VectorFieldM(g.chart, (_p("r"), _p("1")))
-    alpha = flat(g, X)
-    assert canonical_equal(alpha.components[0], _p("r"))
-    assert canonical_equal(alpha.components[1], _p("r^2"))
-
-
 def test_bilinear_eval_orders_indices():
     ch = Chart(("x", "y"))
     om = AlmostSymplectic(ch, [[_p("0"), _p("-1")], [_p("1"), _p("0")]])
@@ -260,14 +251,6 @@ def test_covariant_derivative_of_time_direction():
             assert canonical_equal(DX[a][c], gamma.entry(a, 0, c)), (
                 "coordinate field derivative should read off the symbols"
             )
-
-
-def test_flat_lowers_across_the_off_diagonal():
-    g = misner_metric()
-    X = VectorFieldM(g.chart, (_p("1"), _p("0")))
-    alpha = flat(g, X)
-    assert is_zero_expr(alpha.components[0])
-    assert canonical_equal(alpha.components[1], _p("1"))
 
 
 def test_bilinear_eval_antisymmetric_diagonal_vanishes():

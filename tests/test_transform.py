@@ -18,11 +18,18 @@ from supersasaki.grassmann import (
     parse_graded,
 )
 from supersasaki.sasakilift import lift_geometry, ptm_table, random_field, tptm_table
-from supersasaki.symexpr import OracleConfig, canonical_equal, is_zero_expr, parse_expr
+from supersasaki.symexpr import (
+    OracleConfig,
+    canonical_equal,
+    is_zero_expr,
+    parse_expr,
+    simplify,
+    substitute,
+)
 from supersasaki.transform import (
     SmoothMap,
     check_naturality,
-    compose_maps,
+    compose_scalar,
     field_pullback,
     is_isometry,
     is_symplectomorphism,
@@ -149,10 +156,19 @@ def test_prolongation_on_a_line():
     assert graded_equal(images["ydot"], parse_graded("2*x*xdot", table))
 
 
+def _compose_maps(outer, inner):
+    """outer o inner, for inner's target chart equal to outer's source."""
+    assert inner.target.coords == outer.source.coords
+    comps = tuple(compose_scalar(inner, e) for e in outer.components)
+    back = dict(zip(outer.source.coords, outer.inverse))
+    inv = tuple(simplify(substitute(e, back)) for e in inner.inverse)
+    return SmoothMap(inner.source, outer.target, comps, inv, name=f"{outer.name} o {inner.name}")
+
+
 def test_prolongation_is_functorial():
     first = rotation("1")
     second = rotation("1/2")
-    composed = compose_maps(second, first)
+    composed = _compose_maps(second, first)
     cfg = OracleConfig(samples=25, tol=1e-9, seed=SEED).with_intervals(first.source.intervals)
     direct = prolong(composed, tptm_table(composed.source))
     step1 = prolong(second, tptm_table(second.source))
