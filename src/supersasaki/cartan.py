@@ -18,7 +18,6 @@ the vertical-lift pairing, the right side assembled from the chart data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -108,11 +107,13 @@ def super_commutator(U: VectorFieldPTM, V: VectorFieldPTM) -> VectorFieldPTM:
 # ---------------------------------------------------------------------------
 # check reports
 
-@dataclass(frozen=True)
 class CheckOutcome:
-    name: str
-    holds: bool
-    residual: str  # canonical text of the residual, "0" when it vanishes
+    __slots__ = ("name", "holds", "residual")
+
+    def __init__(self, name: str, holds: bool, residual: str) -> None:
+        self.name = name
+        self.holds = holds
+        self.residual = residual  # canonical text of the residual, "0" when it vanishes
 
 
 def residual_outcome(

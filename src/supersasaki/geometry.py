@@ -11,7 +11,6 @@ Index conventions, fixed once for the whole package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -46,25 +45,43 @@ class GeometryError(ValueError):
     """Malformed chart data: wrong shapes, bad symmetry, degenerate forms."""
 
 
-@dataclass(frozen=True)
 class Chart:
-    """Named coordinates plus the box domain used for sampling checks."""
+    """Named coordinates plus the box domain used for sampling checks.
+    Charts compare by value."""
 
-    coords: tuple[str, ...]
-    intervals: Mapping[str, Interval] = field(default_factory=dict)
-    name: str = "chart"
+    __slots__ = ("coords", "intervals", "name")
 
-    def __post_init__(self) -> None:
-        if not self.coords:
+    def __init__(
+        self,
+        coords: tuple[str, ...],
+        intervals: Mapping[str, Interval] | None = None,
+        name: str = "chart",
+    ) -> None:
+        intervals = {} if intervals is None else intervals
+        if not coords:
             raise GeometryError("a chart needs at least one coordinate")
-        if len(set(self.coords)) != len(self.coords):
-            raise GeometryError(f"duplicate coordinate names: {self.coords}")
-        for c in self.coords:
+        if len(set(coords)) != len(coords):
+            raise GeometryError(f"duplicate coordinate names: {coords}")
+        for c in coords:
             if c in FUNCTIONS:
                 raise GeometryError(f"coordinate {c!r} collides with a function name")
-        for key in self.intervals:
-            if key not in self.coords:
+        for key in intervals:
+            if key not in coords:
                 raise GeometryError(f"interval given for unknown coordinate {key!r}")
+        self.coords = coords
+        self.intervals = intervals
+        self.name = name
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not Chart:
+            return NotImplemented
+        return (
+            self.coords == other.coords
+            and self.intervals == other.intervals
+            and self.name == other.name
+        )
 
     @property
     def dim(self) -> int:
@@ -77,26 +94,25 @@ def _as_matrix(rows: Sequence[Sequence[Expr]], dim: int, what: str) -> Matrix:
     return tuple(tuple(simplify(e) for e in row) for row in rows)
 
 
-@dataclass(frozen=True)
 class MetricTensor:
-    chart: Chart
-    matrix: Matrix
+    __slots__ = ("chart", "matrix")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "matrix", _as_matrix(self.matrix, self.chart.dim, "metric"))
-        n = self.chart.dim
+    def __init__(self, chart: Chart, matrix: Sequence[Sequence[Expr]]) -> None:
+        m = _as_matrix(matrix, chart.dim, "metric")
+        n = chart.dim
         for a in range(n):
             for b in range(a + 1, n):
-                if self.matrix[a][b] != self.matrix[b][a]:
+                if m[a][b] != m[b][a]:
                     raise GeometryError(
                         f"metric is not symmetric at ({a},{b}): "
-                        f"{to_text(self.matrix[a][b])} vs {to_text(self.matrix[b][a])}"
+                        f"{to_text(m[a][b])} vs {to_text(m[b][a])}"
                     )
-        if matrix_det(self.matrix) == ZERO:
+        if matrix_det(m) == ZERO:
             raise GeometryError("metric determinant is identically zero")
+        self.chart = chart
+        self.matrix = m
 
 
-@dataclass(frozen=True)
 class AlmostSymplectic:
     """Antisymmetric nondegenerate coefficient matrix of a two-form.
 
@@ -107,20 +123,21 @@ class AlmostSymplectic:
     the signs the checked identities require.
     """
 
-    chart: Chart
-    matrix: Matrix
+    __slots__ = ("chart", "matrix")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "matrix", _as_matrix(self.matrix, self.chart.dim, "two-form"))
-        n = self.chart.dim
+    def __init__(self, chart: Chart, matrix: Sequence[Sequence[Expr]]) -> None:
+        m = _as_matrix(matrix, chart.dim, "two-form")
+        n = chart.dim
         for a in range(n):
             for b in range(a, n):
-                if not is_zero_expr(Add.of(self.matrix[a][b], self.matrix[b][a])):
+                if not is_zero_expr(Add.of(m[a][b], m[b][a])):
                     raise GeometryError(
                         f"two-form matrix is not antisymmetric at ({a},{b})"
                     )
-        if matrix_det(self.matrix) == ZERO:
+        if matrix_det(m) == ZERO:
             raise GeometryError("two-form determinant is identically zero")
+        self.chart = chart
+        self.matrix = m
 
     @staticmethod
     def from_upper_coefficients(
@@ -138,31 +155,30 @@ class AlmostSymplectic:
         return AlmostSymplectic(chart, tuple(tuple(r) for r in rows))
 
 
-@dataclass(frozen=True)
 class VectorFieldM:
-    chart: Chart
-    components: tuple[Expr, ...]
+    __slots__ = ("chart", "components")
 
-    def __post_init__(self) -> None:
-        if len(self.components) != self.chart.dim:
+    def __init__(self, chart: Chart, components: Sequence[Expr]) -> None:
+        if len(components) != chart.dim:
             raise GeometryError("vector field has wrong number of components")
-        object.__setattr__(
-            self, "components", tuple(simplify(e) for e in self.components)
-        )
+        self.chart = chart
+        self.components = tuple(simplify(e) for e in components)
 
 
-@dataclass(frozen=True)
 class ChristoffelSymbols:
     """gamma[a][b][c] = Gamma^a_{bc}, symmetric in (b, c)."""
 
-    chart: Chart
-    gamma: tuple[tuple[tuple[Expr, ...], ...], ...]
+    __slots__ = ("chart", "gamma")
 
-    def __post_init__(self) -> None:
-        n = self.chart.dim
-        g = self.gamma
+    def __init__(
+        self, chart: Chart, gamma: tuple[tuple[tuple[Expr, ...], ...], ...]
+    ) -> None:
+        n = chart.dim
+        g = gamma
         if len(g) != n or any(len(p) != n or any(len(r) != n for r in p) for p in g):
             raise GeometryError("christoffel table must be dim^3")
+        self.chart = chart
+        self.gamma = gamma
 
     def entry(self, a: int, b: int, c: int) -> Expr:
         return self.gamma[a][b][c]

@@ -20,7 +20,6 @@ operation is expanded as a finite Taylor series around the body.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -43,7 +42,14 @@ from .symexpr import (
     substitute,
     to_text,
 )
-from .symexpr.canonical import Poly, canonicalize, pair_to_expr, rat_add, to_canonical
+from .symexpr.canonical import (
+    Poly,
+    canonicalize,
+    pair_to_expr,
+    rat_add,
+    scale_pair,
+    to_canonical,
+)
 from .symexpr.expr import FUNCTIONS, _negative_head, derivative_raw
 
 EVEN = 0
@@ -74,21 +80,32 @@ def _check_name(name: str) -> None:
         raise GradedError(f"generator name {name!r} collides with a reserved function")
 
 
-@dataclass(frozen=True)
 class GeneratorTable:
-    """Ordered, parity-tagged generator names for one superdomain chart."""
+    """Ordered, parity-tagged generator names for one superdomain chart.
+    Tables compare by value."""
 
-    gens: tuple[tuple[str, int], ...]
+    __slots__ = ("gens",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, gens: tuple[tuple[str, int], ...]) -> None:
         seen = set()
-        for name, parity in self.gens:
+        for name, parity in gens:
             _check_name(name)
             if parity not in (EVEN, ODD):
                 raise GradedError(f"parity of {name!r} must be 0 or 1, got {parity!r}")
             if name in seen:
                 raise GradedError(f"duplicate generator name {name!r}")
             seen.add(name)
+        self.gens = gens
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not GeneratorTable:
+            return NotImplemented
+        return self.gens == other.gens
+
+    def __hash__(self) -> int:
+        return hash(self.gens)
 
     @staticmethod
     def of(*gens: tuple[str, int]) -> "GeneratorTable":
@@ -161,7 +178,9 @@ class GradedExpr:
     Canonical by construction: every stored coefficient is a `to_canonical`
     pair with a nonzero numerator (a vanishing monomial is absent). `+`,
     `gmul`, `scale` and the odd `partial` combine pairs with `rat_add` and
-    `canonicalize`; `coefficient()` and `body()` print a pair as a tree.
+    `canonicalize`, except that `scale` by a constant only fixes the
+    integer content (`scale_pair`); `coefficient()` and `body()` print a
+    pair as a tree.
     """
 
     __slots__ = ("table", "terms")
@@ -259,6 +278,11 @@ class GradedExpr:
         fn, fd = to_canonical(as_expr(factor))
         if fn.is_zero():
             return GradedExpr.zero(self.table)
+        if fn.is_const() and fd.is_const():
+            p, q = fn.const_value(), fd.const_value()
+            return GradedExpr(
+                self.table, {m: scale_pair(pair, p, q) for m, pair in self.terms.items()}
+            )
         return GradedExpr(
             self.table,
             _drop_zeros((m, canonicalize(n * fn, d * fd)) for m, (n, d) in self.terms.items()),

@@ -10,7 +10,6 @@ the source.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 from .geometry import OMEGA_DICTIONARY_NOTE
 from .grassmann import ODD_DERIVATIVE_NOTE
@@ -23,21 +22,27 @@ CONVENTION_LEDGER: tuple[str, ...] = (
 )
 
 
-@dataclass(frozen=True)
 class ResultRow:
-    name: str
-    status: str  # "pass" | "fail" | "info"
-    residual: str = ""
+    __slots__ = ("name", "status", "residual")
+
+    def __init__(self, name: str, status: str, residual: str = "") -> None:
+        self.name = name
+        self.status = status  # "pass" | "fail" | "info"
+        self.residual = residual
 
 
-@dataclass
 class RunReport:
-    command: str
-    inputs: dict[str, str] = field(default_factory=dict)
-    values: dict[str, object] = field(default_factory=dict)
-    rows: list[ResultRow] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
-    elapsed: float | None = None
+    """The one mutable record: commands fill it in, then it is rendered."""
+
+    __slots__ = ("command", "inputs", "values", "rows", "notes", "elapsed")
+
+    def __init__(self, command: str, inputs: dict[str, str] | None = None) -> None:
+        self.command = command
+        self.inputs: dict[str, str] = {} if inputs is None else inputs
+        self.values: dict[str, object] = {}
+        self.rows: list[ResultRow] = []
+        self.notes: list[str] = []
+        self.elapsed: float | None = None
 
     def add(self, name: str, ok: bool, residual: str = "") -> None:
         self.rows.append(ResultRow(name, "pass" if ok else "fail", residual))

@@ -36,7 +36,6 @@ formula; both are exposed and tested against each other.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
@@ -171,19 +170,31 @@ def _sasaki_form(
     return total
 
 
-@dataclass(frozen=True)
 class LiftedGeometry:
     """Everything the downstream checks need about one chart's lift; gamma
     is the Levi-Civita connection of metric."""
 
-    chart: Chart
-    metric: MetricTensor
-    omega: AlmostSymplectic
-    gamma: ChristoffelSymbols
-    ptm: GeneratorTable
-    tptm: GeneratorTable
-    nabla: tuple[GradedExpr, ...]
-    lifted: GradedExpr  # over tptm
+    __slots__ = ("chart", "metric", "omega", "gamma", "ptm", "tptm", "nabla", "lifted")
+
+    def __init__(
+        self,
+        chart: Chart,
+        metric: MetricTensor,
+        omega: AlmostSymplectic,
+        gamma: ChristoffelSymbols,
+        ptm: GeneratorTable,
+        tptm: GeneratorTable,
+        nabla: tuple[GradedExpr, ...],
+        lifted: GradedExpr,
+    ) -> None:
+        self.chart = chart
+        self.metric = metric
+        self.omega = omega
+        self.gamma = gamma
+        self.ptm = ptm
+        self.tptm = tptm
+        self.nabla = nabla
+        self.lifted = lifted  # over tptm
 
 
 def lift_geometry(g: MetricTensor, omega: AlmostSymplectic) -> LiftedGeometry:
@@ -222,35 +233,41 @@ def classical_sasaki(g: MetricTensor) -> GradedExpr:
 # ---------------------------------------------------------------------------
 # vector fields on the odd tangent bundle and the two pairings
 
-@dataclass(frozen=True)
 class VectorFieldPTM:
     """First-order operator A^a d/dx^a + B^a d/d(dx^a) with homogeneous
     parity; A^a has the field's parity, B^a the opposite."""
 
-    table: GeneratorTable  # the ptm table
-    components: tuple[GradedExpr, ...]
-    barred: tuple[GradedExpr, ...]
-    parity: int
+    __slots__ = ("table", "components", "barred", "parity")
 
-    def __post_init__(self) -> None:
-        if self.parity not in (EVEN, ODD):
+    def __init__(
+        self,
+        table: GeneratorTable,
+        components: tuple[GradedExpr, ...],
+        barred: tuple[GradedExpr, ...],
+        parity: int,
+    ) -> None:
+        if parity not in (EVEN, ODD):
             raise GradedError("field parity must be 0 or 1")
-        for comp in self.components:
+        for comp in components:
             p = parity_of(comp)
-            if not comp.is_zero() and p != self.parity:
+            if not comp.is_zero() and p != parity:
                 raise GradedError(
                     f"component {graded_to_text(comp)} has parity {p}, "
-                    f"declared {self.parity}"
+                    f"declared {parity}"
                 )
-        for comp in self.barred:
+        for comp in barred:
             p = parity_of(comp)
-            if not comp.is_zero() and p != (self.parity + 1) % 2:
+            if not comp.is_zero() and p != (parity + 1) % 2:
                 raise GradedError(
                     f"barred component {graded_to_text(comp)} has parity {p}, "
-                    f"expected {(self.parity + 1) % 2}"
+                    f"expected {(parity + 1) % 2}"
                 )
-        if len(self.components) != len(self.barred):
+        if len(components) != len(barred):
             raise GradedError("components and barred components differ in length")
+        self.table = table  # the ptm table
+        self.components = components
+        self.barred = barred
+        self.parity = parity
 
     @property
     def dim(self) -> int:

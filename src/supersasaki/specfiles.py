@@ -37,7 +37,6 @@ may mention only the chart coordinates.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -113,16 +112,31 @@ def _check_at_centre(chart: Chart, key: str, matrix: Matrix) -> None:
         ) from None
 
 
-@dataclass(frozen=True)
 class GeometrySpec:
-    name: str
-    chart: Chart
-    metric: MetricTensor
-    omega: AlmostSymplectic | None
-    notes: str
-    reference_christoffel: tuple[tuple[str, str, str, Expr], ...] | None
-    reference_nabla: Mapping[str, str] | None
-    reference_sasaki: str | None
+    __slots__ = (
+        "name", "chart", "metric", "omega", "notes",
+        "reference_christoffel", "reference_nabla", "reference_sasaki",
+    )
+
+    def __init__(
+        self,
+        name: str,
+        chart: Chart,
+        metric: MetricTensor,
+        omega: AlmostSymplectic | None,
+        notes: str,
+        reference_christoffel: tuple[tuple[str, str, str, Expr], ...] | None,
+        reference_nabla: Mapping[str, str] | None,
+        reference_sasaki: str | None,
+    ) -> None:
+        self.name = name
+        self.chart = chart
+        self.metric = metric
+        self.omega = omega
+        self.notes = notes
+        self.reference_christoffel = reference_christoffel
+        self.reference_nabla = reference_nabla
+        self.reference_sasaki = reference_sasaki
 
     def require_omega(self) -> AlmostSymplectic:
         if self.omega is None:

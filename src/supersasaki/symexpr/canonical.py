@@ -463,10 +463,24 @@ def canonicalize(num: Poly, den: Poly) -> tuple[Poly, Poly]:
             if not g.is_const():
                 num = _div_exact(num, g)
                 den = _div_exact(den, g)
+    return _primitive_pair(num, den)
+
+
+def _primitive_pair(num: Poly, den: Poly) -> tuple[Poly, Poly]:
+    """Divide out the joint integer content and make lc(den) positive."""
     k = math.gcd(_int_content(num), _int_content(den))
     if den.terms[den.lead()] < 0:
         k = -k
     return _div_int(num, k), _div_int(den, k)
+
+
+def scale_pair(pair: tuple[Poly, Poly], p: int, q: int) -> tuple[Poly, Poly]:
+    """The canonical pair of pair * p/q, for a canonical pair and nonzero
+    integers p, q. Numerator and denominator stay coprime and free of
+    rewritable powers, so only the integer content changes: this equals
+    canonicalize(num * p, den * q) without its gcd."""
+    num, den = pair
+    return _primitive_pair(num.scale(p), den.scale(q))
 
 
 def _common_mono(p: Poly) -> Monomial:

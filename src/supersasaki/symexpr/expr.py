@@ -1,15 +1,16 @@
 """Expression trees over commuting scalar variables.
 
-Nodes are immutable. Constructors do no simplification beyond flattening
-nested sums/products and folding arithmetic on bare constants; canonical
-form lives in canonical.py. Constants are exact rationals, powers carry
-integer exponents only, and the function vocabulary is fixed.
+Nodes are plain slotted classes, immutable by convention; two nodes are
+equal when they have the same class and equal fields. Constructors do no
+simplification beyond flattening nested sums/products and folding
+arithmetic on bare constants; canonical form lives in canonical.py.
+Constants are exact rationals, powers carry integer exponents only, and
+the function vocabulary is fixed.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Union
 
@@ -65,29 +66,55 @@ class Expr:
         return f"{type(self).__name__}({to_text(self)!r})"
 
 
-@dataclass(frozen=True, repr=False)
 class Const(Expr):
-    value: Fraction
-
     __slots__ = ("value",)
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.value, Fraction):
-            object.__setattr__(self, "value", Fraction(self.value))
+    def __init__(self, value: Rational) -> None:
+        self.value = value if isinstance(value, Fraction) else Fraction(value)
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not Const:
+            return NotImplemented
+        return self.value == other.value
+
+    def __hash__(self) -> int:
+        return hash((self.value,))
 
 
-@dataclass(frozen=True, repr=False)
 class Var(Expr):
-    name: str
-
     __slots__ = ("name",)
 
+    def __init__(self, name: str) -> None:
+        self.name = name
 
-@dataclass(frozen=True, repr=False)
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not Var:
+            return NotImplemented
+        return self.name == other.name
+
+    def __hash__(self) -> int:
+        return hash((self.name,))
+
+
 class Add(Expr):
-    terms: tuple[Expr, ...]
-
     __slots__ = ("terms",)
+
+    def __init__(self, terms: tuple[Expr, ...]) -> None:
+        self.terms = terms
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not Add:
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __hash__(self) -> int:
+        return hash((self.terms,))
 
     @staticmethod
     def of(*terms: Expr) -> Expr:
@@ -104,11 +131,21 @@ class Add(Expr):
         return Add(tuple(flat))
 
 
-@dataclass(frozen=True, repr=False)
 class Mul(Expr):
-    factors: tuple[Expr, ...]
-
     __slots__ = ("factors",)
+
+    def __init__(self, factors: tuple[Expr, ...]) -> None:
+        self.factors = factors
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not Mul:
+            return NotImplemented
+        return self.factors == other.factors
+
+    def __hash__(self) -> int:
+        return hash((self.factors,))
 
     @staticmethod
     def of(*factors: Expr) -> Expr:
@@ -125,36 +162,62 @@ class Mul(Expr):
         return Mul(tuple(flat))
 
 
-@dataclass(frozen=True, repr=False)
 class Pow(Expr):
-    base: Expr
-    exponent: int
-
     __slots__ = ("base", "exponent")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.exponent, int) or isinstance(self.exponent, bool):
-            raise TypeError(f"power exponent must be an int, got {self.exponent!r}")
+    def __init__(self, base: Expr, exponent: int) -> None:
+        if not isinstance(exponent, int) or isinstance(exponent, bool):
+            raise TypeError(f"power exponent must be an int, got {exponent!r}")
+        self.base = base
+        self.exponent = exponent
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not Pow:
+            return NotImplemented
+        return self.exponent == other.exponent and self.base == other.base
+
+    def __hash__(self) -> int:
+        return hash((self.base, self.exponent))
 
 
-@dataclass(frozen=True, repr=False)
 class Div(Expr):
-    num: Expr
-    den: Expr
-
     __slots__ = ("num", "den")
 
+    def __init__(self, num: Expr, den: Expr) -> None:
+        self.num = num
+        self.den = den
 
-@dataclass(frozen=True, repr=False)
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not Div:
+            return NotImplemented
+        return self.num == other.num and self.den == other.den
+
+    def __hash__(self) -> int:
+        return hash((self.num, self.den))
+
+
 class Call(Expr):
-    func: str
-    arg: Expr
-
     __slots__ = ("func", "arg")
 
-    def __post_init__(self) -> None:
-        if self.func not in FUNCTIONS:
-            raise ValueError(f"unknown function {self.func!r}; expected one of {FUNCTIONS}")
+    def __init__(self, func: str, arg: Expr) -> None:
+        if func not in FUNCTIONS:
+            raise ValueError(f"unknown function {func!r}; expected one of {FUNCTIONS}")
+        self.func = func
+        self.arg = arg
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not Call:
+            return NotImplemented
+        return self.func == other.func and self.arg == other.arg
+
+    def __hash__(self) -> int:
+        return hash((self.func, self.arg))
 
 
 ZERO = Const(Fraction(0))

@@ -9,9 +9,7 @@ out of redraws raises instead of guessing.
 
 from __future__ import annotations
 
-import hashlib
 import random
-from dataclasses import dataclass, field, replace
 from typing import Mapping
 
 from .canonical import canonical_equal
@@ -32,18 +30,23 @@ class OracleError(RuntimeError):
     """Sampling could not collect enough in-domain points."""
 
 
-@dataclass(frozen=True)
 class Witness:
     """A sample point where the two sides differ."""
 
-    point: dict[str, float]
-    left: float
-    right: float
+    __slots__ = ("point", "left", "right")
+
+    def __init__(self, point: dict[str, float], left: float, right: float) -> None:
+        self.point = point
+        self.left = left
+        self.right = right
 
 
 def _rng_for(seed: int, names: tuple[str, ...]) -> random.Random:
     # derive the stream from seed + variable names without str hash
-    # randomization so runs are reproducible across processes
+    # randomization so runs are reproducible across processes; hashlib is
+    # imported here because only the sampling tier needs it
+    import hashlib
+
     digest = hashlib.sha256(("%d|%s" % (seed, ",".join(names))).encode()).digest()
     return random.Random(int.from_bytes(digest[:8], "big"))
 
@@ -119,27 +122,34 @@ def expr_equal(
     return witness is None
 
 
-@dataclass(frozen=True)
 class OracleConfig:
     """Equality-check policy shared across a computation: sample count
     (at least 1), tolerance (in (0, 1)), RNG seed, and per-variable sampling
-    intervals. Other settings raise ValueError: they would pass anything."""
+    intervals. Other settings raise ValueError: they would pass anything.
+    Immutable by convention."""
 
-    samples: int = DEFAULT_SAMPLES
-    tol: float = DEFAULT_TOL
-    seed: int = 0
-    intervals: Mapping[str, Interval] = field(default_factory=dict)
+    __slots__ = ("samples", "tol", "seed", "intervals")
 
-    def __post_init__(self) -> None:
-        if self.samples < 1:
-            raise ValueError(f"samples must be at least 1, got {self.samples}")
-        if not 0 < self.tol < 1:
-            raise ValueError(f"tol must lie strictly between 0 and 1, got {self.tol}")
+    def __init__(
+        self,
+        samples: int = DEFAULT_SAMPLES,
+        tol: float = DEFAULT_TOL,
+        seed: int = 0,
+        intervals: Mapping[str, Interval] | None = None,
+    ) -> None:
+        if samples < 1:
+            raise ValueError(f"samples must be at least 1, got {samples}")
+        if not 0 < tol < 1:
+            raise ValueError(f"tol must lie strictly between 0 and 1, got {tol}")
+        self.samples = samples
+        self.tol = tol
+        self.seed = seed
+        self.intervals = {} if intervals is None else intervals
 
     def with_intervals(self, extra: Mapping[str, Interval]) -> "OracleConfig":
         merged = dict(self.intervals)
         merged.update(extra)
-        return replace(self, intervals=merged)
+        return OracleConfig(self.samples, self.tol, self.seed, merged)
 
     def equal(self, a: Expr, b: Expr) -> bool:
         return expr_equal(

@@ -14,7 +14,6 @@ Errors carry the character offset they were detected at.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -35,11 +34,13 @@ class UnknownIdentifierError(ParseError):
         self.name = name
 
 
-@dataclass(frozen=True)
 class _Token:
-    kind: str  # "number" | "ident" | one of + - * / ^ ( ) | "end"
-    text: str
-    position: int
+    __slots__ = ("kind", "text", "position")
+
+    def __init__(self, kind: str, text: str, position: int) -> None:
+        self.kind = kind  # "number" | "ident" | one of + - * / ^ ( ) | "end"
+        self.text = text
+        self.position = position
 
 
 def _tokenize(text: str) -> list[_Token]:

@@ -23,7 +23,7 @@ a symplectomorphism for the two-forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Sequence
 
 from .cartan import CheckOutcome, residual_outcome
 from .geometry import (
@@ -65,25 +65,29 @@ from .symexpr import (
 )
 
 
-@dataclass(frozen=True)
 class SmoothMap:
     """y^alpha = components[alpha](x); the optional inverse is checked to
     compose to the identity."""
 
-    source: Chart
-    target: Chart
-    components: tuple[Expr, ...]
-    inverse: tuple[Expr, ...] | None = None
-    name: str = "map"
+    __slots__ = ("source", "target", "components", "inverse", "name")
 
-    def __post_init__(self) -> None:
-        if len(self.components) != self.target.dim:
+    def __init__(
+        self,
+        source: Chart,
+        target: Chart,
+        components: Sequence[Expr],
+        inverse: Sequence[Expr] | None = None,
+        name: str = "map",
+    ) -> None:
+        self.source = source
+        self.target = target
+        self.name = name
+        if len(components) != self.target.dim:
             raise GeometryError(
                 f"map {self.name!r} needs {self.target.dim} components"
             )
-        object.__setattr__(
-            self, "components", tuple(simplify(e) for e in self.components)
-        )
+        self.components = tuple(simplify(e) for e in components)
+        self.inverse = inverse
         src = set(self.source.coords)
         for e in self.components:
             extra = free_vars(e) - src
@@ -96,9 +100,7 @@ class SmoothMap:
                 raise GeometryError(
                     f"inverse of {self.name!r} needs {self.source.dim} components"
                 )
-            object.__setattr__(
-                self, "inverse", tuple(simplify(e) for e in self.inverse)
-            )
+            self.inverse = tuple(simplify(e) for e in self.inverse)
             tgt = set(self.target.coords)
             for e in self.inverse:
                 extra = free_vars(e) - tgt
@@ -340,12 +342,16 @@ def field_pullback(psi: SmoothMap, V: VectorFieldPTM) -> VectorFieldPTM:
     return VectorFieldPTM(table, tuple(comps), tuple(barred), V.parity)
 
 
-@dataclass(frozen=True)
 class NaturalityReport:
-    isometry: bool
-    symplectomorphism: bool
-    holds: bool
-    residual: str
+    __slots__ = ("isometry", "symplectomorphism", "holds", "residual")
+
+    def __init__(
+        self, isometry: bool, symplectomorphism: bool, holds: bool, residual: str
+    ) -> None:
+        self.isometry = isometry
+        self.symplectomorphism = symplectomorphism
+        self.holds = holds
+        self.residual = residual
 
 
 def check_naturality(

@@ -1,11 +1,16 @@
+import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from supersasaki.cli import main
 
-SPECS = Path(__file__).resolve().parents[1] / "specs"
+ROOT = Path(__file__).resolve().parents[1]
+SPECS = ROOT / "specs"
 
 
 def _run(capsys, *argv):
@@ -273,3 +278,36 @@ def test_seed_changes_sampled_fields_but_not_verdicts(capsys):
         assert code == 0
         outs.append(out)
     assert "12/12 checks pass" in outs[0] and "12/12 checks pass" in outs[1]
+
+
+def _traced_modules():
+    """The modules bench/tracer.py patches right after importing the CLI."""
+    spec = importlib.util.spec_from_file_location("_bench_tracer", ROOT / "bench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return sorted({
+        module for table in (tracer.FINE, tracer.COARSE)
+        for targets in table.values() for module, _ in targets
+    })
+
+
+def test_cli_start_up_imports_no_heavy_stdlib_modules():
+    # every CLI check is a fresh process, so start-up is paid per check:
+    # dataclasses (which pulls in inspect) and hashlib (only the sampling
+    # tier needs it) must stay out, and every module must still load
+    # eagerly, because the tracer patches them all after this import
+    probe = (
+        "import json, sys\n"
+        "import supersasaki.cli\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout
+    loaded = set(json.loads(out))
+    assert {"dataclasses", "inspect", "hashlib"} & loaded == set()
+    traced = _traced_modules()
+    assert traced
+    assert [m for m in traced if m not in loaded] == []

@@ -30,6 +30,15 @@ from supersasaki.symexpr import (
 SEED = 424242
 
 
+def test_charts_built_separately_compare_equal():
+    a = Chart(("x", "y"), {"x": (-1.0, 1.0)}, name="plane")
+    b = Chart(("x", "y"), {"x": (-1.0, 1.0)}, name="plane")
+    assert a is not b and a == b
+    assert a != Chart(("x", "y"), name="plane")
+    assert a != Chart(("x", "y"), {"x": (-1.0, 1.0)}, name="other")
+    assert Chart(("x",)).intervals == {}
+
+
 def _p(text):
     return parse_expr(text)
 

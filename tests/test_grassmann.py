@@ -28,6 +28,15 @@ def _g(text, table=T):
     return parse_graded(text, table)
 
 
+def test_tables_built_separately_compare_equal():
+    other = GeneratorTable.of(("x", EVEN), ("y", EVEN), ("dx", ODD), ("dy", ODD))
+    assert other is not T
+    assert other == T and hash(other) == hash(T)
+    assert GeneratorTable.of(("x", EVEN), ("dx", ODD)) != T
+    # operands over equal tables add
+    assert graded_to_text(_g("x*dx") + _g("dy", other)) == "x*dx + dy"
+
+
 def test_odd_generators_anticommute_and_square_to_zero():
     dx = GradedExpr.generator(T, "dx")
     dy = GradedExpr.generator(T, "dy")

@@ -53,6 +53,7 @@ from supersasaki.symexpr.canonical import (
     _var_atom,
     canonicalize,
     poly_gcd,
+    scale_pair,
     to_canonical,
 )
 from supersasaki.transform import SmoothMap, prolong
@@ -327,6 +328,33 @@ def _simplified(e):
         reject()
 
 
+def _rebuild(e):
+    """A second, independent build of the tree e: new nodes throughout."""
+    if isinstance(e, Const):
+        return Const(Fraction(e.value.numerator, e.value.denominator))
+    if isinstance(e, Var):
+        return Var(e.name)
+    if isinstance(e, Add):
+        return Add(tuple(_rebuild(t) for t in e.terms))
+    if isinstance(e, Mul):
+        return Mul(tuple(_rebuild(f) for f in e.factors))
+    if isinstance(e, Pow):
+        return Pow(_rebuild(e.base), e.exponent)
+    if isinstance(e, Div):
+        return Div(_rebuild(e.num), _rebuild(e.den))
+    return Call(e.func, _rebuild(e.arg))
+
+
+@TREE_SETTINGS
+@given(e=TREES)
+def test_independent_builds_of_a_tree_are_equal_with_equal_hashes(e):
+    # to_canonical's cache finds a tree by hash and equality
+    copy = _rebuild(e)
+    assert copy is not e
+    assert copy == e and not copy != e
+    assert hash(copy) == hash(e)
+
+
 @TREE_SETTINGS
 @given(e=TREES)
 def test_simplify_is_a_structural_fixed_point(e):
@@ -382,3 +410,20 @@ def test_canonical_pair_is_primitive_with_positive_lead(e):
 def test_canonicalize_divides_out_a_common_integer(e, k):
     num, den = _canonical_pair(e)
     assert canonicalize(num.scale(k), den.scale(k)) == (num, den)
+
+
+@PROPERTY_SETTINGS
+@given(
+    data=st.data(),
+    p=st.integers(-12, 12).filter(bool),
+    q=st.integers(1, 12),
+)
+def test_scaling_by_a_constant_matches_canonicalize(data, p, q):
+    # GradedExpr.scale by p/q fixes only the integer content of each pair;
+    # the result must be the pair canonicalize gives, exactly
+    f = data.draw(graded_transcendental(data.draw(st.sampled_from(CHARTS))))
+    scaled = f.scale(Const(Fraction(p, q)))
+    assert scaled.terms.keys() == f.terms.keys()
+    for mono, (num, den) in f.terms.items():
+        assert scale_pair((num, den), p, q) == canonicalize(num.scale(p), den.scale(q))
+        assert scaled.terms[mono] == canonicalize(num.scale(p), den.scale(q))

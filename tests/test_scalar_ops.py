@@ -1,9 +1,16 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from supersasaki.symexpr import (
+    Add,
+    Call,
+    Const,
+    Mul,
     OracleConfig,
+    Pow,
+    Var,
     canonical_equal,
     canonical_text,
     differentiate,
@@ -16,6 +23,7 @@ from supersasaki.symexpr import (
     substitute,
     to_text,
 )
+from supersasaki.symexpr.oracle import _rng_for
 
 SEED = 20260819
 
@@ -140,6 +148,41 @@ def test_oracle_config_refuses_settings_that_pass_anything_when_built():
         with pytest.raises(ValueError, match="tol"):
             OracleConfig(**settings)
     assert OracleConfig(samples=1, tol=0.5).equal(_p("x"), _p("x"))
+
+
+def test_with_intervals_builds_a_new_config():
+    base = OracleConfig(samples=7, tol=1e-6, seed=3, intervals={"x": (0.0, 1.0)})
+    merged = base.with_intervals({"y": (2.0, 3.0)})
+    assert dict(base.intervals) == {"x": (0.0, 1.0)}
+    assert dict(merged.intervals) == {"x": (0.0, 1.0), "y": (2.0, 3.0)}
+    assert (merged.samples, merged.tol, merged.seed) == (7, 1e-6, 3)
+    assert merged is not base
+
+
+def test_sampler_stream_is_pinned():
+    # the first draw of the sampling tier's stream, recorded before hashlib
+    # moved into _rng_for; a drift here would change sampled verdicts
+    assert _rng_for(0, ("x", "y")).random() == 0.8694902934207004
+    assert _rng_for(7, ("a", "s", "t")).random() == 0.864408438146216
+
+
+def test_nodes_compare_by_class_and_fields():
+    x, y = Var("x"), Var("y")
+    assert Add((x, y)) != Mul((x, y))
+    assert Add((x, y)) == Add((Var("x"), Var("y")))
+    assert Const(1) == Const(Fraction(1))
+    assert hash(Const(1)) == hash(Const(Fraction(1)))
+    assert type(Const(1).value) is Fraction
+    assert type(Const(Fraction(3, 2)).value) is Fraction
+    assert Pow(x, 2) != Pow(x, 3)
+    assert Call("sin", x) != Call("cos", x)
+
+
+def test_nodes_refuse_bad_fields():
+    with pytest.raises(TypeError, match="exponent"):
+        Pow(Var("x"), True)
+    with pytest.raises(ValueError, match="unknown function"):
+        Call("tan", Var("x"))
 
 
 def test_simplify_is_idempotent_on_random_trees():
