@@ -21,6 +21,7 @@ from .symexpr import (
     Expr,
     Interval,
     Mul,
+    ONE,
     ZERO,
     differentiate,
     eval_numeric,
@@ -95,7 +96,9 @@ def _as_matrix(rows: Sequence[Sequence[Expr]], dim: int, what: str) -> Matrix:
 
 
 class MetricTensor:
-    __slots__ = ("chart", "matrix")
+    """Symmetric nondegenerate metric; `inverse` is g^-1, computed once."""
+
+    __slots__ = ("chart", "matrix", "inverse")
 
     def __init__(self, chart: Chart, matrix: Sequence[Sequence[Expr]]) -> None:
         m = _as_matrix(matrix, chart.dim, "metric")
@@ -107,8 +110,10 @@ class MetricTensor:
                         f"metric is not symmetric at ({a},{b}): "
                         f"{to_text(m[a][b])} vs {to_text(m[b][a])}"
                     )
-        if matrix_det(m) == ZERO:
-            raise GeometryError("metric determinant is identically zero")
+        try:
+            self.inverse = matrix_inverse(m)
+        except GeometryError:
+            raise GeometryError("metric determinant is identically zero") from None
         self.chart = chart
         self.matrix = m
 
@@ -134,8 +139,10 @@ class AlmostSymplectic:
                     raise GeometryError(
                         f"two-form matrix is not antisymmetric at ({a},{b})"
                     )
-        if matrix_det(m) == ZERO:
-            raise GeometryError("two-form determinant is identically zero")
+        try:
+            matrix_inverse(m)
+        except GeometryError:
+            raise GeometryError("two-form determinant is identically zero") from None
         self.chart = chart
         self.matrix = m
 
@@ -187,41 +194,39 @@ class ChristoffelSymbols:
 # ---------------------------------------------------------------------------
 # matrix algebra
 
-def matrix_det(m: Matrix | Sequence[Sequence[Expr]]) -> Expr:
-    n = len(m)
-    if n == 1:
-        return simplify(m[0][0])
-    if n == 2:
-        return simplify(Add.of(Mul.of(m[0][0], m[1][1]), neg(Mul.of(m[0][1], m[1][0]))))
-    total: list[Expr] = []
-    for j in range(n):
-        minor = [
-            [m[i][k] for k in range(n) if k != j] for i in range(1, n)
-        ]
-        term = Mul.of(m[0][j], matrix_det(minor))
-        total.append(term if j % 2 == 0 else neg(term))
-    return simplify(Add.of(*total))
-
-
-def _cofactor(m: Sequence[Sequence[Expr]], i: int, j: int) -> Expr:
-    n = len(m)
-    minor = [
-        [m[r][c] for c in range(n) if c != j] for r in range(n) if r != i
-    ]
-    d = matrix_det(minor) if minor else Const(Fraction(1))
-    return d if (i + j) % 2 == 0 else neg(d)
-
-
 def matrix_inverse(m: Matrix | Sequence[Sequence[Expr]]) -> Matrix:
-    """Adjugate over determinant, entries simplified."""
+    """Gauss-Jordan elimination of [m | I] with every entry simplified.
+
+    A simplified entry is zero exactly when it equals ZERO, so the pivot of
+    a column is its first non-ZERO entry on or below the diagonal, and zero
+    entries are carried without arithmetic. A column with no pivot means
+    the determinant is identically zero."""
     n = len(m)
-    det = matrix_det(m)
-    if det == ZERO:
-        raise GeometryError("matrix is singular (determinant identically zero)")
-    return tuple(
-        tuple(simplify(Div(_cofactor(m, j, i), det)) for j in range(n))
-        for i in range(n)
-    )
+    for row in m:
+        if len(row) != n:
+            raise GeometryError(f"cannot invert a {n}x{len(row)} matrix")
+    aug = [
+        [simplify(e) for e in row] + [ONE if i == j else ZERO for j in range(n)]
+        for i, row in enumerate(m)
+    ]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if aug[r][col] != ZERO), None)
+        if pivot is None:
+            raise GeometryError("matrix is singular (determinant identically zero)")
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        top = aug[col]
+        p = top[col]
+        # columns up to the pivot's are never read again, so only the top
+        # row's nonzero columns right of it are updated
+        right = [j for j in range(col + 1, 2 * n) if top[j] != ZERO]
+        for j in right:
+            top[j] = simplify(Div(top[j], p))
+        for row in aug:
+            f = row[col]
+            if row is not top and f != ZERO:
+                for j in right:
+                    row[j] = simplify(Add.of(row[j], neg(Mul.of(f, top[j]))))
+    return tuple(tuple(row[n:]) for row in aug)
 
 
 def matrix_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -246,7 +251,7 @@ def christoffel(g: MetricTensor) -> ChristoffelSymbols:
     """Levi-Civita connection coefficients of g."""
     chart = g.chart
     n = chart.dim
-    ginv = matrix_inverse(g.matrix)
+    ginv = g.inverse
     coords = chart.coords
     dg = [
         [[differentiate(g.matrix[a][b], coords[c]) for c in range(n)] for b in range(n)]
@@ -359,7 +364,7 @@ def vector_commutator(X: VectorFieldM, Y: VectorFieldM) -> VectorFieldM:
 def acs_candidate(g: MetricTensor, omega: AlmostSymplectic) -> Matrix:
     """J with J_a^b = omega_ac g^cb; squares to -Id exactly when the pair
     is compatible in the usual sense. Row index a, column index b."""
-    ginv = matrix_inverse(g.matrix)
+    ginv = g.inverse
     n = g.chart.dim
     return tuple(
         tuple(

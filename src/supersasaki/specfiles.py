@@ -37,7 +37,7 @@ may mention only the chart coordinates.
 from __future__ import annotations
 
 import json
-from pathlib import Path
+import os
 from typing import Any, Mapping
 
 from .geometry import (
@@ -61,12 +61,15 @@ class SpecError(ValueError):
     """A spec document that does not satisfy its schema."""
 
 
-def _load_document(source: str | Path | Mapping[str, Any]) -> Mapping[str, Any]:
+def _load_document(
+    source: str | os.PathLike[str] | Mapping[str, Any]
+) -> Mapping[str, Any]:
     if isinstance(source, Mapping):
         return source
-    path = Path(source)
+    path = os.fspath(source)
     try:
-        text = path.read_text()
+        with open(path) as fh:
+            text = fh.read()
     except OSError as exc:
         raise SpecError(f"cannot read spec file {path}: {exc}") from exc
     try:
@@ -149,7 +152,9 @@ class GeometrySpec:
         return christoffel(self.metric)
 
 
-def load_geometry(source: str | Path | Mapping[str, Any]) -> GeometrySpec:
+def load_geometry(
+    source: str | os.PathLike[str] | Mapping[str, Any]
+) -> GeometrySpec:
     doc = _load_document(source)
     name = doc.get("name")
     if not isinstance(name, str) or not name:
@@ -274,7 +279,7 @@ def load_geometry(source: str | Path | Mapping[str, Any]) -> GeometrySpec:
 
 
 def load_base_field(
-    source: str | Path | Mapping[str, Any], chart: Chart
+    source: str | os.PathLike[str] | Mapping[str, Any], chart: Chart
 ) -> VectorFieldM:
     doc = _load_document(source)
     if doc.get("kind", "base") != "base":
@@ -293,7 +298,7 @@ _PARITY_WORDS = {"even": EVEN, "odd": ODD}
 
 
 def load_ptm_field(
-    source: str | Path | Mapping[str, Any], chart: Chart
+    source: str | os.PathLike[str] | Mapping[str, Any], chart: Chart
 ) -> VectorFieldPTM:
     doc = _load_document(source)
     if doc.get("kind") != "ptm":
@@ -324,7 +329,7 @@ def load_ptm_field(
 
 
 def load_map(
-    source: str | Path | Mapping[str, Any],
+    source: str | os.PathLike[str] | Mapping[str, Any],
     source_geometry: GeometrySpec,
     target_geometry: GeometrySpec,
 ) -> SmoothMap:

@@ -308,10 +308,16 @@ def field_pullback(psi: SmoothMap, V: VectorFieldPTM) -> VectorFieldPTM:
     source's, solving against the Jacobian (see module docstring)."""
     if V.table != ptm_table(psi.target):
         raise GradedError("field does not live over the map's target")
+    n_src, n_tgt = psi.source.dim, psi.target.dim
+    if n_src != n_tgt:
+        raise GeometryError(
+            f"map {psi.name!r} sends a {n_src}-dimensional chart into a "
+            f"{n_tgt}-dimensional one; pulling a field back needs an "
+            f"invertible Jacobian"
+        )
     table = ptm_table(psi.source)
     images = prolong(psi, table)
     K = jacobian_inverse(psi)
-    n_src, n_tgt = psi.source.dim, psi.target.dim
     pulled_A = [
         gsubstitute(V.components[al], images, table) for al in range(n_tgt)
     ]

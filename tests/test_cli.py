@@ -162,6 +162,36 @@ def test_check_naturality_pass_and_fail(capsys):
     assert "3*xdot^2 + 3*ydot^2 + 6*dxdot*dydot" in out
 
 
+def _embedding(tmp_path):
+    # (x, y) -> (x, y, 0, 0): an isometric, symplectic immersion of R^2 in R^4
+    path = tmp_path / "embed.json"
+    path.write_text(json.dumps({
+        "name": "embed", "source": "euclidean2", "target": "euclidean4",
+        "components": ["x", "y", "0", "0"],
+    }))
+    return path
+
+
+def test_invariance_along_an_immersion_is_refused(capsys, tmp_path):
+    code, out, err = _run(
+        capsys, "check", SPECS / "euclidean2.json", "--suite", "invariance",
+        "--map", _embedding(tmp_path), "--target", SPECS / "euclidean4.json",
+    )
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+    assert "'embed'" in err and "2-dimensional" in err and "4-dimensional" in err
+
+
+def test_naturality_along_an_immersion_holds(capsys, tmp_path):
+    code, out, err = _run(
+        capsys, "check", SPECS / "euclidean2.json", "--suite", "naturality",
+        "--map", _embedding(tmp_path), "--target", SPECS / "euclidean4.json",
+    )
+    assert code == 0, err
+    assert "summary: 1/1 checks pass" in out
+
+
 def test_structured_format_is_json(capsys):
     code, out, _ = _run(
         capsys, "sasaki", SPECS / "euclidean2.json", "--format", "structured"
@@ -293,9 +323,10 @@ def _traced_modules():
 
 def test_cli_start_up_imports_no_heavy_stdlib_modules():
     # every CLI check is a fresh process, so start-up is paid per check:
-    # dataclasses (which pulls in inspect) and hashlib (only the sampling
-    # tier needs it) must stay out, and every module must still load
-    # eagerly, because the tracer patches them all after this import
+    # dataclasses (which pulls in inspect), hashlib (only the sampling
+    # tier needs it) and pathlib (open takes the name as given) must stay
+    # out, and every module must still load eagerly, because the tracer
+    # patches them all after this import
     probe = (
         "import json, sys\n"
         "import supersasaki.cli\n"
@@ -307,7 +338,7 @@ def test_cli_start_up_imports_no_heavy_stdlib_modules():
         env=env, capture_output=True, text=True, check=True,
     ).stdout
     loaded = set(json.loads(out))
-    assert {"dataclasses", "inspect", "hashlib"} & loaded == set()
+    assert {"dataclasses", "inspect", "hashlib", "pathlib"} & loaded == set()
     traced = _traced_modules()
     assert traced
     assert [m for m in traced if m not in loaded] == []

@@ -61,7 +61,7 @@ def test_metric_must_be_symmetric_and_nondegenerate():
     ch = Chart(("x", "y"))
     with pytest.raises(GeometryError):
         MetricTensor(ch, [[_p("1"), _p("x")], [_p("0"), _p("1")]])
-    with pytest.raises(GeometryError):
+    with pytest.raises(GeometryError, match="metric determinant is identically zero"):
         MetricTensor(ch, [[_p("1"), _p("1")], [_p("1"), _p("1")]])
 
 
@@ -70,7 +70,7 @@ def test_two_form_must_be_antisymmetric_and_nondegenerate():
     AlmostSymplectic(ch, [[_p("0"), _p("-1")], [_p("1"), _p("0")]])
     with pytest.raises(GeometryError):
         AlmostSymplectic(ch, [[_p("0"), _p("1")], [_p("1"), _p("0")]])
-    with pytest.raises(GeometryError):
+    with pytest.raises(GeometryError, match="two-form determinant is identically zero"):
         AlmostSymplectic(ch, [[_p("0"), _p("0")], [_p("0"), _p("0")]])
 
 
@@ -221,6 +221,9 @@ def test_matrix_inverse_rejects_degenerate_input():
 
     with pytest.raises(GeometryError):
         matrix_inverse(((_p("1"), _p("1")), (_p("1"), _p("1"))))
+    # the Jacobian of an immersion of R^2 in R^3 has no inverse
+    with pytest.raises(GeometryError, match="3x2"):
+        matrix_inverse(((_p("1"), _p("0")), (_p("0"), _p("1")), (_p("x"), _p("y"))))
 
 
 def test_flat_chart_has_no_connection_symbols():

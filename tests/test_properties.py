@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from supersasaki.geometry import Chart
+from supersasaki.geometry import Chart, GeometryError, matrix_inverse, matrix_mul
 from supersasaki.grassmann import (
     EVEN,
     ODD,
@@ -32,6 +32,7 @@ from supersasaki.sasakilift import (
 )
 from supersasaki.symexpr import (
     FUNCTIONS,
+    ONE,
     ZERO,
     Add,
     Call,
@@ -427,3 +428,70 @@ def test_scaling_by_a_constant_matches_canonicalize(data, p, q):
     for mono, (num, den) in f.terms.items():
         assert scale_pair((num, den), p, q) == canonicalize(num.scale(p), den.scale(q))
         assert scaled.terms[mono] == canonicalize(num.scale(p), den.scale(q))
+
+
+# ---------------------------------------------------------------------------
+# matrix inversion by elimination
+
+
+def _identity(n):
+    return tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
+
+
+@st.composite
+def plu_matrices(draw, min_n=1):
+    """m = P L U over a chart: P a row permutation, L and U unit triangular
+    with small integer polynomial entries, about half of them zero. So
+    det m = +-1, and a zero can reach any pivot position, (0,0) included."""
+    chart = draw(st.sampled_from(CHARTS))
+    n = draw(st.integers(min_n, 4))
+
+    def entry():
+        return ZERO if draw(st.booleans()) else _coefficient(draw, chart)
+
+    L = tuple(
+        tuple(entry() if j < i else (ONE if j == i else ZERO) for j in range(n))
+        for i in range(n)
+    )
+    U = tuple(
+        tuple(entry() if j > i else (ONE if j == i else ZERO) for j in range(n))
+        for i in range(n)
+    )
+    LU = matrix_mul(L, U)
+    return chart, tuple(LU[r] for r in draw(st.permutations(range(n))))
+
+
+@PROPERTY_SETTINGS
+@given(plu=plu_matrices())
+def test_matrix_inverse_is_exact(plu):
+    _, m = plu
+    assert matrix_mul(m, matrix_inverse(m)) == _identity(len(m))
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_matrix_inverse_refuses_a_row_that_is_a_multiple_of_another(data):
+    chart, m = data.draw(plu_matrices(min_n=2))
+    n = len(m)
+    i, j = data.draw(st.permutations(range(n)))[:2]
+    q = _coefficient(data.draw, chart)
+    rows = list(m)
+    rows[j] = tuple(simplify(Mul.of(q, e)) for e in m[i])
+    with pytest.raises(GeometryError):
+        matrix_inverse(tuple(rows))
+
+
+def test_matrix_inverse_of_a_rational_non_monic_matrix():
+    # a zero at (0,0) forces a row swap, and the denominators 2*x^2 + 3 and
+    # 3*y + 5 are not monic
+    m = tuple(
+        tuple(parse_expr(e) for e in row)
+        for row in (
+            ("0", "x/(2*x^2 + 3)", "1"),
+            ("1/3", "y", "0"),
+            ("x*y", "1", "(y - 1)/(3*y + 5)"),
+        )
+    )
+    inverse = matrix_inverse(m)
+    assert matrix_mul(m, inverse) == _identity(3)
+    assert matrix_mul(inverse, m) == _identity(3)
