@@ -17,6 +17,8 @@ denominator: 1/sqrt(x^2 + 2) and sqrt(x^2 + 2)/(x^2 + 2) keep different
 pairs, and only the oracle's sampling tier finds them equal. Coefficients
 are Python ints throughout; a rational constant p/q enters as the pair
 (p, q), and the denominator is made monic only when a pair is printed.
+An atom is its own sort key, ("v", name) or ("f", func, canonical argument
+text), so atoms compare, hash and sort as plain tuples.
 
 simplify() prints a pair as a tree, a fixed point: simplify(s) == s, and
 s == ZERO exactly when e is zero, for s = simplify(e). GradedExpr keeps its
@@ -45,30 +47,15 @@ from .expr import (
     to_text,
 )
 
-class Atom:
-    """A variable or a function application, identified by a sortable key.
+class Atom(tuple):
+    """A variable or a function application as its key tuple; expr carries
+    it as a tree (Var, or Call with canonical argument) for printing and for
+    the sin/sqrt rewrites."""
 
-    The carried expr is the atom as a tree (Var, or Call with canonical
-    argument); identity and ordering use only the key.
-    """
-
-    __slots__ = ("key", "expr")
-
-    def __init__(self, key: tuple, expr: Expr):
-        self.key = key
-        self.expr = expr
-
-    def __lt__(self, other: "Atom") -> bool:
-        return self.key < other.key
-
-    def __hash__(self) -> int:
-        return hash(self.key)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Atom) and self.key == other.key
-
-    def __repr__(self) -> str:
-        return f"Atom({self.key!r})"
+    def __new__(cls, key: tuple, expr: Expr) -> "Atom":
+        atom = super().__new__(cls, key)
+        atom.expr = expr
+        return atom
 
 
 def _var_atom(name: str) -> Atom:
@@ -138,7 +125,7 @@ MONOMIAL_ORDER_NOTE = (
 
 def term_sort_key(m: Monomial):
     """Graded lex key; min() under this key is the leading monomial."""
-    return (-_mono_degree(m), tuple((a.key, -e) for a, e in m))
+    return (-_mono_degree(m), tuple((a, -e) for a, e in m))
 
 
 class Poly:
@@ -229,9 +216,6 @@ class Poly:
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Poly) and self.terms == other.terms
 
-    def __hash__(self) -> int:  # pragma: no cover - not used as dict key
-        return hash(frozenset(self.terms.items()))
-
     def __repr__(self) -> str:
         return f"Poly({to_text(_poly_to_expr(self))})"
 
@@ -301,9 +285,8 @@ def _coeffs_in(p: Poly, v: Atom) -> dict[int, Poly]:
                 deg = e
             else:
                 rest.append((atom, e))
-        bucket = out.setdefault(deg, {})
-        bucket[tuple(rest)] = bucket.get(tuple(rest), 0) + c
-    return {d: Poly({m: c for m, c in terms.items() if c != 0}) for d, terms in out.items()}
+        out.setdefault(deg, {})[tuple(rest)] = c
+    return {d: Poly(terms) for d, terms in out.items()}
 
 
 def _recompose(coeffs: dict[int, Poly], v: Atom) -> Poly:
@@ -381,7 +364,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
 # monomial rewrites (fixed point)
 
 def _is_reducible(atom: Atom, exp: int) -> bool:
-    return exp >= 2 and atom.key[0] == "f" and atom.key[1] in ("sin", "sqrt")
+    return exp >= 2 and atom[0] == "f" and atom[1] in ("sin", "sqrt")
 
 
 def rat_add(a: tuple[Poly, Poly], b: tuple[Poly, Poly]) -> tuple[Poly, Poly]:
@@ -394,48 +377,38 @@ def rat_add(a: tuple[Poly, Poly], b: tuple[Poly, Poly]) -> tuple[Poly, Poly]:
 
 def _reduce_pass(p: Poly) -> tuple[Poly, Poly, bool]:
     """One sweep of the sin^2/sqrt^2 monomial rewrites over p; returns a
-    rational pair because sqrt arguments may carry denominators."""
-    changed = False
-    num_plain = Poly.zero()
-    fractional: list[tuple[Poly, Poly]] = []
+    rational pair because sqrt arguments may carry denominators. Monomials
+    with no reducible power are kept as they are, and a p with none comes
+    back unchanged over 1."""
+    plain: dict[Monomial, int] = {}
+    rewritten: list[tuple[Poly, Poly]] = []
     for mono, coeff in p.terms.items():
+        if not any(_is_reducible(atom, e) for atom, e in mono):
+            plain[mono] = coeff
+            continue
         kept: list[tuple[Atom, int]] = []
-        reps: list[tuple[Poly, Poly]] = []
+        n_i, d_i = _POLY_ONE, _POLY_ONE
         for atom, e in mono:
             if not _is_reducible(atom, e):
                 kept.append((atom, e))
                 continue
-            changed = True
             half, rem = divmod(e, 2)
-            func = atom.key[1]
-            if func == "sin":
-                arg = atom.expr.arg
-                cos_sq = Poly.from_atom(_call_atom("cos", arg), 2)
-                base = Poly.const(1) - cos_sq
-                rep_n = base**half
-                if rem:
-                    rep_n = rep_n * Poly.from_atom(atom)
-                reps.append((rep_n, _POLY_ONE))
+            if atom[1] == "sin":
+                cos_sq = Poly.from_atom(_call_atom("cos", atom.expr.arg), 2)
+                n_i = n_i * (_POLY_ONE - cos_sq) ** half
             else:  # sqrt
                 an, ad = _walk(atom.expr.arg)
-                rep_n = an**half
-                rep_d = ad**half
-                if rem:
-                    rep_n = rep_n * Poly.from_atom(atom)
-                reps.append((rep_n, rep_d))
-        n_i = Poly({tuple(kept): coeff})
-        d_i = _POLY_ONE
-        for rn, rd in reps:
-            n_i = n_i * rn
-            d_i = d_i * rd
-        if d_i is _POLY_ONE or d_i == _POLY_ONE:
-            num_plain = num_plain + n_i
-        else:
-            fractional.append((n_i, d_i))
-    pair = num_plain, _POLY_ONE
-    for piece in fractional:
+                n_i = n_i * an**half
+                d_i = d_i * ad**half
+            if rem:
+                kept.append((atom, rem))
+        rewritten.append((n_i * Poly({tuple(kept): coeff}), d_i))
+    if not rewritten:
+        return p, _POLY_ONE, False
+    pair = Poly(plain), _POLY_ONE
+    for piece in rewritten:
         pair = rat_add(pair, piece)
-    return (*pair, changed)
+    return (*pair, True)
 
 
 # ---------------------------------------------------------------------------
@@ -445,10 +418,10 @@ def canonicalize(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     while True:
         nn, nd, ch1 = _reduce_pass(num)
         dn, dd, ch2 = _reduce_pass(den)
-        num = nn * dd
-        den = nd * dn
         if not (ch1 or ch2):
             break
+        num = nn * dd
+        den = nd * dn
     if num.is_zero():
         if den.is_zero():
             raise ZeroDivisionError("0/0 in exact arithmetic")
@@ -505,7 +478,7 @@ def _cancel_monomial(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     num_common = dict(_common_mono(num))
     shared: Monomial = tuple(
         (atom, min(e, num_common[atom]))
-        for atom, e in sorted(shared_candidates.items(), key=lambda kv: kv[0])
+        for atom, e in shared_candidates.items()
         if atom in num_common
     )
     if not shared:

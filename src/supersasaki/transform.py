@@ -194,8 +194,14 @@ def pullback(psi: SmoothMap, f: GradedExpr) -> GradedExpr:
 # ---------------------------------------------------------------------------
 # tensor transport
 
-def _pullback_form(psi: SmoothMap, matrix: Matrix) -> Matrix:
-    """(psi* B)[a][b] = J[alpha][a] J[beta][b] B[alpha][beta] o psi."""
+def _pullback_form(
+    psi: SmoothMap, tensor: MetricTensor | AlmostSymplectic, what: str
+) -> Matrix:
+    """(psi* B)[a][b] = J[alpha][a] J[beta][b] B[alpha][beta] o psi, for the
+    matrix B of a tensor on the map's target."""
+    if tensor.chart != psi.target:
+        raise GeometryError(f"{what} lives on a different chart than the map's target")
+    matrix = tensor.matrix
     n_src, n_tgt = psi.source.dim, psi.target.dim
     J = jacobian(psi)
     comp = [[compose_scalar(psi, matrix[al][be]) for be in range(n_tgt)] for al in range(n_tgt)]
@@ -215,16 +221,12 @@ def _pullback_form(psi: SmoothMap, matrix: Matrix) -> Matrix:
 
 def pullback_metric(psi: SmoothMap, g: MetricTensor) -> MetricTensor:
     """(psi* g)[a][b] = J[alpha][a] J[beta][b] g[alpha][beta] o psi."""
-    if g.chart != psi.target:
-        raise GeometryError("metric lives on a different chart than the map's target")
-    return MetricTensor(psi.source, _pullback_form(psi, g.matrix))
+    return MetricTensor(psi.source, _pullback_form(psi, g, "metric"))
 
 
 def pullback_two_form(psi: SmoothMap, omega: AlmostSymplectic) -> AlmostSymplectic:
     """Same transport law as the metric; antisymmetry survives."""
-    if omega.chart != psi.target:
-        raise GeometryError("two-form lives on a different chart than the map's target")
-    return AlmostSymplectic(psi.source, _pullback_form(psi, omega.matrix))
+    return AlmostSymplectic(psi.source, _pullback_form(psi, omega, "two-form"))
 
 
 def transform_christoffel(
@@ -284,9 +286,10 @@ def is_isometry(
     g_target: MetricTensor,
     config: OracleConfig | None = None,
 ) -> bool:
-    """Does psi* g_target equal g_source, componentwise?"""
-    pulled = pullback_metric(psi, g_target)
-    return _componentwise_equal(psi, pulled.matrix, g_source.matrix, config)
+    """Does psi* g_target equal g_source, componentwise? The pulled-back
+    matrix is compared as it is, so a degenerate map answers no."""
+    pulled = _pullback_form(psi, g_target, "metric")
+    return _componentwise_equal(psi, pulled, g_source.matrix, config)
 
 
 def is_symplectomorphism(
@@ -296,8 +299,8 @@ def is_symplectomorphism(
     config: OracleConfig | None = None,
 ) -> bool:
     """Does psi* omega_target equal omega_source, componentwise?"""
-    pulled = pullback_two_form(psi, omega_target)
-    return _componentwise_equal(psi, pulled.matrix, omega_source.matrix, config)
+    pulled = _pullback_form(psi, omega_target, "two-form")
+    return _componentwise_equal(psi, pulled, omega_source.matrix, config)
 
 
 # ---------------------------------------------------------------------------
@@ -315,9 +318,15 @@ def field_pullback(psi: SmoothMap, V: VectorFieldPTM) -> VectorFieldPTM:
             f"{n_tgt}-dimensional one; pulling a field back needs an "
             f"invertible Jacobian"
         )
+    try:
+        K = jacobian_inverse(psi)
+    except GeometryError:
+        raise GeometryError(
+            f"map {psi.name!r} has a singular Jacobian; pulling a field back "
+            f"needs an invertible Jacobian"
+        ) from None
     table = ptm_table(psi.source)
     images = prolong(psi, table)
-    K = jacobian_inverse(psi)
     pulled_A = [
         gsubstitute(V.components[al], images, table) for al in range(n_tgt)
     ]

@@ -192,6 +192,39 @@ def test_naturality_along_an_immersion_holds(capsys, tmp_path):
     assert "summary: 1/1 checks pass" in out
 
 
+def _fold(tmp_path):
+    # (x, y) -> (x, x): a map of R^2 into itself with a singular Jacobian
+    path = tmp_path / "fold.json"
+    path.write_text(json.dumps({
+        "name": "fold", "source": "euclidean2", "target": "euclidean2",
+        "components": ["x", "x"],
+    }))
+    return path
+
+
+def test_naturality_along_a_degenerate_map_fails(capsys, tmp_path):
+    # the pulled-back metric is degenerate: the check fails, the input is fine
+    code, out, err = _run(
+        capsys, "check", SPECS / "euclidean2.json", "--suite", "naturality",
+        "--map", _fold(tmp_path),
+    )
+    assert code == 1, err
+    assert "[info] map is an isometry: no" in out
+    assert "residual: xdot^2 - ydot^2 - 2*dxdot*dydot" in out
+    assert "summary: 0/1 checks pass" in out
+
+
+def test_invariance_along_a_degenerate_map_is_refused(capsys, tmp_path):
+    code, out, err = _run(
+        capsys, "check", SPECS / "euclidean2.json", "--suite", "invariance",
+        "--map", _fold(tmp_path),
+    )
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+    assert "'fold'" in err and "invertible Jacobian" in err
+
+
 def test_structured_format_is_json(capsys):
     code, out, _ = _run(
         capsys, "sasaki", SPECS / "euclidean2.json", "--format", "structured"

@@ -56,7 +56,7 @@ def _commands():
         ("pair", "specs/varcoef.json", "--x", "lie:u*v+1,v-2", "--y", "interior:u+1,2*u*v"),
     ]
     # The one curved chart of dimension above 2. The proposition suite is
-    # left out: one round takes about 35 s (Python 3.11.7, 2-CPU host),
+    # left out: one round takes about 38 s (Python 3.11.7, 2-CPU host),
     # nearly all of it in the left side of (vi), the lift pairing <L_X|L_Y>.
     curved4 = "specs/curved4.json"
     cmds += [

@@ -50,7 +50,11 @@ from supersasaki.symexpr import (
 )
 from supersasaki.symexpr.canonical import (
     Poly,
+    _call_atom,
+    _coeffs_in,
     _div_exact,
+    _recompose,
+    _reduce_pass,
     _var_atom,
     canonicalize,
     poly_gcd,
@@ -291,6 +295,28 @@ def test_poly_gcd_divides_both_arguments(p, q, c):
         assert _div_exact(g, c) * c == g
 
 
+@PROPERTY_SETTINGS
+@given(p=polys())
+def test_univariate_view_recomposes(p):
+    for v in ATOMS:
+        assert _recompose(_coeffs_in(p, v), v) == p
+
+
+@PROPERTY_SETTINGS
+@given(
+    p=polys(),
+    func=st.sampled_from(("cos", "ln", "exp")),
+    k=st.integers(0, 3),
+)
+def test_reduce_pass_leaves_a_rewrite_free_polynomial_alone(p, func, k):
+    # only powers of sin and sqrt atoms are rewritten
+    q = p * Poly.from_atom(_call_atom(func, Var("x")), k) if k else p
+    num, den, changed = _reduce_pass(q)
+    assert num.terms == q.terms
+    assert den == Poly.const(1)
+    assert not changed
+
+
 def test_div_exact_refuses_a_rational_quotient():
     # (x + 1) / (2x + 2) = 1/2 is not an integer polynomial
     x, one = Poly.from_atom(ATOMS[0]), Poly.const(1)
@@ -354,6 +380,22 @@ def test_independent_builds_of_a_tree_are_equal_with_equal_hashes(e):
     assert copy is not e
     assert copy == e and not copy != e
     assert hash(copy) == hash(e)
+
+
+@PROPERTY_SETTINGS
+@given(e=TREES, func=st.sampled_from(FUNCTIONS))
+def test_atoms_from_equal_trees_are_equal_with_equal_hashes(e, func):
+    # a monomial finds its atoms by hash and equality of the key tuple
+    a, b = _call_atom(func, _simplified(e)), _call_atom(func, _simplified(_rebuild(e)))
+    assert a == b and hash(a) == hash(b)
+    assert a.expr == b.expr
+
+
+@PROPERTY_SETTINGS
+@given(es=st.lists(TREES, max_size=4), names=st.lists(st.sampled_from(TREE_VARS)))
+def test_atoms_sort_as_their_keys(es, names):
+    atoms = [_call_atom("sin", _simplified(e)) for e in es] + [_var_atom(n) for n in names]
+    assert [tuple(a) for a in sorted(atoms)] == sorted(tuple(a) for a in atoms)
 
 
 @TREE_SETTINGS
