@@ -4,7 +4,10 @@ generators with rational-function coefficients.
 A GeneratorTable fixes an ordered list of named generators, each even or
 odd. A GradedExpr stores, per sorted tuple of odd generator indices, a
 scalar coefficient depending only on the even generator names, kept as its
-canonical (num, den) pair; graded arithmetic works on the pairs. Products
+canonical (num, den) pair; graded arithmetic works on the pairs with the
+pair operations of symexpr.canonical (add_pairs, mul_pairs, diff_pair,
+scale_pair), which fall back to the full canonical form where a sin or
+sqrt atom makes the pair depend on the route. Products
 pick up the sign of the permutation that sorts the odd factors (counted by
 merge inversions); odd squares vanish. Odd partial derivatives act from
 the left: differentiating by the generator at position p of a monomial
@@ -44,9 +47,10 @@ from .symexpr import (
 )
 from .symexpr.canonical import (
     Poly,
-    canonicalize,
+    add_pairs,
+    diff_pair,
+    mul_pairs,
     pair_to_expr,
-    rat_add,
     scale_pair,
     to_canonical,
 )
@@ -176,11 +180,14 @@ class GradedExpr:
     convention.
 
     Canonical by construction: every stored coefficient is a `to_canonical`
-    pair with a nonzero numerator (a vanishing monomial is absent). `+`,
-    `gmul`, `scale` and the odd `partial` combine pairs with `rat_add` and
-    `canonicalize`, except that `scale` by a constant only fixes the
-    integer content (`scale_pair`); `coefficient()` and `body()` print a
-    pair as a tree.
+    pair with a nonzero numerator (a vanishing monomial is absent). `+` and
+    `make` sum pairs with `add_pairs`; `gmul` forms each product with
+    `mul_pairs` and sums the pieces of a monomial with `add_pairs`; `scale`
+    uses `mul_pairs`, or `scale_pair` for a constant; the even `partial`
+    uses `diff_pair` and differentiates the printed tree where that
+    declines (a sin or sqrt atom, or a function of the variable); the odd
+    `partial` only moves pairs. `coefficient()` and `body()` print a pair
+    as a tree.
     """
 
     __slots__ = ("table", "terms")
@@ -205,7 +212,7 @@ class GradedExpr:
                 if idx < 0 or idx >= len(table) or table.gens[idx][1] != ODD:
                     raise GradedError(f"monomial index {idx} is not an odd generator")
             pair = to_canonical(coeff)
-            acc[mono] = canonicalize(*rat_add(acc[mono], pair)) if mono in acc else pair
+            acc[mono] = add_pairs(acc[mono], pair) if mono in acc else pair
         out = GradedExpr(table, _drop_zeros(acc.items()))
         even = set(table.even_names)
         for c in map(out.coefficient, out.terms):
@@ -257,7 +264,7 @@ class GradedExpr:
         out = dict(self.terms)
         for mono, pair in other.terms.items():
             if mono in out:
-                s = canonicalize(*rat_add(out[mono], pair))
+                s = add_pairs(out[mono], pair)
                 if s[0].is_zero():
                     del out[mono]
                 else:
@@ -285,7 +292,7 @@ class GradedExpr:
             )
         return GradedExpr(
             self.table,
-            _drop_zeros((m, canonicalize(n * fn, d * fd)) for m, (n, d) in self.terms.items()),
+            _drop_zeros((m, mul_pairs(pair, (fn, fd))) for m, pair in self.terms.items()),
         )
 
     def __mul__(self, other: "GradedExpr") -> "GradedExpr":
@@ -306,14 +313,15 @@ def gmul(f: GradedExpr, g: GradedExpr) -> GradedExpr:
     """Product in the graded-commutative algebra (Koszul signs)."""
     f._same_table(g)
     acc: dict[Monomial, Pair] = {}
-    for m1, (n1, d1) in f.terms.items():
-        for m2, (n2, d2) in g.terms.items():
+    for m1, a in f.terms.items():
+        for m2, b in g.terms.items():
             merged, sign = _merge_with_sign(m1, m2)
             if merged is None:
                 continue
-            piece = ((n1 * n2).scale(sign), d1 * d2)
-            acc[merged] = rat_add(acc[merged], piece) if merged in acc else piece
-    return GradedExpr(f.table, _drop_zeros((m, canonicalize(*c)) for m, c in acc.items()))
+            n, d = mul_pairs(a, b)
+            piece = (n.scale(sign), d)
+            acc[merged] = add_pairs(acc[merged], piece) if merged in acc else piece
+    return GradedExpr(f.table, _drop_zeros(acc.items()))
 
 
 def parity_of(f: GradedExpr) -> int | None:
@@ -336,8 +344,10 @@ def partial(f: GradedExpr, name: str) -> GradedExpr:
     the left; even generators differentiate the coefficients."""
     idx = f.table.index(name)
     if f.table.gens[idx][1] == EVEN:
-        # on the tree: a quotient rule on pairs can reach another pair for a sqrt denominator
-        derivs = ((m, to_canonical(derivative_raw(f.coefficient(m), name))) for m in f.terms)
+        derivs = (
+            (m, diff_pair(pair, name) or to_canonical(derivative_raw(f.coefficient(m), name)))
+            for m, pair in f.terms.items()
+        )
         return GradedExpr(f.table, _drop_zeros(derivs))
     out = {}
     for mono, (n, d) in f.terms.items():

@@ -22,8 +22,15 @@ text), so atoms compare, hash and sort as plain tuples.
 
 simplify() prints a pair as a tree, a fixed point: simplify(s) == s, and
 s == ZERO exactly when e is zero, for s = simplify(e). GradedExpr keeps its
-coefficients as pairs, combined with rat_add and canonicalize; a pair is
-zero when its numerator is, and pair_to_expr prints one for tree consumers.
+coefficients as pairs; a pair is zero when its numerator is, and
+pair_to_expr prints one for tree consumers. Pairs combine without the gcd
+of the full product, since both operands are already reduced: add_pairs
+sums by Henrici's method (only gcd(d1, d2) can cancel), mul_pairs cancels
+gcd(n1, d2) and gcd(n2, d1), diff_pair applies the quotient rule (only
+gcd(d, d') can cancel), and scale_pair by a constant fixes only the integer
+content. Each gives the pair canonicalize gives. Where a sin or sqrt atom
+could meet a rewrite, that pair depends on the route, so add_pairs and
+mul_pairs take canonicalize on the unreduced result and diff_pair declines.
 """
 
 from __future__ import annotations
@@ -44,6 +51,7 @@ from .expr import (
     Var,
     ZERO,
     derivative_raw,
+    free_vars,
     to_text,
 )
 
@@ -430,13 +438,19 @@ def canonicalize(num: Poly, den: Poly) -> tuple[Poly, Poly]:
         raise ZeroDivisionError("division by an expression that is identically zero")
     if not den.is_const():
         # strip any common monomial factor, cheap and frequent (powers of r etc.)
-        num, den = _cancel_monomial(num, den)
-        if not den.is_const():
-            g = poly_gcd(num, den)
-            if not g.is_const():
-                num = _div_exact(num, g)
-                den = _div_exact(den, g)
+        num, den = _cancel(*_cancel_monomial(num, den))
     return _primitive_pair(num, den)
+
+
+def _cancel(p: Poly, q: Poly) -> tuple[Poly, Poly]:
+    """p and q divided by their gcd; a constant q is left to the integer
+    content step of _primitive_pair."""
+    if q.is_const():
+        return p, q
+    g = poly_gcd(p, q)
+    if g.is_const():
+        return p, q
+    return _div_exact(p, g), _div_exact(q, g)
 
 
 def _primitive_pair(num: Poly, den: Poly) -> tuple[Poly, Poly]:
@@ -454,6 +468,92 @@ def scale_pair(pair: tuple[Poly, Poly], p: int, q: int) -> tuple[Poly, Poly]:
     canonicalize(num * p, den * q) without its gcd."""
     num, den = pair
     return _primitive_pair(num.scale(p), den.scale(q))
+
+
+# ---------------------------------------------------------------------------
+# arithmetic on canonical pairs
+#
+# Both operands are reduced, so only known factors can cancel (Henrici's
+# method; Knuth, TAOCP vol. 2, 4.5.1). Each result is coprime with a
+# positive leading denominator coefficient, so it is the pair canonicalize
+# gives wherever no sin^2/sqrt^2 rewrite can fire.
+
+_ZERO_PAIR = (Poly.zero(), _POLY_ONE)
+
+
+def _has_sin_or_sqrt(p: Poly) -> bool:
+    return any(atom[0] == "f" and atom[1] in ("sin", "sqrt") for atom in p.atoms())
+
+
+def add_pairs(a: tuple[Poly, Poly], b: tuple[Poly, Poly]) -> tuple[Poly, Poly]:
+    """The canonical pair of a + b for canonical pairs a, b: with
+    g = gcd(d1, d2) and e_i = d_i/g, the sum is (n1 e2 + n2 e1)/(e1 e2 g),
+    and only a common factor of the new numerator with g can cancel."""
+    (n1, d1), (n2, d2) = a, b
+    if _has_sin_or_sqrt(d1) or _has_sin_or_sqrt(d2):
+        return canonicalize(*rat_add(a, b))
+    if d1 == d2:
+        num, g, den = n1 + n2, d1, _POLY_ONE
+    else:
+        g = poly_gcd(d1, d2)
+        e1, e2 = _div_exact(d1, g), _div_exact(d2, g)
+        num, den = n1 * e2 + n2 * e1, e1 * e2
+    if num.is_zero():
+        return _ZERO_PAIR
+    num, g = _cancel(num, g)
+    return _primitive_pair(num, den * g)
+
+
+def mul_pairs(a: tuple[Poly, Poly], b: tuple[Poly, Poly]) -> tuple[Poly, Poly]:
+    """The canonical pair of a * b for canonical pairs a, b: only
+    gcd(n1, d2) and gcd(n2, d1) can cancel."""
+    (n1, d1), (n2, d2) = a, b
+    if n1.is_zero() or n2.is_zero():
+        return _ZERO_PAIR
+    if any(map(_has_sin_or_sqrt, (n1, d1, n2, d2))):
+        return canonicalize(n1 * n2, d1 * d2)
+    n1, d2 = _cancel(n1, d2)
+    n2, d1 = _cancel(n2, d1)
+    return _primitive_pair(n1 * n2, d1 * d2)
+
+
+def _poly_diff(p: Poly, v: Atom) -> Poly:
+    """dp/dv for a variable atom v that no function atom of p depends on."""
+    out: dict[Monomial, int] = {}
+    for mono, c in p.terms.items():
+        for k, (atom, e) in enumerate(mono):
+            if atom == v:
+                lowered = ((atom, e - 1),) if e > 1 else ()
+                out[mono[:k] + lowered + mono[k + 1 :]] = c * e
+                break
+    return Poly(out)
+
+
+def diff_pair(pair: tuple[Poly, Poly], name: str) -> tuple[Poly, Poly] | None:
+    """The canonical pair of d(n/d)/d(name) by the quotient rule, or None
+    where the tree path must decide: a sin or sqrt atom in either
+    polynomial, or a function atom whose argument depends on name. With
+    g = gcd(d, d'), e = d/g, f = d'/g the derivative is (n' e - n f)/(e^2 g),
+    and only a common factor of that numerator with g can cancel."""
+    num, den = pair
+    if _has_sin_or_sqrt(num) or _has_sin_or_sqrt(den):
+        return None
+    for atom in num.atoms() | den.atoms():
+        if atom[0] == "f" and name in free_vars(atom.expr.arg):
+            return None
+    v = _var_atom(name)
+    dnum, dden = _poly_diff(num, v), _poly_diff(den, v)
+    if dden.is_zero():
+        # d is free of name, but gcd(n', d) may still cancel
+        top, g, e = dnum, den, _POLY_ONE
+    else:
+        g = poly_gcd(den, dden)
+        e = _div_exact(den, g)
+        top = dnum * e - num * _div_exact(dden, g)
+    if top.is_zero():
+        return _ZERO_PAIR
+    top, g = _cancel(top, g)
+    return _primitive_pair(top, g * e * e)
 
 
 def _common_mono(p: Poly) -> Monomial:

@@ -129,7 +129,13 @@ def jacobian(psi: SmoothMap) -> Matrix:
 
 def jacobian_inverse(psi: SmoothMap) -> Matrix:
     """Symbolic (J^-1)[a][alpha], entries functions of the source chart."""
-    return matrix_inverse(jacobian(psi))
+    try:
+        return matrix_inverse(jacobian(psi))
+    except GeometryError:
+        raise GeometryError(
+            f"map {psi.name!r} has a singular Jacobian; moving a field or a "
+            f"connection along it needs an invertible Jacobian"
+        ) from None
 
 
 def second_derivative(psi: SmoothMap, alpha: int) -> Matrix:
@@ -318,13 +324,7 @@ def field_pullback(psi: SmoothMap, V: VectorFieldPTM) -> VectorFieldPTM:
             f"{n_tgt}-dimensional one; pulling a field back needs an "
             f"invertible Jacobian"
         )
-    try:
-        K = jacobian_inverse(psi)
-    except GeometryError:
-        raise GeometryError(
-            f"map {psi.name!r} has a singular Jacobian; pulling a field back "
-            f"needs an invertible Jacobian"
-        ) from None
+    K = jacobian_inverse(psi)
     table = ptm_table(psi.source)
     images = prolong(psi, table)
     pulled_A = [

@@ -55,9 +55,9 @@ def _commands():
          "--y", "lie:specs/fields/shear.json"),
         ("pair", "specs/varcoef.json", "--x", "lie:u*v+1,v-2", "--y", "interior:u+1,2*u*v"),
     ]
-    # The one curved chart of dimension above 2. The proposition suite is
-    # left out: one round takes about 38 s (Python 3.11.7, 2-CPU host),
-    # nearly all of it in the left side of (vi), the lift pairing <L_X|L_Y>.
+    # The one curved chart of dimension above 2. Its proposition round is
+    # the slowest entry: about 7.5 s (Python 3.11.7, 2-CPU host), nearly all
+    # of it in the left side of (vi), the lift pairing <L_X|L_Y>.
     curved4 = "specs/curved4.json"
     cmds += [
         ("christoffel", curved4),
@@ -65,6 +65,7 @@ def _commands():
         ("classical-sasaki", curved4),
         ("acs", curved4),
         ("check", curved4, "--suite", "cartan", "--fields", "1"),
+        ("check", curved4, "--suite", "proposition", "--fields", "1"),
         ("pair", curved4, "--x", "lie:y,0,1,x", "--y", "interior:1,z,0,0"),
         ("pair", curved4, "--x", "interior:w,1,0,0", "--y", "deRham"),
     ]
@@ -165,6 +166,7 @@ GOLDEN = {
     'classical-sasaki specs/curved4.json': (0, 'ceadc1ae797c4bc4d4ca6541d8808c0cbe791949ee615a37dc86a2874e043a29'),
     'acs specs/curved4.json': (0, 'b09dc45db98473b1697ef7b0b74ed568c158015047a016021fd2abcfe4f532cf'),
     'check specs/curved4.json --suite cartan --fields 1': (0, '19e8f33f8469b4665c08c9bb603012e16fbf2966a01e2b75dd85fa92dcdacbf4'),
+    'check specs/curved4.json --suite proposition --fields 1': (0, '79b914b7f30c3d9933a0438f5a8758ac846bde6c36f284cea59ab8d5ef105e79'),
     'pair specs/curved4.json --x lie:y,0,1,x --y interior:1,z,0,0': (0, '69a47c3dd80823e65c54758c16d131bb42d58ececa6f13488c0aca27a8e13699'),
     'pair specs/curved4.json --x interior:w,1,0,0 --y deRham': (0, '3de1bd5673441e8bde48620d4176b64b06f62844d70c29299bee0eff22d3a48d'),
     'christoffel specs/transcendental.json': (0, 'd2225bd45c92f2ff71cce7a7b28b271a7e56207de3295f6cb35ebd7ffe8f5d16'),

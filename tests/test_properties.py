@@ -56,15 +56,22 @@ from supersasaki.symexpr.canonical import (
     _recompose,
     _reduce_pass,
     _var_atom,
+    add_pairs,
     canonicalize,
+    diff_pair,
+    mul_pairs,
+    pair_to_expr,
     poly_gcd,
+    rat_add,
     scale_pair,
     to_canonical,
 )
+from supersasaki.symexpr.expr import derivative_raw
 from supersasaki.transform import SmoothMap, prolong
 
 PROPERTY_SETTINGS = settings(max_examples=25, derandomize=True, deadline=None)
 TREE_SETTINGS = settings(max_examples=300, derandomize=True, deadline=None)
+PAIR_SETTINGS = settings(max_examples=150, derandomize=True, deadline=None)
 
 CHARTS = (
     Chart(("x", "y"), intervals={"x": (-1.0, 1.0), "y": (-1.0, 1.0)}, name="euclidean2"),
@@ -470,6 +477,78 @@ def test_scaling_by_a_constant_matches_canonicalize(data, p, q):
     for mono, (num, den) in f.terms.items():
         assert scale_pair((num, den), p, q) == canonicalize(num.scale(p), den.scale(q))
         assert scaled.terms[mono] == canonicalize(num.scale(p), den.scale(q))
+
+
+# ---------------------------------------------------------------------------
+# arithmetic on canonical pairs: the pair the canonicalize path gives
+
+PAIR_VARS = ("x", "y", "z")
+
+
+def _pair(text):
+    return to_canonical(parse_expr(text, PAIR_VARS))
+
+
+def _poly(text):
+    return _pair(text)[0]
+
+
+# factors that denominators share, and atoms that the sin/sqrt rewrites touch
+PAIR_FACTORS = tuple(map(_poly, ("x", "x + y", "1 + y^2", "1 + z^2", "2")))
+PAIR_ATOMS = tuple(map(_poly, ("sqrt(x^2 + 2)", "sin(y)", "exp(z)")))
+
+
+@st.composite
+def shared_factor_pairs(draw):
+    """A canonical pair whose numerator and denominator are built from
+    powers of a few shared factors, sometimes times a function atom."""
+
+    def product():
+        p = Poly.const(draw(st.sampled_from((-3, -1, 1, 2))))
+        for f in draw(st.lists(st.sampled_from(PAIR_FACTORS), max_size=3)):
+            p = p * f
+        if draw(st.integers(0, 3)) == 3:
+            p = p * draw(st.sampled_from(PAIR_ATOMS))
+        return p
+
+    num = product()
+    if draw(st.booleans()):
+        num = num + product()
+    return canonicalize(num, product())
+
+
+@PAIR_SETTINGS
+@given(a=shared_factor_pairs(), b=shared_factor_pairs())
+def test_add_pairs_matches_canonicalize(a, b):
+    assert add_pairs(a, b) == canonicalize(*rat_add(a, b))
+    n, d = a
+    assert add_pairs(a, (n.scale(-1), d)) == (Poly.zero(), Poly.const(1))
+
+
+@PAIR_SETTINGS
+@given(a=shared_factor_pairs(), b=shared_factor_pairs())
+def test_mul_pairs_matches_canonicalize(a, b):
+    (n1, d1), (n2, d2) = a, b
+    assert mul_pairs(a, b) == canonicalize(n1 * n2, d1 * d2)
+
+
+@PAIR_SETTINGS
+@given(p=shared_factor_pairs(), name=st.sampled_from(PAIR_VARS))
+def test_diff_pair_matches_the_tree_path(p, name):
+    got = diff_pair(p, name)
+    assert got is None or got == to_canonical(derivative_raw(pair_to_expr(p), name))
+
+
+def test_add_pairs_cancels_the_new_numerator_against_the_shared_factor():
+    # y/(x(x + y)) + 1/(x + y) = 1/x, and x/(x + y) + y/(x + y) = 1
+    one, x = Poly.const(1), _poly("x")
+    assert add_pairs(_pair("y/(x*(x + y))"), _pair("1/(x + y)")) == (one, x)
+    assert add_pairs(_pair("x/(x + y)"), _pair("y/(x + y)")) == (one, one)
+
+
+def test_diff_pair_cancels_against_a_denominator_free_of_the_variable():
+    # d/dx of (x + x*y^2 + y)/(1 + y^2) is 1: the gcd of n' with d cancels
+    assert diff_pair(_pair("(x + x*y^2 + y)/(1 + y^2)"), "x") == (Poly.const(1), Poly.const(1))
 
 
 # ---------------------------------------------------------------------------

@@ -207,6 +207,16 @@ def test_christoffel_transport_matches_direct_computation():
                 )
 
 
+def test_christoffel_transport_along_a_singular_map_names_the_map():
+    # (x, y) -> (x, x) has a singular Jacobian everywhere
+    ch = euclidean_chart()
+    gE, _ = euclidean_data()
+    fold = SmoothMap(ch, ch, (_p("x"), _p("x")), name="fold")
+    with pytest.raises(GeometryError) as err:
+        transform_christoffel(fold, christoffel(gE))
+    assert "'fold'" in str(err.value) and "invertible Jacobian" in str(err.value)
+
+
 def test_pullback_of_splitting_covectors_is_jacobian_linear():
     # with the target flat and the source connection transported, pulling
     # back nabla(ydot^a) must give J^a_b nabla(xdot^b)
