@@ -5,9 +5,10 @@ A GeneratorTable fixes an ordered list of named generators, each even or
 odd. A GradedExpr stores, per sorted tuple of odd generator indices, a
 scalar coefficient depending only on the even generator names, kept as its
 canonical (num, den) pair; graded arithmetic works on the pairs with the
-pair operations of symexpr.canonical (add_pairs, mul_pairs, diff_pair,
-scale_pair), which fall back to the full canonical form where a sin or
-sqrt atom makes the pair depend on the route. Products
+pair operations of symexpr.canonical (add_pairs, mul_pairs,
+sum_of_products, diff_pair, scale_pair), which fall back to the full
+canonical form where a sin or sqrt atom makes the pair depend on the
+route. Products
 pick up the sign of the permutation that sorts the odd factors (counted by
 merge inversions); odd squares vanish. Odd partial derivatives act from
 the left: differentiating by the generator at position p of a monomial
@@ -52,6 +53,7 @@ from .symexpr.canonical import (
     mul_pairs,
     pair_to_expr,
     scale_pair,
+    sum_of_products,
     to_canonical,
 )
 from .symexpr.expr import FUNCTIONS, _negative_head, derivative_raw
@@ -181,9 +183,11 @@ class GradedExpr:
 
     Canonical by construction: every stored coefficient is a `to_canonical`
     pair with a nonzero numerator (a vanishing monomial is absent). `+` and
-    `make` sum pairs with `add_pairs`; `gmul` forms each product with
-    `mul_pairs` and sums the pieces of a monomial with `add_pairs`; `scale`
-    uses `mul_pairs`, or `scale_pair` for a constant; the even `partial`
+    `make` sum pairs with `add_pairs`; `gmul` hands the signed products
+    that land on a monomial to `sum_of_products`, which cross-cancels and
+    sums them by Henrici's method, or canonicalizes their unreduced sum
+    once where a sin or sqrt atom occurs; `scale` uses `mul_pairs`, or
+    `scale_pair` for a constant; the even `partial`
     uses `diff_pair` and differentiates the printed tree where that
     declines (a sin or sqrt atom, or a function of the variable); the odd
     `partial` only moves pairs. `coefficient()` and `body()` print a pair
@@ -312,16 +316,13 @@ class GradedExpr:
 def gmul(f: GradedExpr, g: GradedExpr) -> GradedExpr:
     """Product in the graded-commutative algebra (Koszul signs)."""
     f._same_table(g)
-    acc: dict[Monomial, Pair] = {}
+    pieces: dict[Monomial, list[tuple[int, Pair, Pair]]] = {}
     for m1, a in f.terms.items():
         for m2, b in g.terms.items():
             merged, sign = _merge_with_sign(m1, m2)
-            if merged is None:
-                continue
-            n, d = mul_pairs(a, b)
-            piece = (n.scale(sign), d)
-            acc[merged] = add_pairs(acc[merged], piece) if merged in acc else piece
-    return GradedExpr(f.table, _drop_zeros(acc.items()))
+            if merged is not None:
+                pieces.setdefault(merged, []).append((sign, a, b))
+    return GradedExpr(f.table, _drop_zeros((m, sum_of_products(p)) for m, p in pieces.items()))
 
 
 def parity_of(f: GradedExpr) -> int | None:

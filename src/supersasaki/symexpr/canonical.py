@@ -26,11 +26,13 @@ coefficients as pairs; a pair is zero when its numerator is, and
 pair_to_expr prints one for tree consumers. Pairs combine without the gcd
 of the full product, since both operands are already reduced: add_pairs
 sums by Henrici's method (only gcd(d1, d2) can cancel), mul_pairs cancels
-gcd(n1, d2) and gcd(n2, d1), diff_pair applies the quotient rule (only
-gcd(d, d') can cancel), and scale_pair by a constant fixes only the integer
-content. Each gives the pair canonicalize gives. Where a sin or sqrt atom
-could meet a rewrite, that pair depends on the route, so add_pairs and
-mul_pairs take canonicalize on the unreduced result and diff_pair declines.
+gcd(n1, d2) and gcd(n2, d1), sum_of_products sums signed products so
+formed, diff_pair applies the quotient rule (only gcd(d, d') can cancel),
+and scale_pair by a constant fixes only the integer content. Each gives
+the pair canonicalize gives for the unreduced result. Where a sin or sqrt
+atom could meet a rewrite, that pair depends on the route, so add_pairs,
+mul_pairs and sum_of_products take canonicalize on the unreduced result
+(sum_of_products once, on the whole sum) and diff_pair declines.
 """
 
 from __future__ import annotations
@@ -486,12 +488,18 @@ def _has_sin_or_sqrt(p: Poly) -> bool:
 
 
 def add_pairs(a: tuple[Poly, Poly], b: tuple[Poly, Poly]) -> tuple[Poly, Poly]:
-    """The canonical pair of a + b for canonical pairs a, b: with
-    g = gcd(d1, d2) and e_i = d_i/g, the sum is (n1 e2 + n2 e1)/(e1 e2 g),
+    """The canonical pair of a + b for canonical pairs a, b: Henrici's sum,
+    or canonicalize of the unreduced sum where a denominator has a sin or
+    sqrt atom."""
+    if _has_sin_or_sqrt(a[1]) or _has_sin_or_sqrt(b[1]):
+        return canonicalize(*rat_add(a, b))
+    return _henrici_sum(a, b)
+
+
+def _henrici_sum(a: tuple[Poly, Poly], b: tuple[Poly, Poly]) -> tuple[Poly, Poly]:
+    """With g = gcd(d1, d2) and e_i = d_i/g, a + b is (n1 e2 + n2 e1)/(e1 e2 g),
     and only a common factor of the new numerator with g can cancel."""
     (n1, d1), (n2, d2) = a, b
-    if _has_sin_or_sqrt(d1) or _has_sin_or_sqrt(d2):
-        return canonicalize(*rat_add(a, b))
     if d1 == d2:
         num, g, den = n1 + n2, d1, _POLY_ONE
     else:
@@ -505,16 +513,36 @@ def add_pairs(a: tuple[Poly, Poly], b: tuple[Poly, Poly]) -> tuple[Poly, Poly]:
 
 
 def mul_pairs(a: tuple[Poly, Poly], b: tuple[Poly, Poly]) -> tuple[Poly, Poly]:
-    """The canonical pair of a * b for canonical pairs a, b: only
-    gcd(n1, d2) and gcd(n2, d1) can cancel."""
-    (n1, d1), (n2, d2) = a, b
-    if n1.is_zero() or n2.is_zero():
+    """The canonical pair of a * b for canonical pairs a, b, as
+    sum_of_products gives it for the one product."""
+    if a[0].is_zero() or b[0].is_zero():
         return _ZERO_PAIR
-    if any(map(_has_sin_or_sqrt, (n1, d1, n2, d2))):
-        return canonicalize(n1 * n2, d1 * d2)
-    n1, d2 = _cancel(n1, d2)
-    n2, d1 = _cancel(n2, d1)
-    return _primitive_pair(n1 * n2, d1 * d2)
+    return sum_of_products([(1, a, b)])
+
+
+def sum_of_products(
+    pieces: list[tuple[int, tuple[Poly, Poly], tuple[Poly, Poly]]],
+) -> tuple[Poly, Poly]:
+    """The canonical pair of the sum of sign * a * b over (sign, a, b), for
+    a sign of +1 or -1 and nonzero canonical pairs a, b: the pair
+    canonicalize gives for the unreduced products summed in order with
+    rat_add. Where any of the pairs has a sin or sqrt atom, that pair
+    depends on the route, so it is computed that way. Otherwise only
+    gcd(n1, d2) and gcd(n2, d1) can cancel from a product, and the
+    products are summed by Henrici's method."""
+    if any(_has_sin_or_sqrt(p) for _, a, b in pieces for p in a + b):
+        total = None
+        for sign, (n1, d1), (n2, d2) in pieces:
+            piece = ((n1 * n2).scale(sign), d1 * d2)
+            total = piece if total is None else rat_add(total, piece)
+        return canonicalize(*total)
+    total = None
+    for sign, (n1, d1), (n2, d2) in pieces:
+        n1, d2 = _cancel(n1, d2)
+        n2, d1 = _cancel(n2, d1)
+        piece = _primitive_pair((n1 * n2).scale(sign), d1 * d2)
+        total = piece if total is None else _henrici_sum(total, piece)
+    return total
 
 
 def _poly_diff(p: Poly, v: Atom) -> Poly:

@@ -64,6 +64,7 @@ from supersasaki.symexpr.canonical import (
     poly_gcd,
     rat_add,
     scale_pair,
+    sum_of_products,
     to_canonical,
 )
 from supersasaki.symexpr.expr import derivative_raw
@@ -216,6 +217,39 @@ def _assert_coefficients(h, expected):
         assert h.coefficient(mono) == simplify(expected.get(mono, ZERO)), mono
 
 
+def _product_trees(f, g):
+    """Per monomial of f*g, the tree summing its signed coefficient products."""
+    products = {}
+    for m1 in f.terms:
+        for m2 in g.terms:
+            merged, sign = _merge_with_sign(m1, m2)
+            if merged is not None:
+                piece = Mul.of(Const(sign), f.coefficient(m1), g.coefficient(m2))
+                products[merged] = Add.of(products.get(merged, ZERO), piece)
+    return products
+
+
+def test_gmul_canonicalizes_a_sum_of_sqrt_products_once():
+    # both products on dx*dy meet sqrt(u); reducing each before summing
+    # gives the equal (x*sqrt(u) - y^2)/(y*sqrt(u)) instead
+    chart = CHARTS[0]
+    table = ptm_table(chart)
+    dx, dy = (table.index(odd_fiber_name(c)) for c in chart.coords)
+    f = GradedExpr.make(table, [((dx,), _coord_expr("sqrt(x^2 + 2)/y")), ((dy,), _coord_expr("y"))])
+    g = GradedExpr.make(
+        table, [((dy,), _coord_expr("x/sqrt(x^2 + 2)")), ((dx,), _coord_expr("1/sqrt(x^2 + 2)"))]
+    )
+    h = gmul(f, g)
+    _assert_coefficients(h, _product_trees(f, g))
+    assert to_text(h.coefficient((dx, dy))) == (
+        "(-(sqrt(x^2 + 2)*y^2) + x^3 + 2*x)/(x^2*y + 2*y)"
+    )
+
+
+def _coord_expr(text):
+    return parse_expr(text, ("x", "y"))
+
+
 @PROPERTY_SETTINGS
 @given(data=st.data())
 def test_graded_arithmetic_on_pairs_matches_simplify_of_trees(data):
@@ -231,14 +265,7 @@ def test_graded_arithmetic_on_pairs_matches_simplify_of_trees(data):
     monos = set(f.terms) | set(g.terms)
     _assert_coefficients(f + g, {m: Add.of(f.coefficient(m), g.coefficient(m)) for m in monos})
 
-    products = {}
-    for m1 in f.terms:
-        for m2 in g.terms:
-            merged, sign = _merge_with_sign(m1, m2)
-            if merged is not None:
-                piece = Mul.of(Const(sign), f.coefficient(m1), g.coefficient(m2))
-                products[merged] = Add.of(products.get(merged, ZERO), piece)
-    _assert_coefficients(gmul(f, g), products)
+    _assert_coefficients(gmul(f, g), _product_trees(f, g))
 
     _assert_coefficients(f.scale(c), {m: Mul.of(c, f.coefficient(m)) for m in f.terms})
     _assert_coefficients(-f, {m: Mul.of(Const(-1), f.coefficient(m)) for m in f.terms})
@@ -530,6 +557,26 @@ def test_add_pairs_matches_canonicalize(a, b):
 def test_mul_pairs_matches_canonicalize(a, b):
     (n1, d1), (n2, d2) = a, b
     assert mul_pairs(a, b) == canonicalize(n1 * n2, d1 * d2)
+
+
+@PROPERTY_SETTINGS
+@given(
+    pieces=st.lists(
+        st.tuples(
+            st.sampled_from((1, -1)),
+            shared_factor_pairs().filter(lambda p: not p[0].is_zero()),
+            shared_factor_pairs().filter(lambda p: not p[0].is_zero()),
+        ),
+        min_size=1,
+        max_size=2,
+    )
+)
+def test_sum_of_products_matches_one_canonicalize_of_the_sum(pieces):
+    total = None
+    for sign, (n1, d1), (n2, d2) in pieces:
+        piece = ((n1 * n2).scale(sign), d1 * d2)
+        total = piece if total is None else rat_add(total, piece)
+    assert sum_of_products(pieces) == canonicalize(*total)
 
 
 @PAIR_SETTINGS
