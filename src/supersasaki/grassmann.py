@@ -185,12 +185,12 @@ class GradedExpr:
     pair with a nonzero numerator (a vanishing monomial is absent). `+` and
     `make` sum pairs with `add_pairs`; `gmul` hands the signed products
     that land on a monomial to `sum_of_products`, which cross-cancels and
-    sums them by Henrici's method, or canonicalizes their unreduced sum
-    once where a sin or sqrt atom occurs; `scale` uses `mul_pairs`, or
-    `scale_pair` for a constant; the even `partial`
-    uses `diff_pair` and differentiates the printed tree where that
-    declines (a sin or sqrt atom, or a function of the variable); the odd
-    `partial` only moves pairs. `coefficient()` and `body()` print a pair
+    sums them by Henrici's method, or brings their plain sum to canonical
+    form once where a sin or sqrt atom occurs; `scale` uses `mul_pairs`, or
+    `scale_pair` for a constant; the even `partial` uses `diff_pair` and
+    differentiates the printed tree where that declines (a sin or sqrt
+    atom, or a function of the variable); the odd `partial` only moves
+    pairs. `coefficient()` and `body()` print a pair
     as a tree.
     """
 
