@@ -146,21 +146,6 @@ class AlmostSymplectic:
         self.chart = chart
         self.matrix = m
 
-    @staticmethod
-    def from_upper_coefficients(
-        chart: Chart, coeffs: Mapping[tuple[int, int], Expr]
-    ) -> "AlmostSymplectic":
-        """Build from wedge coefficients c_ab (a < b) of the classical
-        two-form, applying the sign dictionary above."""
-        n = chart.dim
-        rows = [[ZERO for _ in range(n)] for _ in range(n)]
-        for (a, b), c in coeffs.items():
-            if not (0 <= a < b < n):
-                raise GeometryError(f"wedge coefficient index ({a},{b}) out of range")
-            rows[a][b] = neg(c)
-            rows[b][a] = c
-        return AlmostSymplectic(chart, tuple(tuple(r) for r in rows))
-
 
 class VectorFieldM:
     __slots__ = ("chart", "components")

@@ -86,13 +86,13 @@ def _check_name(name: str) -> None:
         raise GradedError(f"generator name {name!r} collides with a reserved function")
 
 
-class GeneratorTable:
-    """Ordered, parity-tagged generator names for one superdomain chart.
-    Tables compare by value."""
+class GeneratorTable(tuple):
+    """Ordered, parity-tagged generator names for one superdomain chart: the
+    tuple of its (name, parity) pairs, so tables compare by value."""
 
-    __slots__ = ("gens",)
+    __slots__ = ()
 
-    def __init__(self, gens: tuple[tuple[str, int], ...]) -> None:
+    def __new__(cls, gens: tuple[tuple[str, int], ...]) -> "GeneratorTable":
         seen = set()
         for name, parity in gens:
             _check_name(name)
@@ -101,48 +101,39 @@ class GeneratorTable:
             if name in seen:
                 raise GradedError(f"duplicate generator name {name!r}")
             seen.add(name)
-        self.gens = gens
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if other.__class__ is not GeneratorTable:
-            return NotImplemented
-        return self.gens == other.gens
-
-    def __hash__(self) -> int:
-        return hash(self.gens)
+        return tuple.__new__(cls, gens)
 
     @staticmethod
     def of(*gens: tuple[str, int]) -> "GeneratorTable":
-        return GeneratorTable(tuple(gens))
+        return GeneratorTable(gens)
+
+    @property
+    def gens(self) -> tuple[tuple[str, int], ...]:
+        return self
 
     @property
     def names(self) -> tuple[str, ...]:
-        return tuple(n for n, _ in self.gens)
+        return tuple(n for n, _ in self)
 
     @property
     def even_names(self) -> tuple[str, ...]:
-        return tuple(n for n, p in self.gens if p == EVEN)
+        return tuple(n for n, p in self if p == EVEN)
 
     @property
     def odd_names(self) -> tuple[str, ...]:
-        return tuple(n for n, p in self.gens if p == ODD)
+        return tuple(n for n, p in self if p == ODD)
 
     def index(self, name: str) -> int:
-        for i, (n, _) in enumerate(self.gens):
+        for i, (n, _) in enumerate(self):
             if n == name:
                 return i
         raise GradedError(f"no generator named {name!r}")
 
     def parity(self, name: str) -> int:
-        return self.gens[self.index(name)][1]
+        return self[self.index(name)][1]
 
     def __contains__(self, name: str) -> bool:
-        return any(n == name for n, _ in self.gens)
-
-    def __len__(self) -> int:
-        return len(self.gens)
+        return any(n == name for n, _ in self)
 
 
 def _merge_with_sign(m1: Monomial, m2: Monomial) -> tuple[Monomial | None, int]:
@@ -333,11 +324,6 @@ def parity_of(f: GradedExpr) -> int | None:
     if len(parities) > 1:
         return None
     return parities.pop()
-
-
-def epsilon(f: GradedExpr) -> Expr:
-    """Project onto the purely scalar part (all odd generators to zero)."""
-    return f.body()
 
 
 def partial(f: GradedExpr, name: str) -> GradedExpr:

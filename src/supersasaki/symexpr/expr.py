@@ -1,7 +1,7 @@
 """Expression trees over commuting scalar variables.
 
-Nodes are plain slotted classes, immutable by convention; two nodes are
-equal when they have the same class and equal fields. Constructors do no
+Nodes are tuples tagged by their class, so two nodes are equal, with equal
+hashes, when they have the same class and equal fields. Constructors do no
 simplification beyond flattening nested sums/products and folding
 arithmetic on bare constants; canonical form lives in canonical.py.
 Constants are exact rationals, powers carry integer exponents only, and
@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import itemgetter
 from typing import Callable, Mapping, Union
 
 FUNCTIONS = ("sin", "cos", "exp", "sqrt", "ln")
@@ -24,8 +25,12 @@ class EvalError(ValueError):
     negative, log of a nonpositive value, overflow, unassigned variable)."""
 
 
-class Expr:
-    """Base class for scalar expression nodes."""
+class Expr(tuple):
+    """Base class for scalar expression nodes.
+
+    Each node is a tuple whose first item names its class, so equality and
+    hashing are the tuple's. The arithmetic operators below replace tuple
+    concatenation and repetition."""
 
     __slots__ = ()
 
@@ -67,54 +72,33 @@ class Expr:
 
 
 class Const(Expr):
-    __slots__ = ("value",)
+    """("c", numerator, denominator); value keeps the Fraction beside the
+    tuple, as Atom.expr keeps its tree."""
 
-    def __init__(self, value: Rational) -> None:
-        self.value = value if isinstance(value, Fraction) else Fraction(value)
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if other.__class__ is not Const:
-            return NotImplemented
-        return self.value == other.value
-
-    def __hash__(self) -> int:
-        return hash((self.value,))
+    def __new__(cls, value: Rational) -> "Const":
+        if not isinstance(value, Fraction):
+            value = Fraction(value)
+        node = tuple.__new__(cls, ("c", value.numerator, value.denominator))
+        node.value = value
+        return node
 
 
 class Var(Expr):
-    __slots__ = ("name",)
+    __slots__ = ()
 
-    def __init__(self, name: str) -> None:
-        self.name = name
+    def __new__(cls, name: str) -> "Var":
+        return tuple.__new__(cls, ("v", name))
 
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if other.__class__ is not Var:
-            return NotImplemented
-        return self.name == other.name
-
-    def __hash__(self) -> int:
-        return hash((self.name,))
+    name = property(itemgetter(1))
 
 
 class Add(Expr):
-    __slots__ = ("terms",)
+    __slots__ = ()
 
-    def __init__(self, terms: tuple[Expr, ...]) -> None:
-        self.terms = terms
+    def __new__(cls, terms: tuple[Expr, ...]) -> "Add":
+        return tuple.__new__(cls, ("+", terms))
 
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if other.__class__ is not Add:
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash((self.terms,))
+    terms = property(itemgetter(1))
 
     @staticmethod
     def of(*terms: Expr) -> Expr:
@@ -132,20 +116,12 @@ class Add(Expr):
 
 
 class Mul(Expr):
-    __slots__ = ("factors",)
+    __slots__ = ()
 
-    def __init__(self, factors: tuple[Expr, ...]) -> None:
-        self.factors = factors
+    def __new__(cls, factors: tuple[Expr, ...]) -> "Mul":
+        return tuple.__new__(cls, ("*", factors))
 
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if other.__class__ is not Mul:
-            return NotImplemented
-        return self.factors == other.factors
-
-    def __hash__(self) -> int:
-        return hash((self.factors,))
+    factors = property(itemgetter(1))
 
     @staticmethod
     def of(*factors: Expr) -> Expr:
@@ -163,61 +139,37 @@ class Mul(Expr):
 
 
 class Pow(Expr):
-    __slots__ = ("base", "exponent")
+    __slots__ = ()
 
-    def __init__(self, base: Expr, exponent: int) -> None:
+    def __new__(cls, base: Expr, exponent: int) -> "Pow":
         if not isinstance(exponent, int) or isinstance(exponent, bool):
             raise TypeError(f"power exponent must be an int, got {exponent!r}")
-        self.base = base
-        self.exponent = exponent
+        return tuple.__new__(cls, ("^", base, exponent))
 
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if other.__class__ is not Pow:
-            return NotImplemented
-        return self.exponent == other.exponent and self.base == other.base
-
-    def __hash__(self) -> int:
-        return hash((self.base, self.exponent))
+    base = property(itemgetter(1))
+    exponent = property(itemgetter(2))
 
 
 class Div(Expr):
-    __slots__ = ("num", "den")
+    __slots__ = ()
 
-    def __init__(self, num: Expr, den: Expr) -> None:
-        self.num = num
-        self.den = den
+    def __new__(cls, num: Expr, den: Expr) -> "Div":
+        return tuple.__new__(cls, ("/", num, den))
 
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if other.__class__ is not Div:
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self) -> int:
-        return hash((self.num, self.den))
+    num = property(itemgetter(1))
+    den = property(itemgetter(2))
 
 
 class Call(Expr):
-    __slots__ = ("func", "arg")
+    __slots__ = ()
 
-    def __init__(self, func: str, arg: Expr) -> None:
+    def __new__(cls, func: str, arg: Expr) -> "Call":
         if func not in FUNCTIONS:
             raise ValueError(f"unknown function {func!r}; expected one of {FUNCTIONS}")
-        self.func = func
-        self.arg = arg
+        return tuple.__new__(cls, ("f", func, arg))
 
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if other.__class__ is not Call:
-            return NotImplemented
-        return self.func == other.func and self.arg == other.arg
-
-    def __hash__(self) -> int:
-        return hash((self.func, self.arg))
+    func = property(itemgetter(1))
+    arg = property(itemgetter(2))
 
 
 ZERO = Const(Fraction(0))

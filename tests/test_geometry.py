@@ -74,14 +74,6 @@ def test_two_form_must_be_antisymmetric_and_nondegenerate():
         AlmostSymplectic(ch, [[_p("0"), _p("0")], [_p("0"), _p("0")]])
 
 
-def test_from_upper_coefficients_places_signs():
-    ch = Chart(("x", "y"))
-    om = AlmostSymplectic.from_upper_coefficients(ch, {(0, 1): _p("1")})
-    # stored matrix[0][1] = -c_01
-    assert canonical_equal(om.matrix[0][1], _p("-1"))
-    assert canonical_equal(om.matrix[1][0], _p("1"))
-
-
 def test_polar_christoffel_classical_values():
     g = polar_metric()
     gamma = christoffel(g)

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from supersasaki.symexpr import (
     Add,
     Call,
     Const,
+    Div,
     Mul,
     OracleConfig,
     Pow,
@@ -176,6 +178,40 @@ def test_nodes_compare_by_class_and_fields():
     assert type(Const(Fraction(3, 2)).value) is Fraction
     assert Pow(x, 2) != Pow(x, 3)
     assert Call("sin", x) != Call("cos", x)
+
+
+def test_hashing_a_tree_runs_no_python_level_hash(monkeypatch):
+    # to_canonical's cache hashes every tree it is asked for
+    def build():
+        x = Var("x")
+        cubic = Mul((Const(Fraction(1, 2)), Pow(x, 3)))
+        return Div(Add((cubic, Const(Fraction(-2, 3)))), Call("sqrt", Add((x, Const(2)))))
+
+    def refuse(self):
+        raise AssertionError("Fraction.__hash__ ran")
+
+    a, b = build(), build()
+    monkeypatch.setattr(Fraction, "__hash__", refuse)
+    python_hashes = []
+
+    def watch(frame, event, arg):
+        if event == "call" and frame.f_code.co_name == "__hash__":
+            python_hashes.append(frame.f_code.co_filename)
+
+    sys.setprofile(watch)
+    try:
+        ha, hb = hash(a), hash(b)
+    finally:
+        sys.setprofile(None)
+    assert python_hashes == []
+    assert a is not b and a == b and ha == hb
+
+
+def test_operators_build_nodes_not_tuple_concatenation_or_repetition():
+    x = Var("x")
+    built = [x + 1, x - 1, 2 * x, -x, x**2, 1 / x]
+    assert [type(e) for e in built] == [Add, Add, Mul, Mul, Pow, Div]
+    assert [to_text(e) for e in built] == ["x + 1", "x - 1", "2*x", "-x", "x^2", "1/x"]
 
 
 def test_nodes_refuse_bad_fields():
