@@ -52,19 +52,15 @@ from .symexpr import Const, OracleConfig, ZERO, differentiate
 def de_rham(chart: Chart) -> VectorFieldPTM:
     """The odd field d = dx^a d/dx^a; squares to zero."""
     table = ptm_table(chart)
-    comps = tuple(
-        GradedExpr.generator(table, odd_fiber_name(c)) for c in chart.coords
-    )
-    zeros = tuple(GradedExpr.zero(table) for _ in chart.coords)
-    return VectorFieldPTM(table, comps, zeros, ODD)
+    dx = tuple(GradedExpr.generator(table, w) for w in table.odd_names)
+    return VectorFieldPTM(table, dx + (GradedExpr.zero(table),) * chart.dim, ODD)
 
 
 def interior(X: VectorFieldM) -> VectorFieldPTM:
     """The odd field i_X = X^a(x) d/d(dx^a)."""
     table = ptm_table(X.chart)
-    zeros = tuple(GradedExpr.zero(table) for _ in X.chart.coords)
     barred = tuple(GradedExpr.scalar(table, c) for c in X.components)
-    return VectorFieldPTM(table, zeros, barred, ODD)
+    return VectorFieldPTM(table, (GradedExpr.zero(table),) * X.chart.dim + barred, ODD)
 
 
 def lie_derivative(X: VectorFieldM) -> VectorFieldPTM:
@@ -78,29 +74,24 @@ def lie_derivative(X: VectorFieldM) -> VectorFieldPTM:
         )
         for Xa in X.components
     )
-    return VectorFieldPTM(table, comps, barred, EVEN)
+    return VectorFieldPTM(table, comps + barred, EVEN)
 
 
 def super_commutator(U: VectorFieldPTM, V: VectorFieldPTM) -> VectorFieldPTM:
-    """[U, V] = U V - (-1)^{|U||V|} V U, components read off by applying the
-    bracket to each generator."""
+    """[U, V] = U V - (-1)^{|U||V|} V U, its coefficient of d/dw read off
+    as [U, V](w) = U(V^w) - (-1)^{|U||V|} V(U^w) for each generator w."""
     if U.table != V.table:
         raise GradedError("bracketed fields live over different tables")
     # multiplier of the V U term: -(-1)^{|U||V|}
     sign = Const(Fraction(1 if (U.parity and V.parity) else -1))
     opU, opV = field_operator(U), field_operator(V)
-    comps = tuple(
-        apply_first_order(opU, V.components[j])
-        + apply_first_order(opV, U.components[j]).scale(sign)
-        for j in range(U.dim)
-    )
-    barred = tuple(
-        apply_first_order(opU, V.barred[j])
-        + apply_first_order(opV, U.barred[j]).scale(sign)
-        for j in range(U.dim)
-    )
     return VectorFieldPTM(
-        U.table, comps, barred, (U.parity + V.parity) % 2
+        U.table,
+        tuple(
+            apply_first_order(opU, v) + apply_first_order(opV, u).scale(sign)
+            for u, v in zip(U.coefficients, V.coefficients)
+        ),
+        (U.parity + V.parity) % 2,
     )
 
 
@@ -139,12 +130,7 @@ def cartan_commutators(
     """The graded commutation table of d, i, and L on one chart."""
     chart = X.chart
     table = ptm_table(chart)
-    zero_field = VectorFieldPTM(
-        table,
-        tuple(GradedExpr.zero(table) for _ in chart.coords),
-        tuple(GradedExpr.zero(table) for _ in chart.coords),
-        EVEN,
-    )
+    zero_field = VectorFieldPTM(table, (GradedExpr.zero(table),) * len(table), EVEN)
     d = de_rham(chart)
     iX, iY = interior(X), interior(Y)
     LX, LY = lie_derivative(X), lie_derivative(Y)
@@ -158,9 +144,7 @@ def cartan_commutators(
         ("[L_X,L_Y] = L_[X,Y]", super_commutator(LX, LY), lie_derivative(XY)),
     )
     return tuple(
-        residual_outcome(
-            name, got.components + got.barred, want.components + want.barred, config
-        )
+        residual_outcome(name, got.coefficients, want.coefficients, config)
         for name, got, want in checks
     )
 

@@ -108,10 +108,6 @@ class GeneratorTable(tuple):
         return GeneratorTable(gens)
 
     @property
-    def gens(self) -> tuple[tuple[str, int], ...]:
-        return self
-
-    @property
     def names(self) -> tuple[str, ...]:
         return tuple(n for n, _ in self)
 
@@ -204,7 +200,7 @@ class GradedExpr:
             if any(mono[k] >= mono[k + 1] for k in range(len(mono) - 1)):
                 raise GradedError(f"monomial indices must be strictly ascending: {mono}")
             for idx in mono:
-                if idx < 0 or idx >= len(table) or table.gens[idx][1] != ODD:
+                if idx < 0 or idx >= len(table) or table[idx][1] != ODD:
                     raise GradedError(f"monomial index {idx} is not an odd generator")
             pair = to_canonical(coeff)
             acc[mono] = add_pairs(acc[mono], pair) if mono in acc else pair
@@ -241,7 +237,7 @@ class GradedExpr:
     @staticmethod
     def generator(table: GeneratorTable, name: str) -> "GradedExpr":
         idx = table.index(name)
-        if table.gens[idx][1] == ODD:
+        if table[idx][1] == ODD:
             return GradedExpr(table, {(idx,): _ONE_PAIR})
         return GradedExpr(table, {(): to_canonical(Var(name))})
 
@@ -330,7 +326,7 @@ def partial(f: GradedExpr, name: str) -> GradedExpr:
     """Partial derivative by a generator. Odd generators differentiate from
     the left; even generators differentiate the coefficients."""
     idx = f.table.index(name)
-    if f.table.gens[idx][1] == EVEN:
+    if f.table[idx][1] == EVEN:
         derivs = (
             (m, diff_pair(pair, name) or to_canonical(derivative_raw(f.coefficient(m), name)))
             for m, pair in f.terms.items()
@@ -444,7 +440,7 @@ def gsubstitute(
     scalars, with no nilpotent part, so each coefficient is composed with
     the image bodies as a plain scalar."""
     source = f.table
-    for name, parity in source.gens:
+    for name, parity in source:
         if name in images:
             img = images[name]
             if img.table != target:
@@ -466,10 +462,10 @@ def gsubstitute(
     extra = set(images) - set(source.names)
     if extra:
         raise GradedError(f"images given for unknown generators {sorted(extra)}")
-    bodies = {n: images[n].body() for n, p in source.gens if p == EVEN and n in images}
+    bodies = {n: images[n].body() for n, p in source if p == EVEN and n in images}
     odd_images = {
         i: images[n] if n in images else GradedExpr.generator(target, n)
-        for i, (n, p) in enumerate(source.gens)
+        for i, (n, p) in enumerate(source)
         if p == ODD
     }
     total = GradedExpr.zero(target)
@@ -482,7 +478,7 @@ def gsubstitute(
 
 
 def _check_prefix(short: GeneratorTable, long: GeneratorTable) -> None:
-    if long.gens[: len(short)] != short.gens:
+    if long[: len(short)] != short:
         raise GradedError("the smaller table is not a leading part of the larger one")
 
 
@@ -498,7 +494,7 @@ def restrict_to(f: GradedExpr, sub_table: GeneratorTable) -> GradedExpr:
     _check_prefix(sub_table, f.table)
     allowed = set(sub_table.names)
     for mono in f.terms:
-        used = {f.table.gens[i][0] for i in mono} | set(free_vars(f.coefficient(mono)))
+        used = {f.table[i][0] for i in mono} | set(free_vars(f.coefficient(mono)))
         stray = used - allowed
         if stray:
             raise GradedError(f"expression uses generators {sorted(stray)} not in target")

@@ -99,7 +99,7 @@ def ptm_table(chart: Chart) -> GeneratorTable:
 def _with_velocities(ptm: GeneratorTable) -> GeneratorTable:
     """The odd tangent bundle table followed by the velocity w + "dot" of
     each of its generators w, with w's parity."""
-    return GeneratorTable(ptm.gens + tuple((velocity_name(w), p) for w, p in ptm.gens))
+    return GeneratorTable(ptm + tuple((velocity_name(w), p) for w, p in ptm))
 
 
 def tptm_table(chart: Chart) -> GeneratorTable:
@@ -234,61 +234,60 @@ def classical_sasaki(g: MetricTensor) -> GradedExpr:
 # vector fields on the odd tangent bundle and the two pairings
 
 class VectorFieldPTM:
-    """First-order operator A^a d/dx^a + B^a d/d(dx^a) with homogeneous
-    parity; A^a has the field's parity, B^a the opposite."""
+    """First-order operator X = X^w d/dw summed over the generators w of the
+    odd tangent bundle table, with homogeneous parity: X^w has parity
+    |X| + |w|. coefficients holds one X^w per generator in table order, the
+    x^a first, then the dx^a; components and barred view the two halves."""
 
-    __slots__ = ("table", "components", "barred", "parity")
+    __slots__ = ("table", "coefficients", "parity")
 
     def __init__(
         self,
         table: GeneratorTable,
-        components: tuple[GradedExpr, ...],
-        barred: tuple[GradedExpr, ...],
+        coefficients: tuple[GradedExpr, ...],
         parity: int,
     ) -> None:
         if parity not in (EVEN, ODD):
             raise GradedError("field parity must be 0 or 1")
-        for comp in components:
-            p = parity_of(comp)
-            if not comp.is_zero() and p != parity:
+        if len(coefficients) != len(table):
+            raise GradedError(
+                f"a field needs {len(table)} coefficients, one per generator, "
+                f"got {len(coefficients)}"
+            )
+        for (w, pw), coeff in zip(table, coefficients):
+            p, expected = parity_of(coeff), (parity + pw) % 2
+            if not coeff.is_zero() and p != expected:
                 raise GradedError(
-                    f"component {graded_to_text(comp)} has parity {p}, "
-                    f"declared {parity}"
+                    f"coefficient {graded_to_text(coeff)} of d/d({w}) has parity "
+                    f"{p}, expected {expected}"
                 )
-        for comp in barred:
-            p = parity_of(comp)
-            if not comp.is_zero() and p != (parity + 1) % 2:
-                raise GradedError(
-                    f"barred component {graded_to_text(comp)} has parity {p}, "
-                    f"expected {(parity + 1) % 2}"
-                )
-        if len(components) != len(barred):
-            raise GradedError("components and barred components differ in length")
         self.table = table  # the ptm table
-        self.components = components
-        self.barred = barred
+        self.coefficients = coefficients
         self.parity = parity
 
     @property
-    def dim(self) -> int:
-        return len(self.components)
+    def components(self) -> tuple[GradedExpr, ...]:
+        """X^a, the coefficients of d/dx^a."""
+        return self.coefficients[: len(self.table) // 2]
+
+    @property
+    def barred(self) -> tuple[GradedExpr, ...]:
+        """Xbar^a, the coefficients of d/d(dx^a)."""
+        return self.coefficients[len(self.table) // 2 :]
 
 
 def field_operator(X: VectorFieldPTM) -> tuple[tuple[GradedExpr, str], ...]:
-    """X = X^a d/dx^a + Xbar^a d/d(dx^a) as (coefficient, generator-name)
-    pairs over the field's own table, zero coefficients dropped."""
-    ops: list[tuple[GradedExpr, str]] = []
-    for a, c in enumerate(X.table.even_names):
-        for coeff, gen in ((X.components[a], c), (X.barred[a], odd_fiber_name(c))):
-            if not coeff.is_zero():
-                ops.append((coeff, gen))
-    return tuple(ops)
+    """X = X^w d/dw as (coefficient, generator-name) pairs over the field's
+    own table, in table order, zero coefficients dropped."""
+    return tuple(
+        (coeff, w) for (w, _), coeff in zip(X.table, X.coefficients) if not coeff.is_zero()
+    )
 
 
 def vertical_lift(X: VectorFieldPTM) -> tuple[tuple[GradedExpr, str], ...]:
-    """iota_X = X^a d/d(xdot^a) + Xbar^a d/d(dxdot^a), as (coefficient,
-    generator-name) pairs over the chart's tptm table: X's operator with
-    each generator w replaced by its velocity w + "dot"."""
+    """iota_X = X^w d/d(wdot), as (coefficient, generator-name) pairs over
+    the chart's tptm table: X's operator with each generator w replaced by
+    its velocity wdot = w + "dot"."""
     table = _with_velocities(X.table)
     return tuple(
         (extend_to(coeff, table), velocity_name(gen)) for coeff, gen in field_operator(X)
@@ -452,12 +451,10 @@ def random_field(
 ) -> VectorFieldPTM:
     """Random homogeneous field on the odd tangent bundle chart."""
     table = ptm_table(chart)
-    n = chart.dim
-    comps = tuple(_random_coefficient(table, chart, parity, rng) for _ in range(n))
-    barred = tuple(
-        _random_coefficient(table, chart, (parity + 1) % 2, rng) for _ in range(n)
+    coefficients = tuple(
+        _random_coefficient(table, chart, (parity + p) % 2, rng) for _, p in table
     )
-    return VectorFieldPTM(table, comps, barred, parity)
+    return VectorFieldPTM(table, coefficients, parity)
 
 
 def random_base_field(chart: Chart, rng: random.Random) -> VectorFieldM:
@@ -484,5 +481,4 @@ def vector_field_on_base(
     bundle (even, no barred part)."""
     table = ptm_table(chart)
     comps = tuple(GradedExpr.scalar(table, c) for c in components)
-    zero = tuple(GradedExpr.zero(table) for _ in chart.coords)
-    return VectorFieldPTM(table, comps, zero, EVEN)
+    return VectorFieldPTM(table, comps + (GradedExpr.zero(table),) * chart.dim, EVEN)

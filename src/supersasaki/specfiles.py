@@ -36,6 +36,7 @@ may mention only the chart coordinates.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 from typing import Any, Mapping
@@ -53,7 +54,7 @@ from .geometry import (
 )
 from .grassmann import EVEN, ODD, GradedError, GradedExpr, parse_graded
 from .sasakilift import VectorFieldPTM, ptm_table
-from .symexpr import EvalError, Expr, ParseError, eval_numeric, parse_expr
+from .symexpr import Const, EvalError, Expr, ParseError, eval_numeric, parse_expr
 from .transform import SmoothMap
 
 
@@ -92,26 +93,34 @@ def _parse_entry(text: Any, vocabulary: list[str], where: str) -> Expr:
         raise SpecError(f"{where}: expression nested too deeply") from None
 
 
-def _check_at_centre(chart: Chart, key: str, matrix: Matrix) -> None:
-    """Refuse chart data the engine cannot use at the centre of the sample
-    domain: an entry undefined there, or a matrix singular there."""
-    centre = {c: (lo + hi) / 2 for c, (lo, hi) in chart.intervals.items()}
-    where = f"the centre {centre} of sample_domain"
-    values: list[list[float]] = []
+def _check_on_grid(chart: Chart, key: str, matrix: Matrix) -> None:
+    """Refuse chart data the engine cannot use on the sample domain: an
+    entry undefined at a grid point, or a matrix singular at the centre.
+    The grid is the centre, the 2^n corners, and the 9 points
+    lo + k(hi - lo)/8 along each axis through the centre."""
+    boxes = chart.intervals
+    centre = {c: (lo + hi) / 2 for c, (lo, hi) in boxes.items()}
+    grid = [centre]
+    grid += [dict(zip(boxes, corner)) for corner in itertools.product(*boxes.values())]
+    for c, (lo, hi) in boxes.items():
+        grid += [{**centre, c: lo + k * (hi - lo) / 8} for k in range(9)]
     for i, row in enumerate(matrix):
-        values.append([])
         for j, e in enumerate(row):
-            try:
-                values[i].append(eval_numeric(e, centre))
-            except EvalError as exc:
-                raise SpecError(
-                    f"{chart.name}.{key}[{i}][{j}] is undefined at {where}: {exc}"
-                ) from None
+            # a constant is defined everywhere or nowhere
+            for point in (centre,) if isinstance(e, Const) else grid:
+                try:
+                    eval_numeric(e, point)
+                except EvalError as exc:
+                    raise SpecError(
+                        f"{chart.name}.{key}[{i}][{j}] is undefined at the point "
+                        f"{point} of sample_domain: {exc}"
+                    ) from None
     try:
-        invert_numeric(values)
+        invert_numeric([[eval_numeric(e, centre) for e in row] for row in matrix])
     except GeometryError:
         raise SpecError(
-            f"geometry {chart.name!r}: {key} determinant vanishes at {where}"
+            f"geometry {chart.name!r}: {key} determinant vanishes at the centre "
+            f"{centre} of sample_domain"
         ) from None
 
 
@@ -207,7 +216,7 @@ def load_geometry(
         metric = MetricTensor(chart, load_matrix("metric"))
     except GeometryError as exc:
         raise SpecError(f"geometry {name!r}: {exc}") from exc
-    _check_at_centre(chart, "metric", metric.matrix)
+    _check_on_grid(chart, "metric", metric.matrix)
 
     omega = None
     if "omega" in doc:
@@ -219,7 +228,7 @@ def load_geometry(
             omega = AlmostSymplectic(chart, load_matrix("omega"))
         except GeometryError as exc:
             raise SpecError(f"geometry {name!r}: {exc}") from exc
-        _check_at_centre(chart, "omega", omega.matrix)
+        _check_on_grid(chart, "omega", omega.matrix)
 
     notes = doc.get("notes", "")
     if not isinstance(notes, str):
@@ -308,22 +317,20 @@ def load_ptm_field(
         raise SpecError("ptm field needs parity 'even' or 'odd'")
     parity = _PARITY_WORDS[parity_word]
     table = ptm_table(chart)
-    out: dict[str, tuple[GradedExpr, ...]] = {}
+    coefficients: list[GradedExpr] = []
     for key in ("components", "barred"):
         rows = doc.get(key)
         if not isinstance(rows, list) or len(rows) != chart.dim:
             raise SpecError(f"ptm field needs {chart.dim} '{key}' strings")
-        parsed = []
         for i, text in enumerate(rows):
             if not isinstance(text, str):
                 raise SpecError(f"field.{key}[{i}] must be a string")
             try:
-                parsed.append(parse_graded(text, table))
+                coefficients.append(parse_graded(text, table))
             except (ParseError, GradedError) as exc:
                 raise SpecError(f"field.{key}[{i}]: {exc}") from exc
-        out[key] = tuple(parsed)
     try:
-        return VectorFieldPTM(table, out["components"], out["barred"], parity)
+        return VectorFieldPTM(table, tuple(coefficients), parity)
     except GradedError as exc:
         raise SpecError(f"ptm field: {exc}") from exc
 

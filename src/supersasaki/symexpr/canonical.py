@@ -17,8 +17,10 @@ denominator: 1/sqrt(x^2 + 2) and sqrt(x^2 + 2)/(x^2 + 2) keep different
 pairs, and only the oracle's sampling tier finds them equal. Coefficients
 are Python ints throughout; a rational constant p/q enters as the pair
 (p, q), and the denominator is made monic only when a pair is printed.
-An atom is its own sort key, ("v", name) or ("f", func, canonical argument
-text), so atoms compare, hash and sort as plain tuples.
+An atom is an expression node: a variable's Var, or a function application's
+Call on its canonical argument tree. Nodes are tagged tuples, so atoms
+compare, hash and sort as plain tuples: applications before variables,
+each by name, and applications of one function by their argument trees.
 
 simplify() prints a pair as a tree, a fixed point: simplify(s) == s, and
 s == ZERO exactly when e is zero, for s = simplify(e). GradedExpr keeps its
@@ -57,27 +59,9 @@ from .expr import (
     to_text,
 )
 
-class Atom(tuple):
-    """A variable or a function application as its key tuple; expr carries
-    it as a tree (Var, or Call with canonical argument) for printing and for
-    the sin/sqrt rewrites."""
-
-    def __new__(cls, key: tuple, expr: Expr) -> "Atom":
-        atom = super().__new__(cls, key)
-        atom.expr = expr
-        return atom
-
-
-def _var_atom(name: str) -> Atom:
-    return Atom(("v", name), Var(name))
-
-
-def _call_atom(func: str, canonical_arg: Expr) -> Atom:
-    return Atom(("f", func, to_text(canonical_arg)), Call(func, canonical_arg))
-
-
 # Monomial: tuple of (atom, exponent>=1) pairs, atoms strictly increasing.
-Monomial = tuple[tuple[Atom, int], ...]
+# An atom is a Var node or a Call node over its canonical argument tree.
+Monomial = tuple[tuple[Expr, int], ...]
 
 _UNIT: Monomial = ()
 
@@ -87,7 +71,7 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
         return b
     if not b:
         return a
-    out: list[tuple[Atom, int]] = []
+    out: list[tuple[Expr, int]] = []
     i = j = 0
     while i < len(a) and j < len(b):
         if a[i][0] == b[j][0]:
@@ -107,7 +91,7 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
 
 def _mono_div(a: Monomial, b: Monomial) -> Monomial | None:
     """a / b, or None when b does not divide a."""
-    result: list[tuple[Atom, int]] = []
+    result: list[tuple[Expr, int]] = []
     i = 0
     for atom, e in b:
         while i < len(a) and a[i][0] < atom:
@@ -155,7 +139,7 @@ class Poly:
         return Poly({} if c == 0 else {_UNIT: c})
 
     @staticmethod
-    def from_atom(atom: Atom, exp: int = 1) -> "Poly":
+    def from_atom(atom: Expr, exp: int = 1) -> "Poly":
         return Poly({((atom, exp),): 1})
 
     def is_zero(self) -> bool:
@@ -167,8 +151,8 @@ class Poly:
     def const_value(self) -> int:
         return self.terms.get(_UNIT, 0)
 
-    def atoms(self) -> set[Atom]:
-        out: set[Atom] = set()
+    def atoms(self) -> set[Expr]:
+        out: set[Expr] = set()
         for m in self.terms:
             for a, _ in m:
                 out.add(a)
@@ -284,12 +268,12 @@ def _div_exact(p: Poly, g: Poly) -> Poly:
     return Poly(out)
 
 
-def _coeffs_in(p: Poly, v: Atom) -> dict[int, Poly]:
+def _coeffs_in(p: Poly, v: Expr) -> dict[int, Poly]:
     """View p as a polynomial in v with coefficients free of v."""
     out: dict[int, dict[Monomial, int]] = {}
     for m, c in p.terms.items():
         deg = 0
-        rest: list[tuple[Atom, int]] = []
+        rest: list[tuple[Expr, int]] = []
         for atom, e in m:
             if atom == v:
                 deg = e
@@ -299,7 +283,7 @@ def _coeffs_in(p: Poly, v: Atom) -> dict[int, Poly]:
     return {d: Poly(terms) for d, terms in out.items()}
 
 
-def _recompose(coeffs: dict[int, Poly], v: Atom) -> Poly:
+def _recompose(coeffs: dict[int, Poly], v: Expr) -> Poly:
     total = Poly.zero()
     for d, p in coeffs.items():
         vp = _POLY_ONE if d == 0 else Poly.from_atom(v, d)
@@ -373,7 +357,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
 # ---------------------------------------------------------------------------
 # monomial rewrites (fixed point)
 
-def _is_reducible(atom: Atom, exp: int) -> bool:
+def _is_reducible(atom: Expr, exp: int) -> bool:
     return exp >= 2 and atom[0] == "f" and atom[1] in ("sin", "sqrt")
 
 
@@ -396,7 +380,7 @@ def _reduce_pass(p: Poly) -> tuple[Poly, Poly, bool]:
         if not any(_is_reducible(atom, e) for atom, e in mono):
             plain[mono] = coeff
             continue
-        kept: list[tuple[Atom, int]] = []
+        kept: list[tuple[Expr, int]] = []
         n_i, d_i = _POLY_ONE, _POLY_ONE
         for atom, e in mono:
             if not _is_reducible(atom, e):
@@ -404,10 +388,10 @@ def _reduce_pass(p: Poly) -> tuple[Poly, Poly, bool]:
                 continue
             half, rem = divmod(e, 2)
             if atom[1] == "sin":
-                cos_sq = Poly.from_atom(_call_atom("cos", atom.expr.arg), 2)
+                cos_sq = Poly.from_atom(Call("cos", atom.arg), 2)
                 n_i = n_i * (_POLY_ONE - cos_sq) ** half
             else:  # sqrt
-                an, ad = _walk(atom.expr.arg)
+                an, ad = _walk(atom.arg)
                 n_i = n_i * an**half
                 d_i = d_i * ad**half
             if rem:
@@ -545,7 +529,7 @@ def sum_of_products(
     return total
 
 
-def _poly_diff(p: Poly, v: Atom) -> Poly:
+def _poly_diff(p: Poly, v: Expr) -> Poly:
     """dp/dv for a variable atom v that no function atom of p depends on."""
     out: dict[Monomial, int] = {}
     for mono, c in p.terms.items():
@@ -567,9 +551,9 @@ def diff_pair(pair: tuple[Poly, Poly], name: str) -> tuple[Poly, Poly] | None:
     if _has_sin_or_sqrt(num) or _has_sin_or_sqrt(den):
         return None
     for atom in num.atoms() | den.atoms():
-        if atom[0] == "f" and name in free_vars(atom.expr.arg):
+        if atom[0] == "f" and name in free_vars(atom.arg):
             return None
-    v = _var_atom(name)
+    v = Var(name)
     dnum, dden = _poly_diff(num, v), _poly_diff(den, v)
     if dden.is_zero():
         # d is free of name, but gcd(n', d) may still cancel
@@ -590,7 +574,7 @@ def _common_mono(p: Poly) -> Monomial:
     for m in it:
         if not common:
             break
-        merged: list[tuple[Atom, int]] = []
+        merged: list[tuple[Expr, int]] = []
         d = dict(m)
         for atom, e in common:
             if atom in d:
@@ -627,7 +611,7 @@ def _walk(e: Expr) -> tuple[Poly, Poly]:
     if isinstance(e, Const):
         return Poly.const(e.value.numerator), Poly.const(e.value.denominator)
     if isinstance(e, Var):
-        return Poly.from_atom(_var_atom(e.name)), _POLY_ONE
+        return Poly.from_atom(e), _POLY_ONE
     if isinstance(e, Add):
         pair = Poly.zero(), _POLY_ONE
         for t in e.terms:
@@ -654,7 +638,7 @@ def _walk(e: Expr) -> tuple[Poly, Poly]:
         return nn * dd, nd * dn
     if isinstance(e, Call):
         arg_tree = pair_to_expr(canonicalize(*_walk(e.arg)))
-        return Poly.from_atom(_call_atom(e.func, arg_tree)), _POLY_ONE
+        return Poly.from_atom(Call(e.func, arg_tree)), _POLY_ONE
     raise TypeError(f"not an expression node: {e!r}")
 
 
@@ -667,7 +651,7 @@ def _poly_to_expr(p: Poly, lc: int = 1) -> Expr:
         c = p.terms[mono]
         factors: list[Expr] = []
         for atom, e in mono:
-            factors.append(atom.expr if e == 1 else Pow(atom.expr, e))
+            factors.append(atom if e == 1 else Pow(atom, e))
         if not factors:
             terms.append(Const(Fraction(c, lc)))
         elif c == lc:

@@ -73,7 +73,7 @@ class Expr(tuple):
 
 class Const(Expr):
     """("c", numerator, denominator); value keeps the Fraction beside the
-    tuple, as Atom.expr keeps its tree."""
+    tuple."""
 
     def __new__(cls, value: Rational) -> "Const":
         if not isinstance(value, Fraction):

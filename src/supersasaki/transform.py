@@ -330,12 +330,13 @@ def field_pullback(psi: SmoothMap, V: VectorFieldPTM) -> VectorFieldPTM:
     pulled_A = [
         gsubstitute(V.components[al], images, table) for al in range(n_tgt)
     ]
-    comps = []
+    # A'^a first, then B'^b: the pulled field's coefficients in table order
+    coefficients = []
     for a in range(n_src):
         total = GradedExpr.zero(table)
         for al in range(n_tgt):
             total = total + pulled_A[al].scale(K[a][al])
-        comps.append(total)
+        coefficients.append(total)
     # psi*(B^alpha) - A'^a dx^c d2y^alpha/(dx^a dx^c), one per target index
     rhs = []
     for al in range(n_tgt):
@@ -346,15 +347,14 @@ def field_pullback(psi: SmoothMap, V: VectorFieldPTM) -> VectorFieldPTM:
                 table,
                 [(odd_fiber_name(xc), H[a][c]) for c, xc in enumerate(psi.source.coords)],
             )
-            r = r - gmul(comps[a], H_dx)
+            r = r - gmul(coefficients[a], H_dx)
         rhs.append(r)
-    barred = []
     for b in range(n_src):
         total = GradedExpr.zero(table)
         for al in range(n_tgt):
             total = total + rhs[al].scale(K[b][al])
-        barred.append(total)
-    return VectorFieldPTM(table, tuple(comps), tuple(barred), V.parity)
+        coefficients.append(total)
+    return VectorFieldPTM(table, tuple(coefficients), V.parity)
 
 
 class NaturalityReport:

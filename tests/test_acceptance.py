@@ -238,8 +238,7 @@ def test_05_metric_axioms_and_nondegeneracy():
             f = parse_graded(f"{spec.chart.coords[0]}^2", table)
             fX_plus_Z = VectorFieldPTM(
                 table,
-                tuple(gmul(f, c) + d for c, d in zip(X.components, Z.components)),
-                tuple(gmul(f, c) + d for c, d in zip(X.barred, Z.barred)),
+                tuple(gmul(f, c) + d for c, d in zip(X.coefficients, Z.coefficients)),
                 X.parity,
             )
             lhs = pairing_via_lift(fX_plus_Z, Y, lift)

@@ -33,9 +33,7 @@ SEED = 7130
 
 
 def _fields_agree(U, V):
-    return residual_outcome(
-        "U = V", U.components + U.barred, V.components + V.barred, OracleConfig()
-    ).holds
+    return residual_outcome("U = V", U.coefficients, V.coefficients, OracleConfig()).holds
 
 
 def _p(text):
@@ -108,7 +106,7 @@ def test_d_squares_to_zero_as_a_field():
     ch = polar()[0].chart
     d = de_rham(ch)
     dd = super_commutator(d, d)
-    for res in list(dd.components) + list(dd.barred):
+    for res in dd.coefficients:
         assert res.is_zero(), "[d,d] should vanish identically"
 
 
@@ -256,8 +254,6 @@ def test_residuals_report_actual_failures():
     X = VectorFieldM(ch, (_p("y"), _p("0")))
     # L_X and i_X differ; the outcome must fail and show the residuals
     LX, iX = lie_derivative(X), interior(X)
-    outcome = residual_outcome(
-        "L_X = i_X", LX.components + LX.barred, iX.components + iX.barred, OracleConfig()
-    )
+    outcome = residual_outcome("L_X = i_X", LX.coefficients, iX.coefficients, OracleConfig())
     assert not outcome.holds
     assert outcome.residual == "y; -y + dy"

@@ -103,6 +103,22 @@ def test_pair_reads_field_files(capsys):
     assert "y*dx - x*y*dy" in out
 
 
+def test_ptm_field_with_a_wrong_parity_coefficient_is_refused(capsys, tmp_path):
+    # an odd field needs odd coefficients of d/dx^a and even ones of d/d(dx^a)
+    for slot, doc in (
+        ("d/d(x)", {"components": ["y", "0"], "barred": ["1", "0"]}),
+        ("d/d(dy)", {"components": ["dx", "0"], "barred": ["1", "dx"]}),
+    ):
+        path = tmp_path / "field.json"
+        path.write_text(json.dumps(dict(doc, kind="ptm", parity="odd")))
+        code, out, err = _run(
+            capsys, "pair", SPECS / "euclidean2.json", "--x", f"raw:{path}", "--y", "deRham"
+        )
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+        assert f"of {slot} has parity" in err, err
+
+
 def test_check_proposition_suite(capsys):
     code, out, _ = _run(
         capsys, "check", SPECS / "misner.json", "--suite", "proposition", "--fields", "2"
@@ -301,12 +317,16 @@ def test_input_errors_exit_2(capsys, tmp_path):
          "omega determinant vanishes"),
         ("christoffel", dict(flat, name="deep", metric=[["(" * 3000 + "1" + ")" * 3000, "0"], one]),
          "deep.metric[0][0]: expression nested too deeply"),
+        # a pole off the centre, on the grid point x = -1 + 5*(1 - -1)/8
+        ("christoffel", dict(flat, name="offpole", metric=[["1/(x - 1/4)^2", "0"], one]),
+         "offpole.metric[0][0] is undefined at the point {'x': 0.25, 'y': 0.0}"),
     ):
         path = tmp_path / f"{doc['name']}.json"
         path.write_text(json.dumps(doc))
         code, _, err = _run(capsys, command, path)
         assert code == 2, where
         assert err.startswith("error:") and where in err, err
+        assert len(err.splitlines()) == 1, err
 
     # out-of-range flags are refused by the parser, which exits 2
     scaling = SPECS / "maps" / "scaling.json"

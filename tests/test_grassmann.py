@@ -133,7 +133,7 @@ def test_parse_graded_expands_around_the_body():
 
 
 def test_tables_must_be_leading_parts_of_each_other():
-    longer = GeneratorTable(T.gens + (("z", EVEN), ("dz", ODD)))
+    longer = GeneratorTable(T + (("z", EVEN), ("dz", ODD)))
     f = _g("x*dx + y*dx*dy")
     assert graded_to_text(extend_to(f, longer)) == graded_to_text(f)
     assert restrict_to(extend_to(f, longer), T).terms == f.terms

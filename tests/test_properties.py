@@ -50,12 +50,10 @@ from supersasaki.symexpr import (
 )
 from supersasaki.symexpr.canonical import (
     Poly,
-    _call_atom,
     _coeffs_in,
     _div_exact,
     _recompose,
     _reduce_pass,
-    _var_atom,
     add_pairs,
     canonicalize,
     diff_pair,
@@ -287,7 +285,7 @@ def test_graded_arithmetic_on_pairs_matches_simplify_of_trees(data):
 # ---------------------------------------------------------------------------
 # Poly: the ring the canonical form computes in
 
-ATOMS = (_var_atom("x"), _var_atom("y"))
+ATOMS = (Var("x"), Var("y"))
 
 
 @st.composite
@@ -344,7 +342,7 @@ def test_univariate_view_recomposes(p):
 )
 def test_reduce_pass_leaves_a_rewrite_free_polynomial_alone(p, func, k):
     # only powers of sin and sqrt atoms are rewritten
-    q = p * Poly.from_atom(_call_atom(func, Var("x")), k) if k else p
+    q = p * Poly.from_atom(Call(func, Var("x")), k) if k else p
     num, den, changed = _reduce_pass(q)
     assert num.terms == q.terms
     assert den == Poly.const(1)
@@ -419,17 +417,13 @@ def test_independent_builds_of_a_tree_are_equal_with_equal_hashes(e):
 @PROPERTY_SETTINGS
 @given(e=TREES, func=st.sampled_from(FUNCTIONS))
 def test_atoms_from_equal_trees_are_equal_with_equal_hashes(e, func):
-    # a monomial finds its atoms by hash and equality of the key tuple
-    a, b = _call_atom(func, _simplified(e)), _call_atom(func, _simplified(_rebuild(e)))
-    assert a == b and hash(a) == hash(b)
-    assert a.expr == b.expr
-
-
-@PROPERTY_SETTINGS
-@given(es=st.lists(TREES, max_size=4), names=st.lists(st.sampled_from(TREE_VARS)))
-def test_atoms_sort_as_their_keys(es, names):
-    atoms = [_call_atom("sin", _simplified(e)) for e in es] + [_var_atom(n) for n in names]
-    assert [tuple(a) for a in sorted(atoms)] == sorted(tuple(a) for a in atoms)
+    # a monomial finds its atoms by hash and equality; the atom of a
+    # function application is its Call node on the canonical argument
+    atom = Call(func, _simplified(e))
+    num, den = to_canonical(Call(func, _rebuild(e)))
+    assert num.terms == {((atom, 1),): 1} and den == Poly.const(1)
+    (stored,) = num.atoms()
+    assert stored == atom and hash(stored) == hash(atom)
 
 
 @TREE_SETTINGS

@@ -1,10 +1,12 @@
 import random
 import time
 
+from supersasaki.cartan import interior
 from supersasaki.geometry import (
     AlmostSymplectic,
     Chart,
     MetricTensor,
+    VectorFieldM,
     christoffel,
 )
 from supersasaki.grassmann import (
@@ -14,10 +16,12 @@ from supersasaki.grassmann import (
     graded_equal,
     graded_to_text,
     parity_of,
+    parse_graded,
 )
 from supersasaki.sasakilift import (
     VectorFieldPTM,
     classical_sasaki,
+    field_operator,
     lift_geometry,
     nabla_dot,
     pairing_closed_form,
@@ -99,7 +103,7 @@ def test_lift_is_even_and_vanishes_on_zero_section():
         # every monomial must carry a velocity generator, odd or even
         velocity = {n for n in lifted.table.names if n.endswith("dot")}
         for mono in lifted.terms:
-            names = {lifted.table.gens[i][0] for i in mono}
+            names = {lifted.table[i][0] for i in mono}
             if names & velocity:
                 continue
             from supersasaki.symexpr import free_vars
@@ -163,6 +167,23 @@ def test_vertical_lift_targets_velocity_slots():
     ops = dict((gen, coeff) for coeff, gen in vertical_lift(X))
     assert set(ops) == {"xdot"}
     assert graded_to_text(ops["xdot"]) == "1"
+
+
+def test_zero_field_lifts_to_the_empty_operator():
+    # bench/run.py's ZeroFieldGuard counts on a zero field lifting to ()
+    g, _ = euclidean2()
+    assert vertical_lift(interior(VectorFieldM(g.chart, (_p("0"), _p("0"))))) == ()
+    # the operator lists the nonzero coefficients in table order
+    table = ptm_table(g.chart)
+    X = VectorFieldPTM(
+        table,
+        tuple(parse_graded(t, table) for t in ("0", "dx", "x", "0")),
+        ODD,
+    )
+    assert [(graded_to_text(c), w) for c, w in field_operator(X)] == [
+        ("dx", "y"),
+        ("x", "dx"),
+    ]
 
 
 def test_vertical_lift_applied_to_the_flat_lift():
@@ -277,8 +298,7 @@ def test_pairing_is_left_linear_over_even_scalars():
         Z = random_field(g.chart, rng.choice((EVEN, ODD)), rng)
         fX_plus_Y = VectorFieldPTM(
             table,
-            tuple(gmul(f, c) + d for c, d in zip(X.components, Y.components)),
-            tuple(gmul(f, c) + d for c, d in zip(X.barred, Y.barred)),
+            tuple(gmul(f, c) + d for c, d in zip(X.coefficients, Y.coefficients)),
             X.parity,
         )
         lhs = pairing_via_lift(fX_plus_Y, Z, lift)
