@@ -6,11 +6,9 @@ odd. A GradedExpr stores, per sorted tuple of odd generator indices, a
 scalar coefficient depending only on the even generator names, kept as its
 canonical (num, den) pair; graded arithmetic works on the pairs with the
 pair operations of symexpr.canonical (add_pairs, mul_pairs,
-sum_of_products, diff_pair, scale_pair), which fall back to the full
-canonical form where a sin or sqrt atom makes the pair depend on the
-route. Products
-pick up the sign of the permutation that sorts the odd factors (counted by
-merge inversions); odd squares vanish. Odd partial derivatives act from
+sum_of_products, diff_pair, scale_pair). Products pick up the sign of
+the permutation that sorts the odd factors (counted by merge
+inversions); odd squares vanish. Odd partial derivatives act from
 the left: differentiating by the generator at position p of a monomial
 costs the sign (-1)^p.
 
@@ -56,7 +54,7 @@ from .symexpr.canonical import (
     sum_of_products,
     to_canonical,
 )
-from .symexpr.expr import FUNCTIONS, _negative_head, derivative_raw
+from .symexpr.expr import FUNCTIONS, _negative_head
 
 EVEN = 0
 ODD = 1
@@ -172,13 +170,10 @@ class GradedExpr:
     pair with a nonzero numerator (a vanishing monomial is absent). `+` and
     `make` sum pairs with `add_pairs`; `gmul` hands the signed products
     that land on a monomial to `sum_of_products`, which cross-cancels and
-    sums them by Henrici's method, or brings their plain sum to canonical
-    form once where a sin or sqrt atom occurs; `scale` uses `mul_pairs`, or
-    `scale_pair` for a constant; the even `partial` uses `diff_pair` and
-    differentiates the printed tree where that declines (a sin or sqrt
-    atom, or a function of the variable); the odd `partial` only moves
-    pairs. `coefficient()` and `body()` print a pair
-    as a tree.
+    sums them by Henrici's method; `scale` uses `mul_pairs`, or
+    `scale_pair` for a constant; the even `partial` uses `diff_pair`; the
+    odd `partial` only moves pairs. `coefficient()` and `body()` print a
+    pair as a tree.
     """
 
     __slots__ = ("table", "terms")
@@ -327,10 +322,7 @@ def partial(f: GradedExpr, name: str) -> GradedExpr:
     the left; even generators differentiate the coefficients."""
     idx = f.table.index(name)
     if f.table[idx][1] == EVEN:
-        derivs = (
-            (m, diff_pair(pair, name) or to_canonical(derivative_raw(f.coefficient(m), name)))
-            for m, pair in f.terms.items()
-        )
+        derivs = ((m, diff_pair(pair, name)) for m, pair in f.terms.items())
         return GradedExpr(f.table, _drop_zeros(derivs))
     out = {}
     for mono, (n, d) in f.terms.items():

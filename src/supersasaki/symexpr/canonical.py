@@ -7,16 +7,18 @@ canonical arguments), with:
   * monomial rewrites applied to a fixed point:
       sin(u)^(2k+r) -> (1 - cos(u)^2)^k * sin(u)^r
       sqrt(u)^(2k+r) -> u^k * sqrt(u)^r
+  * each sin or sqrt atom s cleared from a denominator d0 + d1*s,
+    outermost first, by multiplying num and den by d0 - d1*s; an atom whose
+    norm d0^2 - d1^2*s^2 rewrites to zero, as for sqrt(x^2) - x, stays,
   * the gcd of num and den cancelled (primitive PRS over the integers),
   * the pair primitive: integer coefficients with joint content 1, and the
     denominator's leading coefficient (under graded lex) positive.
 
-Identical pairs mean equal expressions, and a pair is zero exactly when its
-expression is. The converse fails where sqrt or sin atoms meet a
-denominator: 1/sqrt(x^2 + 2) and sqrt(x^2 + 2)/(x^2 + 2) keep different
-pairs, and only the oracle's sampling tier finds them equal. Coefficients
-are Python ints throughout; a rational constant p/q enters as the pair
-(p, q), and the denominator is made monic only when a pair is printed.
+A pair is zero exactly when its expression is, and equal values have
+identical pairs except for dependent sqrt arguments (sqrt(2)*sqrt(3) and
+sqrt(6)) and the sqrt of a square, left to the oracle's sampling tier.
+Coefficients are Python ints throughout; a rational constant p/q enters as
+the pair (p, q), and the denominator is made monic only when printed.
 An atom is an expression node: a variable's Var, or a function application's
 Call on its canonical argument tree. Nodes are tagged tuples, so atoms
 compare, hash and sort as plain tuples: applications before variables,
@@ -31,10 +33,9 @@ sums by Henrici's method (only gcd(d1, d2) can cancel), mul_pairs cancels
 gcd(n1, d2) and gcd(n2, d1), sum_of_products sums signed products so
 formed, diff_pair applies the quotient rule (only gcd(d, d') can cancel),
 and scale_pair by a constant fixes only the integer content. Each gives
-the pair canonicalize gives for the unreduced result. Where a sin or sqrt
-atom could meet a rewrite, that pair depends on the route, so add_pairs,
-mul_pairs and sum_of_products take canonicalize on the unreduced result
-(sum_of_products once, on the whole sum) and diff_pair declines.
+the pair canonicalize gives for the unreduced result; a result that holds
+a sin^2 or sqrt^2 power, such as the product of two numerators with the
+same sqrt atom, is passed through canonicalize.
 """
 
 from __future__ import annotations
@@ -335,6 +336,12 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         return _positive_lead(a)
     if a.is_const() or b.is_const():
         return Poly.const(math.gcd(_int_content(a), _int_content(b)))
+    one_sided = a.atoms() ^ b.atoms()
+    if one_sided:
+        # a common divisor is free of v, so it divides each coefficient in v
+        v = min(one_sided)
+        p, q = (a, b) if v in a.atoms() else (b, a)
+        return _fold_gcd([q, *_coeffs_in(p, v).values()])
     v = min(a.atoms() | b.atoms())
     A = _coeffs_in(a, v)
     B = _coeffs_in(b, v)
@@ -408,14 +415,31 @@ def _reduce_pass(p: Poly) -> tuple[Poly, Poly, bool]:
 # ---------------------------------------------------------------------------
 # canonical pair
 
-def canonicalize(num: Poly, den: Poly) -> tuple[Poly, Poly]:
+def _rewrite(num: Poly, den: Poly) -> tuple[Poly, Poly]:
+    """num/den with the monomial rewrites applied to a fixed point."""
     while True:
         nn, nd, ch1 = _reduce_pass(num)
         dn, dd, ch2 = _reduce_pass(den)
         if not (ch1 or ch2):
+            return num, den
+        num, den = nn * dd, nd * dn
+
+
+def canonicalize(num: Poly, den: Poly) -> tuple[Poly, Poly]:
+    num, den = _rewrite(num, den)
+    tried: set[Expr] = set()
+    while True:
+        # sin and sqrt atoms, outermost first: a nested atom prints shorter
+        left = [a for a in den.atoms() - tried if _is_reducible(a, 2)]
+        if not left:
             break
-        num = nn * dd
-        den = nd * dn
+        s = max(left, key=lambda a: (len(to_text(a)), a))
+        tried.add(s)
+        parts = _coeffs_in(den, s)
+        conj = parts.get(0, Poly.zero()) - parts[1] * Poly.from_atom(s)
+        cleared = _rewrite(num * conj, den * conj)
+        if not cleared[1].is_zero():
+            num, den = cleared
     if num.is_zero():
         if den.is_zero():
             raise ZeroDivisionError("0/0 in exact arithmetic")
@@ -430,9 +454,11 @@ def canonicalize(num: Poly, den: Poly) -> tuple[Poly, Poly]:
 
 def _cancel(p: Poly, q: Poly) -> tuple[Poly, Poly]:
     """p and q divided by their gcd; a constant q is left to the integer
-    content step of _primitive_pair."""
+    content step of _primitive_pair, a one-term q shares only a monomial."""
     if q.is_const():
         return p, q
+    if len(q.terms) == 1:
+        return _cancel_monomial(p, q)
     g = poly_gcd(p, q)
     if g.is_const():
         return p, q
@@ -461,28 +487,23 @@ def scale_pair(pair: tuple[Poly, Poly], p: int, q: int) -> tuple[Poly, Poly]:
 #
 # Both operands are reduced, so only known factors can cancel (Henrici's
 # method; Knuth, TAOCP vol. 2, 4.5.1). Each result is coprime with a
-# positive leading denominator coefficient, so it is the pair canonicalize
-# gives wherever no sin^2/sqrt^2 rewrite can fire.
+# positive leading denominator coefficient, and _settled passes one that
+# holds a sin^2 or sqrt^2 power through canonicalize.
 
 _ZERO_PAIR = (Poly.zero(), _POLY_ONE)
 
 
-def _has_sin_or_sqrt(p: Poly) -> bool:
-    return any(atom[0] == "f" and atom[1] in ("sin", "sqrt") for atom in p.atoms())
+def _settled(pair: tuple[Poly, Poly]) -> tuple[Poly, Poly]:
+    if any(_is_reducible(atom, e) for p in pair for m in p.terms for atom, e in m):
+        return canonicalize(*pair)
+    return pair
 
 
 def add_pairs(a: tuple[Poly, Poly], b: tuple[Poly, Poly]) -> tuple[Poly, Poly]:
-    """The canonical pair of a + b for canonical pairs a, b: Henrici's sum,
-    or canonicalize of the unreduced sum where a denominator has a sin or
-    sqrt atom."""
-    if _has_sin_or_sqrt(a[1]) or _has_sin_or_sqrt(b[1]):
-        return canonicalize(*rat_add(a, b))
-    return _henrici_sum(a, b)
-
-
-def _henrici_sum(a: tuple[Poly, Poly], b: tuple[Poly, Poly]) -> tuple[Poly, Poly]:
-    """With g = gcd(d1, d2) and e_i = d_i/g, a + b is (n1 e2 + n2 e1)/(e1 e2 g),
-    and only a common factor of the new numerator with g can cancel."""
+    """The canonical pair of a + b for canonical pairs a, b by Henrici's
+    sum: with g = gcd(d1, d2) and e_i = d_i/g, a + b is
+    (n1 e2 + n2 e1)/(e1 e2 g), and only a common factor of the new
+    numerator with g can cancel."""
     (n1, d1), (n2, d2) = a, b
     if d1 == d2:
         num, g, den = n1 + n2, d1, _POLY_ONE
@@ -493,7 +514,7 @@ def _henrici_sum(a: tuple[Poly, Poly], b: tuple[Poly, Poly]) -> tuple[Poly, Poly
     if num.is_zero():
         return _ZERO_PAIR
     num, g = _cancel(num, g)
-    return _primitive_pair(num, den * g)
+    return _settled(_primitive_pair(num, den * g))
 
 
 def mul_pairs(a: tuple[Poly, Poly], b: tuple[Poly, Poly]) -> tuple[Poly, Poly]:
@@ -508,24 +529,15 @@ def sum_of_products(
     pieces: list[tuple[int, tuple[Poly, Poly], tuple[Poly, Poly]]],
 ) -> tuple[Poly, Poly]:
     """The canonical pair of the sum of sign * a * b over (sign, a, b), for
-    a sign of +1 or -1 and nonzero canonical pairs a, b: the pair
-    canonicalize gives for the unreduced products summed in order with
-    rat_add. Where any of the pairs has a sin or sqrt atom, that pair
-    depends on the route, so it is computed that way. Otherwise only
-    gcd(n1, d2) and gcd(n2, d1) can cancel from a product, and the
-    products are summed by Henrici's method."""
-    if any(_has_sin_or_sqrt(p) for _, a, b in pieces for p in a + b):
-        total = None
-        for sign, (n1, d1), (n2, d2) in pieces:
-            piece = ((n1 * n2).scale(sign), d1 * d2)
-            total = piece if total is None else rat_add(total, piece)
-        return canonicalize(*total)
+    a sign of +1 or -1 and nonzero canonical pairs a, b. Only gcd(n1, d2)
+    and gcd(n2, d1) can cancel from a product, and the products are summed
+    by Henrici's method."""
     total = None
     for sign, (n1, d1), (n2, d2) in pieces:
         n1, d2 = _cancel(n1, d2)
         n2, d1 = _cancel(n2, d1)
-        piece = _primitive_pair((n1 * n2).scale(sign), d1 * d2)
-        total = piece if total is None else _henrici_sum(total, piece)
+        piece = _settled(_primitive_pair((n1 * n2).scale(sign), d1 * d2))
+        total = piece if total is None else add_pairs(total, piece)
     return total
 
 
@@ -541,19 +553,19 @@ def _poly_diff(p: Poly, v: Expr) -> Poly:
     return Poly(out)
 
 
-def diff_pair(pair: tuple[Poly, Poly], name: str) -> tuple[Poly, Poly] | None:
-    """The canonical pair of d(n/d)/d(name) by the quotient rule, or None
-    where the tree path must decide: a sin or sqrt atom in either
-    polynomial, or a function atom whose argument depends on name. With
-    g = gcd(d, d'), e = d/g, f = d'/g the derivative is (n' e - n f)/(e^2 g),
-    and only a common factor of that numerator with g can cancel."""
+def diff_pair(pair: tuple[Poly, Poly], name: str) -> tuple[Poly, Poly]:
+    """The canonical pair of d(n/d)/d(name): the canonical pair of
+    derivative_raw where a function atom's argument depends on name, else
+    the quotient rule. With g = gcd(d, d'), e = d/g, f = d'/g that is
+    (n' e - n f)/(e^2 g), and only a common factor of its numerator with g
+    can cancel."""
     num, den = pair
-    if _has_sin_or_sqrt(num) or _has_sin_or_sqrt(den):
-        return None
-    for atom in num.atoms() | den.atoms():
+    atoms, v = num.atoms() | den.atoms(), Var(name)
+    for atom in atoms:
         if atom[0] == "f" and name in free_vars(atom.arg):
-            return None
-    v = Var(name)
+            return to_canonical(derivative_raw(pair_to_expr(pair), name))
+    if v not in atoms:
+        return _ZERO_PAIR
     dnum, dden = _poly_diff(num, v), _poly_diff(den, v)
     if dden.is_zero():
         # d is free of name, but gcd(n', d) may still cancel
@@ -565,7 +577,7 @@ def diff_pair(pair: tuple[Poly, Poly], name: str) -> tuple[Poly, Poly] | None:
     if top.is_zero():
         return _ZERO_PAIR
     top, g = _cancel(top, g)
-    return _primitive_pair(top, g * e * e)
+    return _settled(_primitive_pair(top, g * e * e))
 
 
 def _common_mono(p: Poly) -> Monomial:
@@ -701,4 +713,4 @@ def canonical_equal(a: Expr, b: Expr) -> bool:
 
 def differentiate(e: Expr, name: str) -> Expr:
     """Exact partial derivative, returned in canonical form."""
-    return simplify(derivative_raw(e, name))
+    return pair_to_expr(diff_pair(to_canonical(e), name))

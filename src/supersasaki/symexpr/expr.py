@@ -255,15 +255,16 @@ def _render(e: Expr) -> tuple[str, int]:
     if isinstance(e, Call):
         return f"{e.func}({to_text(e.arg)})", _ATOM
     if isinstance(e, Add):
+        # a constant term reparses without parens: the parser folds a/b
         parts: list[str] = []
         for i, t in enumerate(e.terms):
             flipped = None if i == 0 else _negative_head(t)
             if flipped is not None:
-                parts.append(" - " + _child(flipped, _PROD))
+                parts.append(" - " + _term_text(flipped))
             elif i == 0:
                 parts.append(_child(t, _PROD) if isinstance(t, Add) else _render(t)[0])
             else:
-                parts.append(" + " + _child(t, _PROD))
+                parts.append(" + " + _term_text(t))
         return "".join(parts), _SUM
     if isinstance(e, Mul):
         factors = e.factors
@@ -305,6 +306,10 @@ def _starts_negative(e: Expr) -> bool:
     if isinstance(e, Div):
         return _starts_negative(e.num)
     return False
+
+
+def _term_text(e: Expr) -> str:
+    return _render(e)[0] if isinstance(e, Const) else _child(e, _PROD)
 
 
 def _child(e: Expr, minimum: int, force: bool = False) -> str:
@@ -431,7 +436,8 @@ def derivative_raw(e: Expr, name: str) -> Expr:
     if isinstance(e, Var):
         return ONE if e.name == name else ZERO
     if isinstance(e, Add):
-        return Add.of(*(derivative_raw(t, name) for t in e.terms))
+        terms = (derivative_raw(t, name) for t in e.terms)
+        return Add.of(*(t for t in terms if not is_zero_literal(t)))
     if isinstance(e, Mul):
         terms = []
         for i, f in enumerate(e.factors):

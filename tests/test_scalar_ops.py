@@ -98,10 +98,24 @@ def test_sampling_oracle_separates_pythagorean_pair():
 
 
 def test_oracle_equates_the_forms_of_a_sqrt_denominator():
-    # the canonical pair of a sqrt denominator depends on how it was built,
-    # so equality of these two rests on the sampling tier
     assert OracleConfig().equal(_p("1/sqrt(x^2 + 2)"), _p("sqrt(x^2 + 2)/(x^2 + 2)"))
     assert not OracleConfig().equal(_p("1/sqrt(x^2 + 2)"), _p("sqrt(x^2 + 2)/(x^2 + 3)"))
+
+
+def test_sin_and_sqrt_denominators_are_cleared_to_one_pair():
+    assert canonical_equal(_p("1/sqrt(x^2+2)"), _p("sqrt(x^2+2)/(x^2+2)"))
+    assert canonical_equal(_p("(1-cos(x))/sin(x)"), _p("sin(x)/(1+cos(x))"))
+    assert not canonical_equal(_p("1/sqrt(x^2+2)"), _p("sqrt(x^2+2)/(x^2+3)"))
+
+
+def test_dependent_sqrt_arguments_are_left_to_the_sampling_tier():
+    assert not canonical_equal(_p("sqrt(2)*sqrt(3)"), _p("sqrt(6)"))
+    assert OracleConfig().equal(_p("sqrt(2)*sqrt(3)"), _p("sqrt(6)"))
+
+
+def test_a_derivative_keeps_a_sqrt_factor_free_of_the_variable():
+    got = differentiate(_p("sqrt(x^2 + 2)*ydot^2"), "ydot")
+    assert to_text(got) == "2*sqrt(x^2 + 2)*ydot"
 
 
 def test_oracle_config_intervals_avoid_singular_points():
