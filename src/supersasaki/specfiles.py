@@ -93,30 +93,43 @@ def _parse_entry(text: Any, vocabulary: list[str], where: str) -> Expr:
         raise SpecError(f"{where}: expression nested too deeply") from None
 
 
-def _check_on_grid(chart: Chart, key: str, matrix: Matrix) -> None:
+def _value(forms: tuple[Expr, Expr], point: dict[str, float]) -> float:
+    """The value of an entry at point: its written form's, or where that is
+    undefined its canonical form's; EvalError when neither has one."""
+    try:
+        return eval_numeric(forms[0], point)
+    except EvalError:
+        return eval_numeric(forms[1], point)
+
+
+def _check_on_grid(chart: Chart, key: str, written: Matrix, matrix: Matrix) -> None:
     """Refuse chart data the engine cannot use on the sample domain: an
     entry undefined at a grid point, or a matrix singular at the centre.
     The grid is the centre, the 2^n corners, and the 9 points
-    lo + k(hi - lo)/8 along each axis through the centre."""
+    lo + k(hi - lo)/8 along each axis through the centre. An entry is
+    undefined only where both its written and its canonical form are:
+    cancelling can remove a pole (x^2/x), and clearing a sin or sqrt from
+    a denominator can add a removable one ((sqrt(x^2 + 1) - 1)/x^2)."""
     boxes = chart.intervals
     centre = {c: (lo + hi) / 2 for c, (lo, hi) in boxes.items()}
     grid = [centre]
     grid += [dict(zip(boxes, corner)) for corner in itertools.product(*boxes.values())]
     for c, (lo, hi) in boxes.items():
         grid += [{**centre, c: lo + k * (hi - lo) / 8} for k in range(9)]
-    for i, row in enumerate(matrix):
-        for j, e in enumerate(row):
+    entries = [list(zip(*rows)) for rows in zip(written, matrix)]
+    for i, row in enumerate(entries):
+        for j, forms in enumerate(row):
             # a constant is defined everywhere or nowhere
-            for point in (centre,) if isinstance(e, Const) else grid:
+            for point in (centre,) if isinstance(forms[1], Const) else grid:
                 try:
-                    eval_numeric(e, point)
+                    _value(forms, point)
                 except EvalError as exc:
                     raise SpecError(
                         f"{chart.name}.{key}[{i}][{j}] is undefined at the point "
                         f"{point} of sample_domain: {exc}"
                     ) from None
     try:
-        invert_numeric([[eval_numeric(e, centre) for e in row] for row in matrix])
+        invert_numeric([[_value(forms, centre) for forms in row] for row in entries])
     except GeometryError:
         raise SpecError(
             f"geometry {chart.name!r}: {key} determinant vanishes at the centre "
@@ -212,11 +225,12 @@ def load_geometry(
             for i, row in enumerate(rows)
         )
 
+    written = load_matrix("metric")
     try:
-        metric = MetricTensor(chart, load_matrix("metric"))
+        metric = MetricTensor(chart, written)
     except GeometryError as exc:
         raise SpecError(f"geometry {name!r}: {exc}") from exc
-    _check_on_grid(chart, "metric", metric.matrix)
+    _check_on_grid(chart, "metric", written, metric.matrix)
 
     omega = None
     if "omega" in doc:
@@ -224,11 +238,12 @@ def load_geometry(
             raise SpecError(
                 f"geometry {name!r}: a two-form needs an even number of coordinates"
             )
+        written = load_matrix("omega")
         try:
-            omega = AlmostSymplectic(chart, load_matrix("omega"))
+            omega = AlmostSymplectic(chart, written)
         except GeometryError as exc:
             raise SpecError(f"geometry {name!r}: {exc}") from exc
-        _check_on_grid(chart, "omega", omega.matrix)
+        _check_on_grid(chart, "omega", written, omega.matrix)
 
     notes = doc.get("notes", "")
     if not isinstance(notes, str):

@@ -10,7 +10,8 @@ canonical arguments), with:
   * each sin or sqrt atom s cleared from a denominator d0 + d1*s,
     outermost first, by multiplying num and den by d0 - d1*s; an atom whose
     norm d0^2 - d1^2*s^2 rewrites to zero, as for sqrt(x^2) - x, stays,
-  * the gcd of num and den cancelled (primitive PRS over the integers),
+  * the gcd of num and den cancelled (primitive PRS over the integers,
+    after images modulo a prime that prove most coprime pairs coprime),
   * the pair primitive: integer coefficients with joint content 1, and the
     denominator's leading coefficient (under graded lex) positive.
 
@@ -31,7 +32,9 @@ pair_to_expr prints one for tree consumers. Pairs combine without the gcd
 of the full product, since both operands are already reduced: add_pairs
 sums by Henrici's method (only gcd(d1, d2) can cancel), mul_pairs cancels
 gcd(n1, d2) and gcd(n2, d1), sum_of_products sums signed products so
-formed, diff_pair applies the quotient rule (only gcd(d, d') can cancel),
+formed, diff_pair applies the quotient rule with the chain rule for
+function atoms (only gcd(d, d') and the atom derivatives' denominators
+can cancel),
 and scale_pair by a constant fixes only the integer content. Each gives
 the pair canonicalize gives for the unreduced result; a result that holds
 a sin^2 or sqrt^2 power, such as the product of two numerators with the
@@ -55,7 +58,6 @@ from .expr import (
     Pow,
     Var,
     ZERO,
-    derivative_raw,
     free_vars,
     to_text,
 )
@@ -327,6 +329,55 @@ def _primitive_view(R: dict[int, Poly]) -> dict[int, Poly]:
     return {d: _div_exact(p, c) for d, p in R.items()}
 
 
+_PRIME = (1 << 61) - 1
+
+
+def _image(p: Poly, v: Expr, point: dict[Expr, int]) -> list[int]:
+    """p mod _PRIME as a polynomial in v, lowest degree first, with every
+    other atom set to its value in point; its length is deg_v(p) + 1."""
+    out: dict[int, int] = {}
+    for m, c in p.terms.items():
+        deg = 0
+        for atom, e in m:
+            if atom == v:
+                deg = e
+            else:
+                c = c * pow(point[atom], e, _PRIME) % _PRIME
+        out[deg] = (out.get(deg, 0) + c) % _PRIME
+    return [out.get(d, 0) for d in range(max(out) + 1)]
+
+
+def _gcd_degree_mod(a: list[int], b: list[int]) -> int:
+    """Degree of the gcd of two images over GF(_PRIME), a's top nonzero."""
+    while b and b[-1] == 0:
+        b.pop()
+    while b:
+        inv = pow(b[-1], -1, _PRIME)
+        while len(a) >= len(b):
+            f, shift = a[-1] * inv % _PRIME, len(a) - len(b)
+            for i, c in enumerate(b):
+                a[shift + i] = (a[shift + i] - f * c) % _PRIME
+            while a and a[-1] == 0:
+                a.pop()
+        a, b = b, a
+    return len(a) - 1
+
+
+def _coprime(a: Poly, b: Poly) -> bool:
+    """True when images modulo a prime prove gcd(a, b) constant: for each
+    atom v of both, a's leading coefficient in v survives the substitution
+    of fixed values for the other atoms and the images are coprime, so the
+    gcd, whose image divides both, has degree 0 in v. False only means
+    that the test did not decide (Brown's modular gcd, its first step)."""
+    atoms = sorted(a.atoms() | b.atoms())
+    point = {x: pow(3, 64 + k, _PRIME) for k, x in enumerate(atoms)}
+    for v in sorted(a.atoms() & b.atoms()):
+        image = _image(a, v, point)
+        if image[-1] == 0 or _gcd_degree_mod(image, _image(b, v, point)) > 0:
+            return False
+    return True
+
+
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Gcd over the integers: the integer gcd of the contents times the
     primitive gcd, with positive lead."""
@@ -334,14 +385,8 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         return _positive_lead(b)
     if b.is_zero():
         return _positive_lead(a)
-    if a.is_const() or b.is_const():
+    if a.is_const() or b.is_const() or _coprime(a, b):
         return Poly.const(math.gcd(_int_content(a), _int_content(b)))
-    one_sided = a.atoms() ^ b.atoms()
-    if one_sided:
-        # a common divisor is free of v, so it divides each coefficient in v
-        v = min(one_sided)
-        p, q = (a, b) if v in a.atoms() else (b, a)
-        return _fold_gcd([q, *_coeffs_in(p, v).values()])
     v = min(a.atoms() | b.atoms())
     A = _coeffs_in(a, v)
     B = _coeffs_in(b, v)
@@ -542,7 +587,7 @@ def sum_of_products(
 
 
 def _poly_diff(p: Poly, v: Expr) -> Poly:
-    """dp/dv for a variable atom v that no function atom of p depends on."""
+    """The formal partial dp/dv, every other atom held fixed."""
     out: dict[Monomial, int] = {}
     for mono, c in p.terms.items():
         for k, (atom, e) in enumerate(mono):
@@ -553,22 +598,45 @@ def _poly_diff(p: Poly, v: Expr) -> Poly:
     return Poly(out)
 
 
-def diff_pair(pair: tuple[Poly, Poly], name: str) -> tuple[Poly, Poly]:
-    """The canonical pair of d(n/d)/d(name): the canonical pair of
-    derivative_raw where a function atom's argument depends on name, else
-    the quotient rule. With g = gcd(d, d'), e = d/g, f = d'/g that is
-    (n' e - n f)/(e^2 g), and only a common factor of its numerator with g
-    can cancel."""
-    num, den = pair
-    atoms, v = num.atoms() | den.atoms(), Var(name)
-    for atom in atoms:
-        if atom[0] == "f" and name in free_vars(atom.arg):
-            return to_canonical(derivative_raw(pair_to_expr(pair), name))
-    if v not in atoms:
+def _atom_diff(atom: Expr, name: str) -> tuple[Poly, Poly]:
+    """The canonical pair of d(atom)/d(name), by the chain rule."""
+    if atom[0] != "f":
+        return (_POLY_ONE, _POLY_ONE) if atom.name == name else _ZERO_PAIR
+    if name not in free_vars(atom.arg):
         return _ZERO_PAIR
-    dnum, dden = _poly_diff(num, v), _poly_diff(den, v)
+    un, ud = u = to_canonical(atom.arg)
+    if atom.func == "sin":
+        outer = Poly.from_atom(Call("cos", atom.arg)), _POLY_ONE
+    elif atom.func == "cos":
+        outer = Poly.from_atom(Call("sin", atom.arg)).scale(-1), _POLY_ONE
+    elif atom.func == "exp":
+        outer = Poly.from_atom(atom), _POLY_ONE
+    elif atom.func == "ln":
+        outer = canonicalize(ud, un)
+    else:  # sqrt(u)' = u' sqrt(u)/(2u)
+        outer = canonicalize(Poly.from_atom(atom) * ud, un.scale(2))
+    return mul_pairs(outer, diff_pair(u, name))
+
+
+def diff_pair(pair: tuple[Poly, Poly], name: str) -> tuple[Poly, Poly]:
+    """The canonical pair of d(n/d)/d(name). With c the lcm of the atom
+    derivatives' denominators, D = c d/d(name) maps polynomials to
+    polynomials, and with g = gcd(d, Dd), e = d/g, f = Dd/g the derivative
+    is (Dn e - n f)/(c g e^2): only a common factor of its numerator with
+    c or g can cancel."""
+    num, den = pair
+    derivs = [(a, _atom_diff(a, name)) for a in sorted(num.atoms() | den.atoms())]
+    derivs = [(a, da) for a, da in derivs if not da[0].is_zero()]
+    if not derivs:
+        return _ZERO_PAIR
+    c = _POLY_ONE
+    for _, (_, ca) in derivs:
+        c = c * _div_exact(ca, poly_gcd(c, ca))
+    D = [(a, pa * _div_exact(c, ca)) for a, (pa, ca) in derivs]
+    dnum = sum((_poly_diff(num, a) * da for a, da in D), Poly.zero())
+    dden = sum((_poly_diff(den, a) * da for a, da in D), Poly.zero())
     if dden.is_zero():
-        # d is free of name, but gcd(n', d) may still cancel
+        # d is free of name, but gcd(Dn, d) may still cancel
         top, g, e = dnum, den, _POLY_ONE
     else:
         g = poly_gcd(den, dden)
@@ -577,7 +645,8 @@ def diff_pair(pair: tuple[Poly, Poly], name: str) -> tuple[Poly, Poly]:
     if top.is_zero():
         return _ZERO_PAIR
     top, g = _cancel(top, g)
-    return _settled(_primitive_pair(top, g * e * e))
+    top, c = _cancel(top, c)
+    return _settled(_primitive_pair(top, c * g * e * e))
 
 
 def _common_mono(p: Poly) -> Monomial:

@@ -210,10 +210,6 @@ def ln(e: Expr) -> Expr:
     return Call("ln", e)
 
 
-def is_zero_literal(e: Expr) -> bool:
-    return isinstance(e, Const) and e.value == 0
-
-
 # ---------------------------------------------------------------------------
 # printing
 
@@ -416,56 +412,4 @@ def _eval(e: Expr, a: Mapping[str, float]) -> float:
         return _eval(e.num, a) / den
     if isinstance(e, Call):
         return _FUNC_EVAL[e.func](_eval(e.arg, a))
-    raise TypeError(f"not an expression node: {e!r}")
-
-
-_FUNC_DERIVATIVE: dict[str, Callable[[Expr], Expr]] = {
-    # outer derivative of f at u, chain-rule factor applied by the caller
-    "sin": lambda u: Call("cos", u),
-    "cos": lambda u: neg(Call("sin", u)),
-    "exp": lambda u: Call("exp", u),
-    "sqrt": lambda u: Div(ONE, Mul.of(Const(Fraction(2)), Call("sqrt", u))),
-    "ln": lambda u: Div(ONE, u),
-}
-
-
-def derivative_raw(e: Expr, name: str) -> Expr:
-    """Partial derivative as a raw tree; callers simplify."""
-    if isinstance(e, Const):
-        return ZERO
-    if isinstance(e, Var):
-        return ONE if e.name == name else ZERO
-    if isinstance(e, Add):
-        terms = (derivative_raw(t, name) for t in e.terms)
-        return Add.of(*(t for t in terms if not is_zero_literal(t)))
-    if isinstance(e, Mul):
-        terms = []
-        for i, f in enumerate(e.factors):
-            df = derivative_raw(f, name)
-            if is_zero_literal(df):
-                continue
-            rest = e.factors[:i] + e.factors[i + 1 :]
-            terms.append(Mul.of(df, *rest))
-        return Add.of(*terms) if terms else ZERO
-    if isinstance(e, Pow):
-        if e.exponent == 0:
-            return ZERO
-        db = derivative_raw(e.base, name)
-        if is_zero_literal(db):
-            return ZERO
-        return Mul.of(Const(Fraction(e.exponent)), Pow(e.base, e.exponent - 1), db)
-    if isinstance(e, Div):
-        dn = derivative_raw(e.num, name)
-        dd = derivative_raw(e.den, name)
-        if is_zero_literal(dd):
-            return Div(dn, e.den)
-        return Div(
-            Add.of(Mul.of(dn, e.den), neg(Mul.of(e.num, dd))),
-            Pow(e.den, 2),
-        )
-    if isinstance(e, Call):
-        du = derivative_raw(e.arg, name)
-        if is_zero_literal(du):
-            return ZERO
-        return Mul.of(_FUNC_DERIVATIVE[e.func](e.arg), du)
     raise TypeError(f"not an expression node: {e!r}")

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -327,6 +328,22 @@ def test_input_errors_exit_2(capsys, tmp_path):
         assert code == 2, where
         assert err.startswith("error:") and where in err, err
         assert len(err.splitlines()) == 1, err
+
+    # an entry loads where its written or its canonical form is defined:
+    # the canonical forms (sqrt(x^2 + 1) - 1)/x^2 and (1 - sin(x))/cos(x)^2
+    # are 0/0 at the centre (floats give 0.0 at x = pi/2), and x^2/x is
+    # undefined as written at x = 0
+    for doc in (
+        dict(flat, name="rootden", metric=[["1/(1 + sqrt(x^2 + 1))", "0"], one]),
+        dict(flat, name="sinden", metric=[["1/(1 + sin(x))", "0"], one],
+             sample_domain={"x": [0.0, math.pi], "y": [-1.0, 1.0]}),
+        dict(flat, name="cancelled", metric=[["x^2/x + 2", "0"], one]),
+    ):
+        path = tmp_path / f"{doc['name']}.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = _run(capsys, "christoffel", path)
+        assert code == 0, err
+        assert "summary: 3/3 checks pass" in out
 
     # out-of-range flags are refused by the parser, which exits 2
     scaling = SPECS / "maps" / "scaling.json"

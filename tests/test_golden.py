@@ -93,6 +93,20 @@ def _commands():
         ("check", rational, "--suite", "cartan", "--fields", "1"),
         ("check", rational, "--suite", "proposition", "--fields", "2"),
     ]
+    # The first chart with a sin atom in its Christoffel denominators; the
+    # fields of the pair commands put sin(theta) in denominators too.
+    sphere = "specs/sphere.json"
+    cmds += [
+        ("christoffel", sphere),
+        ("sasaki", sphere),
+        ("classical-sasaki", sphere),
+        ("acs", sphere),
+        ("pair", sphere, "--x", "lie:cos(theta)/sin(theta),1", "--y", "interior:1,1/sin(theta)"),
+        ("pair", sphere, "--x", "lie:1/(2+sin(theta)),phi", "--y", "lie:sin(theta),1"),
+        ("pair", sphere, "--x", "lie:0,1/sin(theta)", "--y", "deRham"),
+        ("check", sphere, "--suite", "cartan", "--fields", "1"),
+        ("check", sphere, "--suite", "proposition", "--fields", "1"),
+    ]
     return cmds
 
 
@@ -191,6 +205,15 @@ GOLDEN = {
     'pair specs/rational.json --x lie:1+v,u --y interior:u,1': (0, '0b320477faa30c59f0b4ced7f31632139c6e9e6a9644b149348507a4579591bf'),
     'check specs/rational.json --suite cartan --fields 1': (0, 'ac7499dc30de970ef3822f9f17f3ab8405ce29f3634af96dc17387c112ceeb7b'),
     'check specs/rational.json --suite proposition --fields 2': (0, 'a291f40bc69ad7d8cd8642a9ed5a6164c4969f5ec855c4f1933f37b9beb3b40b'),
+    'christoffel specs/sphere.json': (0, '2aee5dc6e2e9316a9aa57dfdda574152fc962b27f32b7a9708a756328bd85e33'),
+    'sasaki specs/sphere.json': (0, '31dac2a8a035bfa649040e18cefcb655f407cbbafb459caddba0c8e1b4e9ff53'),
+    'classical-sasaki specs/sphere.json': (0, '897eb4738b5a13b6b39e7cee0a0b457bce17a042a5080b29d401339e10f51795'),
+    'acs specs/sphere.json': (0, '0e63dc58c010a44b3298ef19280dc76d14650d81c7e9d490922d2fd36df161ab'),
+    'pair specs/sphere.json --x lie:cos(theta)/sin(theta),1 --y interior:1,1/sin(theta)': (0, 'd9e4ce622679a54f8c15b3993d4d70923ab584e36ee9243856a673cc0f5b22de'),
+    'pair specs/sphere.json --x lie:1/(2+sin(theta)),phi --y lie:sin(theta),1': (0, '32ccb5882121e979acb2b1ec11c07cbc94a04fa6f46dbd5ae508703d0b585522'),
+    'pair specs/sphere.json --x lie:0,1/sin(theta) --y deRham': (0, 'b5f5f270e3c42702e810101055f4075b06031a22231d49185d640d30536eaf02'),
+    'check specs/sphere.json --suite cartan --fields 1': (0, '0216c3095e25fc5837771268082f4d6936c654a9a20dd8ff04874687580b0f5d'),
+    'check specs/sphere.json --suite proposition --fields 1': (0, '1e6e2285fee2955bf1b3b64282ee89f787ae28e083a6ed5ce7ac8c7f3e332ec2'),
 }
 
 

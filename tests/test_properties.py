@@ -6,6 +6,7 @@ substitution."""
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, reject, settings
@@ -48,6 +49,7 @@ from supersasaki.symexpr import (
     simplify,
     to_text,
 )
+from supersasaki.symexpr import canonical
 from supersasaki.symexpr.canonical import (
     Poly,
     _coeffs_in,
@@ -65,7 +67,6 @@ from supersasaki.symexpr.canonical import (
     sum_of_products,
     to_canonical,
 )
-from supersasaki.symexpr.expr import derivative_raw
 from supersasaki.transform import SmoothMap, prolong
 
 PROPERTY_SETTINGS = settings(max_examples=25, derandomize=True, deadline=None)
@@ -308,12 +309,13 @@ ATOMS = (Var("x"), Var("y"))
 
 
 @st.composite
-def polys(draw):
-    """A polynomial in x and y with small integer coefficients."""
+def polys(draw, atoms=ATOMS):
+    """A polynomial in the atoms, x and y by default, with small integer
+    coefficients."""
     total = Poly.zero()
     for _ in range(draw(st.integers(0, 4))):
         term = Poly.const(draw(st.integers(-3, 3)))
-        for atom in ATOMS:
+        for atom in atoms:
             term = term * Poly.from_atom(atom) ** draw(st.integers(0, 2))
         total = total + term
     return total
@@ -344,6 +346,32 @@ def test_poly_gcd_divides_both_arguments(p, q, c):
         assert _div_exact(h, g) * g == h
     if not c.is_zero():
         assert _div_exact(g, c) * c == g
+
+
+def _prs_gcd(a, b):
+    """poly_gcd with the modular test switched off: the PRS alone."""
+    with mock.patch.object(canonical, "_coprime", lambda a, b: False):
+        return poly_gcd(a, b)
+
+
+@PAIR_SETTINGS
+@given(p=polys(ATOMS + (Var("z"),)), q=polys(ATOMS + (Var("z"),)), c=polys(ATOMS))
+def test_modular_test_skips_only_a_prs_that_ends_at_a_constant(p, q, c):
+    # a planted factor c, and sometimes an atom only one side has
+    a, b = c * p, c * q
+    assert poly_gcd(a, b) == _prs_gcd(a, b)
+    if not (a.is_zero() or b.is_zero()) and canonical._coprime(a, b):
+        assert _prs_gcd(a, b).is_const()
+
+
+def test_modular_test_declines_when_a_leading_coefficient_vanishes():
+    # x*(y - y0) + 1 and x are coprime, but at the fixed point y = y0 the
+    # leading coefficient in x is 0, so the PRS decides
+    y0 = pow(3, 65, canonical._PRIME)
+    x, y = (Poly.from_atom(v) for v in ATOMS)
+    a = x * (y - Poly.const(y0)) + Poly.const(1)
+    assert not canonical._coprime(a, x)
+    assert poly_gcd(a, x) == Poly.const(1)
 
 
 @PROPERTY_SETTINGS
@@ -592,10 +620,40 @@ def test_sum_of_products_matches_one_canonicalize_of_the_sum(pieces):
     assert sum_of_products(pieces) == canonicalize(*total)
 
 
+def _tree_derivative(e, name):
+    """d(e)/d(name) as an unsimplified tree, by the textbook rules."""
+
+    def d(f):
+        return _tree_derivative(f, name)
+
+    if isinstance(e, Const):
+        return ZERO
+    if isinstance(e, Var):
+        return ONE if e.name == name else ZERO
+    if isinstance(e, Add):
+        return Add.of(*map(d, e.terms))
+    if isinstance(e, Mul):
+        fs = e.factors
+        return Add.of(*(Mul.of(d(f), *fs[:i], *fs[i + 1 :]) for i, f in enumerate(fs)))
+    if isinstance(e, Pow):
+        return Mul.of(Const(e.exponent), Pow(e.base, e.exponent - 1), d(e.base))
+    if isinstance(e, Div):
+        top = Add.of(Mul.of(d(e.num), e.den), Mul.of(Const(-1), e.num, d(e.den)))
+        return Div(top, Pow(e.den, 2))
+    outer = {
+        "sin": Call("cos", e.arg),
+        "cos": Mul.of(Const(-1), Call("sin", e.arg)),
+        "exp": e,
+        "sqrt": Div(ONE, Mul.of(Const(2), e)),
+        "ln": Div(ONE, e.arg),
+    }[e.func]
+    return Mul.of(outer, d(e.arg))
+
+
 @PAIR_SETTINGS
 @given(p=shared_factor_pairs(), name=st.sampled_from(PAIR_VARS))
 def test_diff_pair_matches_the_tree_path(p, name):
-    assert diff_pair(p, name) == to_canonical(derivative_raw(pair_to_expr(p), name))
+    assert diff_pair(p, name) == to_canonical(_tree_derivative(pair_to_expr(p), name))
 
 
 def test_add_pairs_cancels_the_new_numerator_against_the_shared_factor():

@@ -118,6 +118,17 @@ def test_a_derivative_keeps_a_sqrt_factor_free_of_the_variable():
     assert to_text(got) == "2*sqrt(x^2 + 2)*ydot"
 
 
+def test_a_derivative_over_three_cleared_atoms_finishes():
+    # clearing sin(t), sin(p) and the sqrt gives a 35-term denominator;
+    # the derivative's gcd is 1, which the modular test proves at once
+    e = _p("1/(4 + sin(t) + sin(p) + sqrt(t^2 + 1))")
+    got = differentiate(e, "t")
+    want = _p("-(cos(t) + t/sqrt(t^2 + 1))/(4 + sin(t) + sin(p) + sqrt(t^2 + 1))^2")
+    for t, p in ((0.3, -1.2), (1.1, 0.4), (-2.0, 2.5)):
+        point = {"t": t, "p": p}
+        assert eval_numeric(got, point) == pytest.approx(eval_numeric(want, point), rel=1e-9)
+
+
 def test_oracle_config_intervals_avoid_singular_points():
     cfg = OracleConfig(samples=30, tol=1e-9, seed=SEED, intervals={"r": (0.5, 1.5)})
     assert cfg.equal(_p("ln(r^2)"), _p("2*ln(r)"))
