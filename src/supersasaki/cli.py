@@ -50,6 +50,7 @@ from .geometry import (
     GeometryError,
     VectorFieldM,
     acs_candidate,
+    christoffel,
     christoffel_fd,
     metric_compatibility_residual,
     squares_to_minus_identity,
@@ -196,7 +197,7 @@ def _gamma_label(spec: GeometrySpec, a: int, b: int, c: int) -> str:
 
 def cmd_christoffel(args: argparse.Namespace, spec: GeometrySpec) -> RunReport:
     report = RunReport("christoffel", inputs={"geometry": spec.name})
-    gamma = spec.connection()
+    gamma = christoffel(spec.metric)
     n = spec.chart.dim
     lines = []
     computed: dict[tuple[int, int, int], str] = {}

@@ -6,11 +6,11 @@ odd. A GradedExpr stores, per sorted tuple of odd generator indices, a
 scalar coefficient depending only on the even generator names, kept as its
 canonical (num, den) pair; graded arithmetic works on the pairs with the
 pair operations of symexpr.canonical (add_pairs, mul_pairs,
-sum_of_products, diff_pair, scale_pair). Products pick up the sign of
-the permutation that sorts the odd factors (counted by merge
-inversions); odd squares vanish. Odd partial derivatives act from
-the left: differentiating by the generator at position p of a monomial
-costs the sign (-1)^p.
+sum_of_products, diff_pair), the ones to_canonical folds a tree with.
+Products pick up the sign of the permutation that sorts the odd factors
+(counted by merge inversions); odd squares vanish. Odd partial
+derivatives act from the left: differentiating by the generator at
+position p of a monomial costs the sign (-1)^p.
 
 Substitution is an algebra morphism: even generators go to scalars (the
 prolongation of a chart change sends every even generator to a function of
@@ -45,12 +45,13 @@ from .symexpr import (
     to_text,
 )
 from .symexpr.canonical import (
+    _ONE_PAIR,
+    _ZERO_PAIR,
     Poly,
     add_pairs,
     diff_pair,
     mul_pairs,
     pair_to_expr,
-    scale_pair,
     sum_of_products,
     to_canonical,
 )
@@ -67,8 +68,6 @@ ODD_DERIVATIVE_NOTE = (
 
 Monomial = tuple[int, ...]
 Pair = tuple[Poly, Poly]  # to_canonical output: int num, den; gcd 1, content 1, den lead > 0
-
-_ZERO_PAIR, _ONE_PAIR = (Poly.zero(), Poly.const(1)), (Poly.const(1), Poly.const(1))
 
 
 class GradedError(ValueError):
@@ -170,10 +169,10 @@ class GradedExpr:
     pair with a nonzero numerator (a vanishing monomial is absent). `+` and
     `make` sum pairs with `add_pairs`; `gmul` hands the signed products
     that land on a monomial to `sum_of_products`, which cross-cancels and
-    sums them by Henrici's method; `scale` uses `mul_pairs`, or
-    `scale_pair` for a constant; the even `partial` uses `diff_pair`; the
-    odd `partial` only moves pairs. `coefficient()` and `body()` print a
-    pair as a tree.
+    sums them by Henrici's method; `scale` uses `mul_pairs`, which for a
+    constant changes only the integer content; the even `partial` uses
+    `diff_pair`; the odd `partial` only moves pairs. `coefficient()` and
+    `body()` print a pair as a tree.
     """
 
     __slots__ = ("table", "terms")
@@ -268,17 +267,9 @@ class GradedExpr:
         )
 
     def scale(self, factor: Expr | int | Fraction) -> "GradedExpr":
-        fn, fd = to_canonical(as_expr(factor))
-        if fn.is_zero():
-            return GradedExpr.zero(self.table)
-        if fn.is_const() and fd.is_const():
-            p, q = fn.const_value(), fd.const_value()
-            return GradedExpr(
-                self.table, {m: scale_pair(pair, p, q) for m, pair in self.terms.items()}
-            )
+        c = to_canonical(as_expr(factor))
         return GradedExpr(
-            self.table,
-            _drop_zeros((m, mul_pairs(pair, (fn, fd))) for m, pair in self.terms.items()),
+            self.table, _drop_zeros((m, mul_pairs(pair, c)) for m, pair in self.terms.items())
         )
 
     def __mul__(self, other: "GradedExpr") -> "GradedExpr":

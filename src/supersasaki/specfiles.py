@@ -44,17 +44,15 @@ from typing import Any, Mapping
 from .geometry import (
     AlmostSymplectic,
     Chart,
-    ChristoffelSymbols,
     GeometryError,
     Matrix,
     MetricTensor,
     VectorFieldM,
-    christoffel,
     invert_numeric,
 )
 from .grassmann import EVEN, ODD, GradedError, GradedExpr, parse_graded
 from .sasakilift import VectorFieldPTM, ptm_table
-from .symexpr import Const, EvalError, Expr, ParseError, eval_numeric, parse_expr
+from .symexpr import Const, EvalError, Expr, ParseError, eval_numeric, parse_expr, simplify
 from .transform import SmoothMap
 
 
@@ -86,8 +84,10 @@ def _parse_entry(text: Any, vocabulary: list[str], where: str) -> Expr:
     if not isinstance(text, str):
         raise SpecError(f"{where} must be an expression string, got {text!r}")
     try:
-        return parse_expr(text, vocabulary)
-    except ParseError as exc:
+        tree = parse_expr(text, vocabulary)
+        simplify(tree)  # refuses a zero denominator while the entry has a name
+        return tree
+    except (ParseError, ZeroDivisionError) as exc:
         raise SpecError(f"{where}: {exc}") from exc
     except RecursionError:
         raise SpecError(f"{where}: expression nested too deeply") from None
@@ -169,9 +169,6 @@ class GeometrySpec:
                 f"geometry {self.name!r} declares no two-form; this command needs one"
             )
         return self.omega
-
-    def connection(self) -> ChristoffelSymbols:
-        return christoffel(self.metric)
 
 
 def load_geometry(

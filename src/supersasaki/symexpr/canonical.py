@@ -25,27 +25,30 @@ Call on its canonical argument tree. Nodes are tagged tuples, so atoms
 compare, hash and sort as plain tuples: applications before variables,
 each by name, and applications of one function by their argument trees.
 
-simplify() prints a pair as a tree, a fixed point: simplify(s) == s, and
+to_canonical(e) folds these pair operations over e's children, and
+simplify() prints the pair as a tree, a fixed point: simplify(s) == s, and
 s == ZERO exactly when e is zero, for s = simplify(e). GradedExpr keeps its
 coefficients as pairs; a pair is zero when its numerator is, and
 pair_to_expr prints one for tree consumers. Pairs combine without the gcd
 of the full product, since both operands are already reduced: add_pairs
 sums by Henrici's method (only gcd(d1, d2) can cancel), mul_pairs cancels
-gcd(n1, d2) and gcd(n2, d1), sum_of_products sums signed products so
-formed, diff_pair applies the quotient rule with the chain rule for
-function atoms (only gcd(d, d') and the atom derivatives' denominators
-can cancel),
-and scale_pair by a constant fixes only the integer content. Each gives
+gcd(n1, d2) and gcd(n2, d1), so a constant factor changes only the integer
+content, sum_of_products sums signed products so formed, and diff_pair
+applies the quotient rule with the chain rule for function atoms (only
+gcd(d, d') and the atom derivatives' denominators can cancel). Each gives
 the pair canonicalize gives for the unreduced result; a result that holds
 a sin^2 or sqrt^2 power, such as the product of two numerators with the
-same sqrt atom, is passed through canonicalize.
+same sqrt atom, is passed through canonicalize. Inverting a pair is the
+one step that can put a sin or sqrt atom into a denominator, and the one
+that refuses a zero denominator, except for a product of denominators that
+rewrites to zero, such as (sqrt(x^2) - x)(sqrt(x^2) + x).
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Iterable
 
 from .expr import (
@@ -443,7 +446,7 @@ def _reduce_pass(p: Poly) -> tuple[Poly, Poly, bool]:
                 cos_sq = Poly.from_atom(Call("cos", atom.arg), 2)
                 n_i = n_i * (_POLY_ONE - cos_sq) ** half
             else:  # sqrt
-                an, ad = _walk(atom.arg)
+                an, ad = to_canonical(atom.arg)
                 n_i = n_i * an**half
                 d_i = d_i * ad**half
             if rem:
@@ -485,12 +488,12 @@ def canonicalize(num: Poly, den: Poly) -> tuple[Poly, Poly]:
         cleared = _rewrite(num * conj, den * conj)
         if not cleared[1].is_zero():
             num, den = cleared
-    if num.is_zero():
-        if den.is_zero():
-            raise ZeroDivisionError("0/0 in exact arithmetic")
-        return Poly.zero(), _POLY_ONE
     if den.is_zero():
+        # a product of denominators whose atoms' norms are zero, such as
+        # (sqrt(x^2) - x)(sqrt(x^2) + x), rewrites to zero
         raise ZeroDivisionError("division by an expression that is identically zero")
+    if num.is_zero():
+        return _ZERO_PAIR
     if not den.is_const():
         # strip any common monomial factor, cheap and frequent (powers of r etc.)
         num, den = _cancel(*_cancel_monomial(num, den))
@@ -518,15 +521,6 @@ def _primitive_pair(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     return _div_int(num, k), _div_int(den, k)
 
 
-def scale_pair(pair: tuple[Poly, Poly], p: int, q: int) -> tuple[Poly, Poly]:
-    """The canonical pair of pair * p/q, for a canonical pair and nonzero
-    integers p, q. Numerator and denominator stay coprime and free of
-    rewritable powers, so only the integer content changes: this equals
-    canonicalize(num * p, den * q) without its gcd."""
-    num, den = pair
-    return _primitive_pair(num.scale(p), den.scale(q))
-
-
 # ---------------------------------------------------------------------------
 # arithmetic on canonical pairs
 #
@@ -535,13 +529,25 @@ def scale_pair(pair: tuple[Poly, Poly], p: int, q: int) -> tuple[Poly, Poly]:
 # positive leading denominator coefficient, and _settled passes one that
 # holds a sin^2 or sqrt^2 power through canonicalize.
 
-_ZERO_PAIR = (Poly.zero(), _POLY_ONE)
+_ZERO_PAIR, _ONE_PAIR = (Poly.zero(), _POLY_ONE), (_POLY_ONE, _POLY_ONE)
 
 
 def _settled(pair: tuple[Poly, Poly]) -> tuple[Poly, Poly]:
     if any(_is_reducible(atom, e) for p in pair for m in p.terms for atom, e in m):
         return canonicalize(*pair)
     return pair
+
+
+def _inverse(pair: tuple[Poly, Poly]) -> tuple[Poly, Poly]:
+    """The canonical pair of 1/pair: the one place a new denominator can
+    hold a sin or sqrt atom to clear, and the one that refuses a zero
+    pair."""
+    num, den = pair
+    if num.is_zero():
+        raise ZeroDivisionError("division by an expression that is identically zero")
+    if any(_is_reducible(atom, 2) for atom in num.atoms()):
+        return canonicalize(den, num)
+    return _primitive_pair(den, num)
 
 
 def add_pairs(a: tuple[Poly, Poly], b: tuple[Poly, Poly]) -> tuple[Poly, Poly]:
@@ -601,10 +607,10 @@ def _poly_diff(p: Poly, v: Expr) -> Poly:
 def _atom_diff(atom: Expr, name: str) -> tuple[Poly, Poly]:
     """The canonical pair of d(atom)/d(name), by the chain rule."""
     if atom[0] != "f":
-        return (_POLY_ONE, _POLY_ONE) if atom.name == name else _ZERO_PAIR
+        return _ONE_PAIR if atom.name == name else _ZERO_PAIR
     if name not in free_vars(atom.arg):
         return _ZERO_PAIR
-    un, ud = u = to_canonical(atom.arg)
+    u = to_canonical(atom.arg)
     if atom.func == "sin":
         outer = Poly.from_atom(Call("cos", atom.arg)), _POLY_ONE
     elif atom.func == "cos":
@@ -612,9 +618,9 @@ def _atom_diff(atom: Expr, name: str) -> tuple[Poly, Poly]:
     elif atom.func == "exp":
         outer = Poly.from_atom(atom), _POLY_ONE
     elif atom.func == "ln":
-        outer = canonicalize(ud, un)
+        outer = _inverse(u)
     else:  # sqrt(u)' = u' sqrt(u)/(2u)
-        outer = canonicalize(Poly.from_atom(atom) * ud, un.scale(2))
+        outer = mul_pairs((Poly.from_atom(atom), Poly.const(2)), _inverse(u))
     return mul_pairs(outer, diff_pair(u, name))
 
 
@@ -688,41 +694,6 @@ def _cancel_monomial(num: Poly, den: Poly) -> tuple[Poly, Poly]:
 # ---------------------------------------------------------------------------
 # expression tree <-> canonical pair
 
-def _walk(e: Expr) -> tuple[Poly, Poly]:
-    if isinstance(e, Const):
-        return Poly.const(e.value.numerator), Poly.const(e.value.denominator)
-    if isinstance(e, Var):
-        return Poly.from_atom(e), _POLY_ONE
-    if isinstance(e, Add):
-        pair = Poly.zero(), _POLY_ONE
-        for t in e.terms:
-            pair = rat_add(pair, _walk(t))
-        return pair
-    if isinstance(e, Mul):
-        num, den = _POLY_ONE, _POLY_ONE
-        for f in e.factors:
-            fn, fd = _walk(f)
-            num = num * fn
-            den = den * fd
-        return num, den
-    if isinstance(e, Pow):
-        bn, bd = _walk(e.base)
-        k = e.exponent
-        if k >= 0:
-            return bn**k, bd**k
-        if bn.is_zero():
-            raise ZeroDivisionError("negative power of zero")
-        return bd ** (-k), bn ** (-k)
-    if isinstance(e, Div):
-        nn, nd = _walk(e.num)
-        dn, dd = _walk(e.den)
-        return nn * dd, nd * dn
-    if isinstance(e, Call):
-        arg_tree = pair_to_expr(canonicalize(*_walk(e.arg)))
-        return Poly.from_atom(Call(e.func, arg_tree)), _POLY_ONE
-    raise TypeError(f"not an expression node: {e!r}")
-
-
 def _poly_to_expr(p: Poly, lc: int = 1) -> Expr:
     """p / lc as a tree, the one place a Fraction is made."""
     if p.is_zero():
@@ -753,7 +724,26 @@ def pair_to_expr(pair: tuple[Poly, Poly]) -> Expr:
 
 @lru_cache(maxsize=8192)
 def to_canonical(e: Expr) -> tuple[Poly, Poly]:
-    return canonicalize(*_walk(e))
+    """The canonical pair of e, folded from its children's pairs by the
+    pair operations."""
+    if isinstance(e, Const):
+        return Poly.const(e.value.numerator), Poly.const(e.value.denominator)
+    if isinstance(e, Var):
+        return Poly.from_atom(e), _POLY_ONE
+    if isinstance(e, Add):
+        return reduce(add_pairs, map(to_canonical, e.terms))
+    if isinstance(e, Mul):
+        return reduce(mul_pairs, map(to_canonical, e.factors))
+    if isinstance(e, Div):
+        return mul_pairs(to_canonical(e.num), _inverse(to_canonical(e.den)))
+    if isinstance(e, Pow):
+        base, k = to_canonical(e.base), e.exponent
+        num, den = base if k >= 0 else _inverse(base)
+        # a power of a coprime pair stays coprime
+        return _settled((num ** abs(k), den ** abs(k)))
+    if isinstance(e, Call):
+        return Poly.from_atom(Call(e.func, simplify(e.arg))), _POLY_ONE
+    raise TypeError(f"not an expression node: {e!r}")
 
 
 def simplify(e: Expr) -> Expr:

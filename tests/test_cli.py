@@ -321,6 +321,13 @@ def test_input_errors_exit_2(capsys, tmp_path):
         # a pole off the centre, on the grid point x = -1 + 5*(1 - -1)/8
         ("christoffel", dict(flat, name="offpole", metric=[["1/(x - 1/4)^2", "0"], one]),
          "offpole.metric[0][0] is undefined at the point {'x': 0.25, 'y': 0.0}"),
+        # a denominator that is identically zero
+        ("christoffel", dict(flat, name="zeroden", metric=[["1/(x - x)", "0"], one]),
+         "zeroden.metric[0][0]"),
+        ("sasaki", dict(flat, name="nought", metric=[["0/0", "0"], one]),
+         "nought.metric[0][0]"),
+        ("christoffel", dict(flat, name="zeropow", metric=[["(x - x)^-1", "0"], one]),
+         "zeropow.metric[0][0]"),
     ):
         path = tmp_path / f"{doc['name']}.json"
         path.write_text(json.dumps(doc))

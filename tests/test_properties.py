@@ -39,11 +39,13 @@ from supersasaki.symexpr import (
     Call,
     Const,
     Div,
+    EvalError,
     Mul,
     OracleConfig,
     Pow,
     Var,
     differentiate,
+    eval_numeric,
     is_zero_expr,
     parse_expr,
     simplify,
@@ -63,7 +65,6 @@ from supersasaki.symexpr.canonical import (
     pair_to_expr,
     poly_gcd,
     rat_add,
-    scale_pair,
     sum_of_products,
     to_canonical,
 )
@@ -543,7 +544,6 @@ def test_scaling_by_a_constant_matches_canonicalize(data, p, q):
     scaled = f.scale(Const(Fraction(p, q)))
     assert scaled.terms.keys() == f.terms.keys()
     for mono, (num, den) in f.terms.items():
-        assert scale_pair((num, den), p, q) == canonicalize(num.scale(p), den.scale(q))
         assert scaled.terms[mono] == canonicalize(num.scale(p), den.scale(q))
 
 
@@ -620,6 +620,138 @@ def test_sum_of_products_matches_one_canonicalize_of_the_sum(pieces):
     assert sum_of_products(pieces) == canonicalize(*total)
 
 
+def _cross_multiplied(e):
+    """The unreduced pair of e: every denominator in the tree multiplied
+    into one, a function's argument put in canonical form by the same
+    route."""
+    one = Poly.const(1)
+    if isinstance(e, Const):
+        return Poly.const(e.value.numerator), Poly.const(e.value.denominator)
+    if isinstance(e, Var):
+        return Poly.from_atom(e), one
+    if isinstance(e, Add):
+        pair = Poly.zero(), one
+        for t in e.terms:
+            pair = rat_add(pair, _cross_multiplied(t))
+        return pair
+    if isinstance(e, Mul):
+        num, den = one, one
+        for f in e.factors:
+            fn, fd = _cross_multiplied(f)
+            num, den = num * fn, den * fd
+        return num, den
+    if isinstance(e, Pow):
+        bn, bd = _cross_multiplied(e.base)
+        k = e.exponent
+        if k < 0 and bn.is_zero():
+            raise ZeroDivisionError("negative power of zero")
+        return (bn**k, bd**k) if k >= 0 else (bd ** (-k), bn ** (-k))
+    if isinstance(e, Div):
+        nn, nd = _cross_multiplied(e.num)
+        dn, dd = _cross_multiplied(e.den)
+        return nn * dd, nd * dn
+    arg = pair_to_expr(canonicalize(*_cross_multiplied(e.arg)))
+    return Poly.from_atom(Call(e.func, arg)), one
+
+
+def _pair_or_zero_division(route, e):
+    try:
+        return route(e)
+    except ZeroDivisionError:
+        return None
+
+
+ZERO_PROBES = ({"x": 0.5, "y": 1 / 3, "z": 0.25}, {"x": -2 / 3, "y": -0.2, "z": -0.75})
+
+
+def _divides_by_zero(e):
+    """True when the denominator of a quotient or a negative power in e is
+    zero at a probe point where it is defined, or defined at none."""
+    if isinstance(e, (Const, Var)):
+        return False
+    if isinstance(e, Call):
+        return _divides_by_zero(e.arg)
+    den = None
+    if isinstance(e, Div):
+        kids, den = (e.num, e.den), e.den
+    elif isinstance(e, Pow):
+        kids, den = (e.base,), e.base if e.exponent < 0 else None
+    else:
+        kids = e.terms if isinstance(e, Add) else e.factors
+    if den is not None:
+        values = []
+        for point in ZERO_PROBES:
+            try:
+                values.append(eval_numeric(den, point))
+            except EvalError:
+                pass
+        if not values or any(abs(v) < 1e-9 for v in values):
+            return True
+    return any(map(_divides_by_zero, kids))
+
+
+def _trees(calls, max_leaves):
+    """Sums, products, quotients and integer powers of x, y and small
+    constants, and of the trees calls(kids) draws."""
+    return st.recursive(
+        st.one_of(
+            st.sampled_from([Var("x"), Var("y")]),
+            st.builds(lambda n, d: Const(Fraction(n, d)), st.integers(-3, 3), st.integers(1, 3)),
+        ),
+        lambda kids: st.one_of(
+            st.builds(Add.of, kids, kids),
+            st.builds(Mul.of, kids, kids),
+            st.builds(Div, kids, kids),
+            st.builds(Pow, kids, st.integers(-3, 3)),
+            calls(kids),
+        ),
+        max_leaves=max_leaves,
+    )
+
+
+def _calls(kids):
+    return st.builds(Call, st.sampled_from(("sin", "cos", "exp", "ln")), kids)
+
+
+# sqrt(u + z) with u free of z is never the square of a rational function,
+# the case in which equal values can have two canonical pairs
+ROOTS = st.builds(
+    lambda u: Call("sqrt", Add.of(u, Var("z"))), _trees(_calls, max_leaves=4)
+)
+
+# negative powers, quotients by sums that hold sin and sqrt atoms, and
+# calls nested in calls
+FOLD_TREES = _trees(
+    lambda kids: st.one_of(
+        _calls(kids),
+        ROOTS,
+        st.builds(
+            lambda n, a, atom: Div(n, Add.of(a, atom)),
+            kids, kids, st.one_of(st.builds(Call, st.just("sin"), kids), ROOTS),
+        ),
+    ),
+    max_leaves=8,
+)
+
+
+@PAIR_SETTINGS
+@given(e=FOLD_TREES)
+def test_to_canonical_matches_one_canonicalize_of_the_cross_multiplied_pair(e):
+    # folding the pair operations over the tree gives the pair, or the
+    # division by zero, that one canonicalize of the whole product gives
+    def reference(e):
+        return canonicalize(*_cross_multiplied(e))
+
+    folded = _pair_or_zero_division(to_canonical, e)
+    expected = _pair_or_zero_division(reference, e)
+    if folded is None and expected is not None:
+        # the fold refuses every zero denominator, where cross multiplying
+        # can hide one: x/(x/0) came out as 0 and (x/0)^0 as 1
+        assert _divides_by_zero(e)
+    else:
+        assert folded == expected
+
+
 def _tree_derivative(e, name):
     """d(e)/d(name) as an unsimplified tree, by the textbook rules."""
 
@@ -673,6 +805,20 @@ def test_an_atom_whose_norm_is_zero_stays_in_the_denominator():
     # conjugate cannot clear sqrt(x^2)
     den = Poly.from_atom(Call("sqrt", Pow(Var("x"), 2))) - _poly("x")
     assert _pair("1/(sqrt(x^2) - x)") == (Poly.const(1), den)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "1/(sqrt(x^2) - x) * 1/(sqrt(x^2) + x)",
+        "(sqrt(x^2) - x)/(sqrt(y^2) - y) * ((sqrt(x^2) + x)/(sqrt(y^2) + y))",
+    ],
+)
+def test_a_product_of_denominators_that_rewrites_to_zero_is_refused(text):
+    # each factor's denominator is nonzero, and stays because its conjugate
+    # would make it zero; their product rewrites to zero
+    with pytest.raises(ZeroDivisionError, match="identically zero"):
+        _pair(text)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from supersasaki.geometry import christoffel
 from supersasaki.grassmann import EVEN, ODD
 from supersasaki.specfiles import (
     SpecError,
@@ -30,7 +31,7 @@ def test_load_geometry_happy_path(tmp_path):
     assert spec.chart.intervals["u"] == (-1.0, 1.0)
     assert canonical_equal(spec.metric.matrix[1][1], parse_expr("1 + u^2"))
     assert spec.omega is not None
-    gamma = spec.connection()
+    gamma = christoffel(spec.metric)
     assert canonical_equal(gamma.entry(1, 0, 1), parse_expr("u/(1 + u^2)"))
 
 
