@@ -67,6 +67,7 @@ from .grassmann import (
 from .report import RunReport, render_structured, render_text
 from .sasakilift import (
     LiftedGeometry,
+    VectorFieldPTM,
     classical_sasaki,
     lift_geometry,
     odd_velocity_name,
@@ -320,7 +321,8 @@ def cmd_acs(args: argparse.Namespace, spec: GeometrySpec) -> RunReport:
 def _parse_field_arg(
     text: str, spec: GeometrySpec, what: str
 ):
-    """FIELD argument -> a ptm vector field (see module docstring)."""
+    """FIELD argument -> a ptm vector field (see module docstring); a bad
+    argument's SpecError names the flag `what`."""
     chart = spec.chart
     if text == "deRham":
         return de_rham(chart), "deRham"
@@ -332,23 +334,17 @@ def _parse_field_arg(
         raise SpecError(
             f"{what}: expected deRham, interior:..., lie:..., or raw:..., got {text!r}"
         )
-    if prefix == "raw":
-        field = load_ptm_field(payload, chart)
-        return field, f"raw field from {payload}"
-    if payload.endswith(".json"):
-        base = load_base_field(payload, chart)
-        label = f"{prefix} of field from {payload}"
-    else:
-        comps = payload.split(",")
-        if len(comps) != chart.dim:
-            raise SpecError(
-                f"{what}: inline components need {chart.dim} comma-separated entries"
-            )
-        base = VectorFieldM(
-            chart,
-            tuple(parse_expr(p.strip(), list(chart.coords)) for p in comps),
-        )
-        label = f"{prefix}({payload})"
+    try:
+        if prefix == "raw":
+            return load_ptm_field(payload, chart), f"raw field from {payload}"
+        if payload.endswith(".json"):
+            base = load_base_field(payload, chart)
+            label = f"{prefix} of field from {payload}"
+        else:
+            base = load_base_field({"components": payload.split(",")}, chart)
+            label = f"{prefix}({payload})"
+    except SpecError as exc:
+        raise SpecError(f"{what}: {exc}") from exc
     return (interior(base) if prefix == "interior" else lie_derivative(base)), label
 
 
@@ -431,7 +427,7 @@ def _suite_invariance(args: argparse.Namespace, spec: GeometrySpec) -> RunReport
     cfg = _config(args, spec)
 
     tchart = lift_n.chart
-    fixed: list[tuple[str, object]] = []
+    fixed: list[tuple[str, VectorFieldPTM]] = []
     frame = vector_field_on_base(
         tchart, tuple(parse_expr("1" if i == 0 else "0", list(tchart.coords)) for i in range(tchart.dim))
     )
@@ -448,16 +444,8 @@ def _suite_invariance(args: argparse.Namespace, spec: GeometrySpec) -> RunReport
     fixed.append(("seeded odd field", random_field(tchart, ODD, rng)))
     fixed.append(("seeded even field", random_field(tchart, EVEN, rng)))
 
-    for i in range(len(fixed)):
-        for j in range(i, len(fixed)):
-            name_i, X = fixed[i]
-            name_j, Y = fixed[j]
-            outcome = pairing_invariance(psi, lift_m, lift_n, X, Y, cfg)
-            report.add(
-                f"<{name_i} | {name_j}> invariant under {psi.name}",
-                outcome.holds,
-                outcome.residual,
-            )
+    for outcome in pairing_invariance(psi, lift_m, lift_n, fixed, cfg):
+        report.add(outcome.name, outcome.holds, outcome.residual)
     return report
 
 

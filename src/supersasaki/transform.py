@@ -2,7 +2,16 @@
 odd tangent bundle and its tangent bundle, transport of the classical
 tensors, and the naturality check for the lifted metric.
 
-A map y = psi(x) prolongs blockwise, with J the Jacobian d y^alpha/d x^a:
+A map y = psi(x) prolongs through two first-order operators over the
+source's tables: the de Rham differential d = dx^a d/dx^a and the tangent
+lift T = udot d/du, summed over the generators u of the source's odd
+tangent bundle (so over x^a and dx^a). Each target generator goes to
+
+    y^alpha      -> y^alpha(x)
+    dy^alpha     -> d(y^alpha(x))
+    wdot         -> T(image of w)    for w = y^alpha and w = dy^alpha
+
+which, with J the Jacobian d y^alpha/d x^a, expands to the blocks
 
     y^alpha      -> y^alpha(x)
     dy^alpha     -> dx^a J[alpha][a]
@@ -10,15 +19,17 @@ A map y = psi(x) prolongs blockwise, with J the Jacobian d y^alpha/d x^a:
     dydot^alpha  -> dxdot^c J[alpha][c] + xdot^b dx^c d2y^alpha/(dx^c dx^b)
 
 Pulling functions back substitutes these images; pulling a vector field
-on the odd tangent bundle back solves the two triangular systems
+X = A^alpha d/dy^alpha + B^alpha d/d(dy^alpha) back solves the two
+triangular systems
 
     J[alpha][a] A'^a = psi*(A^alpha)
-    J[alpha][b] B'^b = psi*(B^alpha) - A'^a dx^c d2y^alpha/(dx^a dx^c)
+    J[alpha][b] B'^b = psi*(B^alpha) - A'(psi* dy^alpha)
 
-with the symbolic inverse Jacobian. The naturality check compares the
-pullback of the target's lifted metric against the source's own lifted
-metric; it vanishes whenever the map is an isometry for the metrics and
-a symplectomorphism for the two-forms.
+with the symbolic inverse Jacobian, where A' = A'^a d/dx^a; the last term
+expands to A'^a dx^c d2y^alpha/(dx^a dx^c). The naturality check compares
+the pullback of the target's lifted metric against the source's own
+lifted metric; it vanishes whenever the map is an isometry for the
+metrics and a symplectomorphism for the two-forms.
 """
 
 from __future__ import annotations
@@ -35,18 +46,12 @@ from .geometry import (
     Matrix,
     matrix_inverse,
 )
-from .grassmann import (
-    GeneratorTable,
-    GradedError,
-    GradedExpr,
-    gmul,
-    gsubstitute,
-)
+from .grassmann import GeneratorTable, GradedError, GradedExpr, gsubstitute
 from .sasakilift import (
     LiftedGeometry,
     VectorFieldPTM,
+    apply_first_order,
     odd_fiber_name,
-    odd_velocity_name,
     pairing_via_lift,
     ptm_table,
     tptm_table,
@@ -138,16 +143,6 @@ def jacobian_inverse(psi: SmoothMap) -> Matrix:
         ) from None
 
 
-def second_derivative(psi: SmoothMap, alpha: int) -> Matrix:
-    """H[b][c] = d2 y^alpha / (d x^b d x^c)."""
-    coords = psi.source.coords
-    row = tuple(differentiate(psi.components[alpha], c) for c in coords)
-    return tuple(
-        tuple(differentiate(row[b], coords[c]) for c in range(len(coords)))
-        for b in range(len(coords))
-    )
-
-
 def compose_scalar(psi: SmoothMap, e: Expr) -> Expr:
     """A scalar in target coordinates, written in source coordinates."""
     return simplify(substitute(e, dict(zip(psi.target.coords, psi.components))))
@@ -155,33 +150,20 @@ def compose_scalar(psi: SmoothMap, e: Expr) -> Expr:
 
 def prolong(psi: SmoothMap, table: GeneratorTable) -> dict[str, GradedExpr]:
     """Images of the target's generators over `table`, the source's odd
-    tangent bundle table (the y and dy blocks) or its tangent bundle table
-    (all four blocks)."""
-    src = psi.source.coords
-    J = jacobian(psi)
-    with_velocities = table == tptm_table(psi.source)
-    n = len(src)
-    xdot = [Var(velocity_name(xc)) for xc in src]
+    tangent bundle table (y and dy) or its tangent bundle table (also every
+    velocity): y -> y(x), dy -> d(y(x)), wdot -> T(image of w)."""
+    d = [(GradedExpr.generator(table, odd_fiber_name(x)), x) for x in psi.source.coords]
     images: dict[str, GradedExpr] = {}
-    for alpha, yc in enumerate(psi.target.coords):
-        images[yc] = GradedExpr.scalar(table, psi.components[alpha])
-        images[odd_fiber_name(yc)] = GradedExpr.linear(
-            table, [(odd_fiber_name(xc), J[alpha][a]) for a, xc in enumerate(src)]
-        )
-        if not with_velocities:
-            continue
-        images[velocity_name(yc)] = GradedExpr.scalar(
-            table, Add.of(*(Mul.of(xdot[b], J[alpha][b]) for b in range(n)))
-        )
-        H = second_derivative(psi, alpha)
-        images[odd_velocity_name(yc)] = GradedExpr.linear(
-            table,
-            [(odd_velocity_name(xc), J[alpha][c]) for c, xc in enumerate(src)]
-            + [
-                (odd_fiber_name(xc), Add.of(*(Mul.of(xdot[b], H[c][b]) for b in range(n))))
-                for c, xc in enumerate(src)
-            ],
-        )
+    for yc, comp in zip(psi.target.coords, psi.components):
+        images[yc] = GradedExpr.scalar(table, comp)
+        images[odd_fiber_name(yc)] = apply_first_order(d, images[yc])
+    if table == tptm_table(psi.source):
+        T = [
+            (GradedExpr.generator(table, velocity_name(u)), u)
+            for u in ptm_table(psi.source).names
+        ]
+        for w, image in list(images.items()):
+            images[velocity_name(w)] = apply_first_order(T, image)
     return images
 
 
@@ -243,10 +225,10 @@ def transform_christoffel(
     + d2 y^alpha/(dx^b dx^c))."""
     if gamma.chart != psi.target:
         raise GeometryError("symbols live on a different chart than the map's target")
+    src = psi.source.coords
     n_src, n_tgt = psi.source.dim, psi.target.dim
     J = jacobian(psi)
     K = jacobian_inverse(psi)
-    H = [second_derivative(psi, alpha) for alpha in range(n_tgt)]
     comp = [
         [
             [compose_scalar(psi, gamma.entry(al, be, ga)) for ga in range(n_tgt)]
@@ -262,7 +244,7 @@ def transform_christoffel(
             for c in range(n_src):
                 terms = []
                 for al in range(n_tgt):
-                    inner = [H[al][b][c]]
+                    inner = [differentiate(J[al][b], src[c])]
                     for be in range(n_tgt):
                         for ga in range(n_tgt):
                             inner.append(
@@ -312,6 +294,17 @@ def is_symplectomorphism(
 # ---------------------------------------------------------------------------
 # vector fields and the naturality of the lift
 
+def _solve(K: Matrix, rhs: Sequence[GradedExpr]) -> list[GradedExpr]:
+    """K . rhs: row a of K contracted with the right-hand sides."""
+    out = []
+    for row in K:
+        total = GradedExpr.zero(rhs[0].table)
+        for k, r in zip(row, rhs):
+            total = total + r.scale(k)
+        out.append(total)
+    return out
+
+
 def field_pullback(psi: SmoothMap, V: VectorFieldPTM) -> VectorFieldPTM:
     """Transport a vector field on the target's odd tangent bundle to the
     source's, solving against the Jacobian (see module docstring)."""
@@ -327,34 +320,17 @@ def field_pullback(psi: SmoothMap, V: VectorFieldPTM) -> VectorFieldPTM:
     K = jacobian_inverse(psi)
     table = ptm_table(psi.source)
     images = prolong(psi, table)
-    pulled_A = [
-        gsubstitute(V.components[al], images, table) for al in range(n_tgt)
-    ]
-    # A'^a first, then B'^b: the pulled field's coefficients in table order
-    coefficients = []
-    for a in range(n_src):
-        total = GradedExpr.zero(table)
-        for al in range(n_tgt):
-            total = total + pulled_A[al].scale(K[a][al])
-        coefficients.append(total)
-    # psi*(B^alpha) - A'^a dx^c d2y^alpha/(dx^a dx^c), one per target index
-    rhs = []
-    for al in range(n_tgt):
-        H = second_derivative(psi, al)
-        r = gsubstitute(V.barred[al], images, table)
-        for a in range(n_src):
-            H_dx = GradedExpr.linear(
-                table,
-                [(odd_fiber_name(xc), H[a][c]) for c, xc in enumerate(psi.source.coords)],
-            )
-            r = r - gmul(coefficients[a], H_dx)
-        rhs.append(r)
-    for b in range(n_src):
-        total = GradedExpr.zero(table)
-        for al in range(n_tgt):
-            total = total + rhs[al].scale(K[b][al])
-        coefficients.append(total)
-    return VectorFieldPTM(table, tuple(coefficients), V.parity)
+    pulled = [gsubstitute(c, images, table) for c in V.coefficients]
+    A = _solve(K, pulled[:n_tgt])
+    op = list(zip(A, psi.source.coords))
+    B = _solve(
+        K,
+        [
+            pulled[n_tgt + al] - apply_first_order(op, images[odd_fiber_name(yc)])
+            for al, yc in enumerate(psi.target.coords)
+        ],
+    )
+    return VectorFieldPTM(table, tuple(A + B), V.parity)
 
 
 class NaturalityReport:
@@ -395,13 +371,24 @@ def pairing_invariance(
     psi: SmoothMap,
     source_lift: LiftedGeometry,
     target_lift: LiftedGeometry,
-    X: VectorFieldPTM,
-    Y: VectorFieldPTM,
+    fields: Sequence[tuple[str, VectorFieldPTM]],
     config: OracleConfig | None = None,
-) -> CheckOutcome:
+) -> tuple[CheckOutcome, ...]:
     """<psi*X | psi*Y> on the source chart against psi*<X|Y> from the
-    target chart, for fields given over the target's odd tangent bundle."""
+    target chart, for every pair X = fields[i], Y = fields[j] with i <= j
+    of (name, field) entries given over the target's odd tangent bundle.
+    Each field is pulled back once."""
     cfg = config or OracleConfig().with_intervals(psi.source.intervals)
-    lhs = pairing_via_lift(field_pullback(psi, X), field_pullback(psi, Y), source_lift)
-    rhs = pullback(psi, pairing_via_lift(X, Y, target_lift))
-    return residual_outcome(f"pairing invariance under {psi.name}", [lhs], [rhs], cfg)
+    pulled = [field_pullback(psi, V) for _, V in fields]
+    out = []
+    for i, (name_i, X) in enumerate(fields):
+        for j in range(i, len(fields)):
+            name_j, Y = fields[j]
+            lhs = pairing_via_lift(pulled[i], pulled[j], source_lift)
+            rhs = pullback(psi, pairing_via_lift(X, Y, target_lift))
+            out.append(
+                residual_outcome(
+                    f"<{name_i} | {name_j}> invariant under {psi.name}", [lhs], [rhs], cfg
+                )
+            )
+    return tuple(out)

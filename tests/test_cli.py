@@ -293,6 +293,17 @@ def test_input_errors_exit_2(capsys, tmp_path):
     )
     assert code == 2
 
+    # inline components are checked as a field file's are, and the error
+    # names the flag and the entry
+    for field, where in (
+        ("lie:1/(x-x),0", "--x: field.components[0]: division by an expression"),
+        ("interior:1,0,y", "--x: base field needs 2 components"),
+    ):
+        code, _, err = _run(capsys, "pair", SPECS / "euclidean2.json", "--x", field, "--y", "deRham")
+        assert code == 2, field
+        assert err.startswith("error:") and where in err, err
+        assert len(err.splitlines()) == 1, err
+
     code, _, err = _run(
         capsys, "check", SPECS / "euclidean2.json", "--suite", "naturality"
     )

@@ -1,6 +1,9 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from supersasaki.geometry import (
     AlmostSymplectic,
@@ -12,15 +15,31 @@ from supersasaki.geometry import (
 from supersasaki.grassmann import (
     ODD,
     EVEN,
+    GradedExpr,
     extend_to,
+    gmul,
     graded_equal,
     graded_to_text,
+    gsubstitute,
     parse_graded,
 )
-from supersasaki.sasakilift import lift_geometry, ptm_table, random_field, tptm_table
+from supersasaki.sasakilift import (
+    lift_geometry,
+    odd_fiber_name,
+    odd_velocity_name,
+    ptm_table,
+    random_field,
+    tptm_table,
+    velocity_name,
+)
 from supersasaki.symexpr import (
+    Add,
+    Const,
+    Mul,
     OracleConfig,
+    Var,
     canonical_equal,
+    differentiate,
     is_zero_expr,
     parse_expr,
     simplify,
@@ -32,6 +51,8 @@ from supersasaki.transform import (
     compose_scalar,
     field_pullback,
     is_isometry,
+    jacobian,
+    jacobian_inverse,
     is_symplectomorphism,
     pairing_invariance,
     prolong,
@@ -154,6 +175,119 @@ def test_prolongation_on_a_line():
     assert graded_equal(images["dydot"], parse_graded("2*x*dxdot + 2*xdot*dx", table))
     assert graded_equal(images["dy"], parse_graded("2*x*dx", table))
     assert graded_equal(images["ydot"], parse_graded("2*x*xdot", table))
+
+
+# The prolongation and the pulled-back field written out by hand from the
+# Jacobian and the second derivatives of the components, as the transform
+# module docstring expands them: the references for d, the tangent lift and
+# the A'(psi* dy) term.
+
+def _hessian(psi, alpha):
+    """H[b][c] = d2 y^alpha / (d x^b d x^c)."""
+    coords = psi.source.coords
+    first = [differentiate(psi.components[alpha], b) for b in coords]
+    return [[differentiate(row, c) for c in coords] for row in first]
+
+
+def _expanded_prolong(psi, table):
+    src = psi.source.coords
+    n = len(src)
+    J = jacobian(psi)
+    xdot = [Var(velocity_name(xc)) for xc in src]
+    images = {}
+    for alpha, yc in enumerate(psi.target.coords):
+        images[yc] = GradedExpr.scalar(table, psi.components[alpha])
+        images[odd_fiber_name(yc)] = GradedExpr.linear(
+            table, [(odd_fiber_name(xc), J[alpha][a]) for a, xc in enumerate(src)]
+        )
+        if table != tptm_table(psi.source):
+            continue
+        images[velocity_name(yc)] = GradedExpr.scalar(
+            table, Add.of(*(Mul.of(xdot[b], J[alpha][b]) for b in range(n)))
+        )
+        H = _hessian(psi, alpha)
+        images[odd_velocity_name(yc)] = GradedExpr.linear(
+            table,
+            [(odd_velocity_name(xc), J[alpha][c]) for c, xc in enumerate(src)]
+            + [
+                (odd_fiber_name(xc), Add.of(*(Mul.of(xdot[b], H[c][b]) for b in range(n))))
+                for c, xc in enumerate(src)
+            ],
+        )
+    return images
+
+
+def _expanded_field_pullback(psi, V):
+    """The pulled-back field's coefficients, A'^a then B'^b."""
+    n = psi.source.dim
+    K = jacobian_inverse(psi)
+    table = ptm_table(psi.source)
+    images = _expanded_prolong(psi, table)
+
+    def solve(rhs):
+        out = []
+        for a in range(n):
+            total = GradedExpr.zero(table)
+            for al in range(n):
+                total = total + rhs[al].scale(K[a][al])
+            out.append(total)
+        return out
+
+    A = solve([gsubstitute(c, images, table) for c in V.components])
+    rhs = []
+    for al in range(n):
+        H = _hessian(psi, al)
+        r = gsubstitute(V.barred[al], images, table)
+        for a in range(n):
+            H_dx = GradedExpr.linear(
+                table,
+                [(odd_fiber_name(xc), H[a][c]) for c, xc in enumerate(psi.source.coords)],
+            )
+            r = r - gmul(A[a], H_dx)
+        rhs.append(r)
+    return A + solve(rhs)
+
+
+SQUARE = Chart(("s", "t"), intervals={"s": (-0.5, 0.5), "t": (-0.5, 0.5)}, name="square")
+NEAR_IDENTITY_TERMS = tuple(
+    _p(t) for t in ("s^2", "s*t", "t^2", "s^3", "s^2*t", "s*t^2", "t^3", "sin(t)", "exp(s)")
+)
+SMALL_COEFFICIENTS = tuple(
+    Const(sign * Fraction(k, d)) for sign in (1, -1) for k, d in ((1, 4), (1, 3), (1, 2), (2, 3), (3, 4))
+)
+
+
+@st.composite
+def near_identity_maps(draw):
+    """(s + p1, t + p2) from [-1/2, 1/2]^2 onto euclidean2, each p_i with
+    one to three terms of size at most 3/4."""
+    comps = []
+    for coord in SQUARE.coords:
+        terms = draw(st.lists(st.sampled_from(NEAR_IDENTITY_TERMS), min_size=1, max_size=3, unique=True))
+        comps.append(
+            Add.of(Var(coord), *(Mul.of(draw(st.sampled_from(SMALL_COEFFICIENTS)), t) for t in terms))
+        )
+    return SmoothMap(SQUARE, euclidean_chart(), tuple(comps), name="near_identity")
+
+
+@settings(max_examples=12, derandomize=True, deadline=None)
+@given(psi=near_identity_maps(), seed=st.integers(0, 10**6))
+def test_prolongation_is_d_and_the_tangent_lift(psi, seed):
+    for table in (ptm_table(SQUARE), tptm_table(SQUARE)):
+        images, expanded = prolong(psi, table), _expanded_prolong(psi, table)
+        assert images.keys() == expanded.keys()
+        for gen, image in expanded.items():
+            assert images[gen].terms == image.terms, gen
+    rng = random.Random(seed)
+    for parity in (EVEN, ODD):
+        V = random_field(psi.target, parity, rng)
+        pulled = field_pullback(psi, V)
+        assert [c.terms for c in pulled.coefficients] == [
+            c.terms for c in _expanded_field_pullback(psi, V)
+        ]
+    gE, omE = euclidean_data()
+    moved = lift_geometry(pullback_metric(psi, gE), pullback_two_form(psi, omE))
+    assert not (pullback(psi, lift_geometry(gE, omE).lifted) - moved.lifted).terms
 
 
 def _compose_maps(outer, inner):
@@ -352,9 +486,38 @@ def test_pairing_invariance_under_chart_change():
         for _ in range(3):
             X = random_field(psi.target, parity, rng)
             Y = random_field(psi.target, rng.choice((EVEN, ODD)), rng)
-            outcome = pairing_invariance(psi, source_lift, target_lift, X, Y, cfg)
-            assert outcome.holds, outcome.residual
+            fields = [("X", X), ("Y", Y)]
+            for outcome in pairing_invariance(psi, source_lift, target_lift, fields, cfg):
+                assert outcome.holds, outcome.residual
     print("pairing invariance holds for sampled fields across the chart change")
+
+
+def test_pairing_invariance_pulls_each_field_back_once(monkeypatch):
+    from supersasaki import transform
+
+    pulled = []
+
+    def counting(psi, V):
+        pulled.append(V)
+        return field_pullback(psi, V)
+
+    monkeypatch.setattr(transform, "field_pullback", counting)
+    psi = rotation()
+    gE, omE = euclidean_data()
+    lift = lift_geometry(gE, omE)
+    cfg = OracleConfig(samples=25, tol=1e-9, seed=SEED).with_intervals(psi.source.intervals)
+    rng = random.Random(SEED)
+    names = ("a", "b", "c")
+    fields = [
+        (name, random_field(psi.target, parity, rng))
+        for name, parity in zip(names, (EVEN, ODD, EVEN))
+    ]
+    outcomes = pairing_invariance(psi, lift, lift, fields, cfg)
+    assert len(pulled) == len(fields)
+    assert [o.name for o in outcomes] == [
+        f"<{x} | {y}> invariant under rotation" for i, x in enumerate(names) for y in names[i:]
+    ]
+    assert all(o.holds for o in outcomes)
 
 
 def test_translation_along_a_symmetry_direction():
