@@ -23,7 +23,6 @@ from typing import Sequence
 
 from .geometry import (
     Chart,
-    Matrix,
     VectorFieldM,
     covariant_derivative,
     vector_commutator,
@@ -33,7 +32,7 @@ from .grassmann import (
     ODD,
     GradedError,
     GradedExpr,
-    gmul,
+    contract,
     graded_equal,
     graded_to_text,
 )
@@ -46,7 +45,7 @@ from .sasakilift import (
     pairing_via_lift,
     ptm_table,
 )
-from .symexpr import Const, OracleConfig, ZERO, differentiate
+from .symexpr import Const, OracleConfig, differentiate
 
 
 def de_rham(chart: Chart) -> VectorFieldPTM:
@@ -149,20 +148,6 @@ def cartan_commutators(
     )
 
 
-def _contract(
-    B: Matrix, U: Sequence[GradedExpr], V: Sequence[GradedExpr]
-) -> GradedExpr:
-    """sum_ab U^a V^b B[b][a], the "X^a Y^b g_ba" layout of the identities
-    below; zero entries of B are skipped."""
-    n = len(B)
-    total = GradedExpr.zero(U[0].table)
-    for a in range(n):
-        for b in range(n):
-            if B[b][a] != ZERO:
-                total = total + gmul(U[a], V[b]).scale(B[b][a])
-    return total
-
-
 def verify_proposition(
     lift: LiftedGeometry,
     X: VectorFieldM,
@@ -200,14 +185,14 @@ def verify_proposition(
     dX, dY = one_forms(X), one_forms(Y)
     zero = GradedExpr.zero(ptm)
     checks = (
-        ("(i) <i_X|i_Y> = omega(X,Y)", pairing_via_lift(iX, iY, lift), _contract(om, Ys, Xs)),
+        ("(i) <i_X|i_Y> = omega(X,Y)", pairing_via_lift(iX, iY, lift), contract(om, Ys, Xs)),
         ("(ii) <i_X|d> = 0", pairing_via_lift(iX, d, lift), zero),
         ("(iii) <d|d> = 0", pairing_via_lift(d, d, lift), zero),
         ("(iv) <L_X|d> = flat(X)", pairing_via_lift(LX, d, lift),
-         _contract(g, Xs, d.components)),
-        ("(v) <L_X|i_Y> = omega(DX,Y)", pairing_via_lift(LX, iY, lift), -_contract(om, dX, Ys)),
+         contract(g, Xs, d.components)),
+        ("(v) <L_X|i_Y> = omega(DX,Y)", pairing_via_lift(LX, iY, lift), -contract(om, dX, Ys)),
         ("(vi) <L_X|L_Y> = g(X,Y) + omega(dxDX,dxDY)",
-         pairing_via_lift(LX, LY, lift), _contract(g, Xs, Ys) + _contract(om, dX, dY)),
+         pairing_via_lift(LX, LY, lift), contract(g, Xs, Ys) + contract(om, dX, dY)),
     )
     return tuple(
         residual_outcome(name, [lhs], [rhs], config) for name, lhs, rhs in checks

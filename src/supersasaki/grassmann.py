@@ -23,7 +23,7 @@ operation is expanded as a finite Taylor series around the body.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .symexpr import (
     Add,
@@ -296,6 +296,21 @@ def gmul(f: GradedExpr, g: GradedExpr) -> GradedExpr:
             if merged is not None:
                 pieces.setdefault(merged, []).append((sign, a, b))
     return GradedExpr(f.table, _drop_zeros((m, sum_of_products(p)) for m, p in pieces.items()))
+
+
+def contract(
+    B: Sequence[Sequence[Expr]], U: Sequence[GradedExpr], V: Sequence[GradedExpr]
+) -> GradedExpr:
+    """sum_ab U^a V^b B[b][a], the "X^a Y^b g_ba" layout of the pairing
+    identities and of a tensor's quadratic form; zero entries of B are
+    skipped."""
+    n = len(B)
+    total = GradedExpr.zero(U[0].table)
+    for a in range(n):
+        for b in range(n):
+            if B[b][a] != ZERO:
+                total = total + gmul(U[a], V[b]).scale(B[b][a])
+    return total
 
 
 def parity_of(f: GradedExpr) -> int | None:

@@ -80,13 +80,10 @@ def velocity_name(coord: str) -> str:
     return coord + "dot"
 
 def odd_velocity_name(coord: str) -> str:
-    return "d" + coord + "dot"
+    return velocity_name(odd_fiber_name(coord))
 
 def classical_fiber_name(coord: str) -> str:
     return "delta_" + coord
-
-def classical_velocity_fiber_name(coord: str) -> str:
-    return "delta_" + coord + "dot"
 
 
 def ptm_table(chart: Chart) -> GeneratorTable:
@@ -96,10 +93,10 @@ def ptm_table(chart: Chart) -> GeneratorTable:
     return GeneratorTable(tuple(gens))
 
 
-def _with_velocities(ptm: GeneratorTable) -> GeneratorTable:
-    """The odd tangent bundle table followed by the velocity w + "dot" of
-    each of its generators w, with w's parity."""
-    return GeneratorTable(ptm + tuple((velocity_name(w), p) for w, p in ptm))
+def _with_velocities(table: GeneratorTable) -> GeneratorTable:
+    """The table followed by the velocity w + "dot" of each of its
+    generators w, with w's parity."""
+    return GeneratorTable(table + tuple((velocity_name(w), p) for w, p in table))
 
 
 def tptm_table(chart: Chart) -> GeneratorTable:
@@ -109,28 +106,24 @@ def tptm_table(chart: Chart) -> GeneratorTable:
 
 
 def classical_table(chart: Chart) -> GeneratorTable:
-    """All-even analogue used by the classical construction."""
-    gens = [(c, EVEN) for c in chart.coords]
-    gens += [(classical_fiber_name(c), EVEN) for c in chart.coords]
-    gens += [(velocity_name(c), EVEN) for c in chart.coords]
-    gens += [(classical_velocity_fiber_name(c), EVEN) for c in chart.coords]
-    return GeneratorTable(tuple(gens))
+    """All-even analogue used by the classical construction: x, delta_x
+    and their velocities."""
+    base = [(c, EVEN) for c in chart.coords]
+    base += [(classical_fiber_name(c), EVEN) for c in chart.coords]
+    return _with_velocities(GeneratorTable(tuple(base)))
 
 
 def _splitting(
-    gamma: ChristoffelSymbols,
-    table: GeneratorTable,
-    fiber: Callable[[str], str],
-    velocity_fiber: Callable[[str], str],
+    gamma: ChristoffelSymbols, table: GeneratorTable, fiber: Callable[[str], str]
 ) -> tuple[GradedExpr, ...]:
-    """F^a = velocity_fiber(x^a) + fiber(x^b) xdot^c Gamma^a_{cb} over
-    `table`, the splitting of both lifts: the fibers are odd generators in
+    """F^a = fiber(x^a)dot + fiber(x^b) xdot^c Gamma^a_{cb} over `table`,
+    the splitting of both lifts: the fibers are odd generators in
     nabla_dot and even ones in classical_sasaki."""
     coords = gamma.chart.coords
     xdot = [Var(velocity_name(c)) for c in coords]
     out = []
     for a, xa in enumerate(coords):
-        F = GradedExpr.generator(table, velocity_fiber(xa))
+        F = GradedExpr.generator(table, velocity_name(fiber(xa)))
         for b, xb in enumerate(coords):
             K = Add.of(*(Mul.of(x, gamma.entry(a, c, b)) for c, x in enumerate(xdot)))
             F = F + GradedExpr.generator(table, fiber(xb)).scale(K)
@@ -141,7 +134,7 @@ def _splitting(
 def nabla_dot(gamma: ChristoffelSymbols) -> tuple[GradedExpr, ...]:
     """Splitting covectors nabla(xdot^a) = dxdot^a + dx^b xdot^c Gamma^a_{cb},
     over the chart's tptm table."""
-    return _splitting(gamma, tptm_table(gamma.chart), odd_fiber_name, odd_velocity_name)
+    return _splitting(gamma, tptm_table(gamma.chart), odd_fiber_name)
 
 
 def _sasaki_form(
@@ -224,9 +217,7 @@ def classical_sasaki(g: MetricTensor) -> GradedExpr:
     the purely even table, with D(xdot)^a = delta_xdot^a + delta_x^b xdot^c
     Gamma^a_{cb} and Gamma the Levi-Civita symbols of g."""
     table = classical_table(g.chart)
-    D = _splitting(
-        christoffel(g), table, classical_fiber_name, classical_velocity_fiber_name
-    )
+    D = _splitting(christoffel(g), table, classical_fiber_name)
     return _sasaki_form(table, g, D, g.matrix)
 
 

@@ -18,9 +18,18 @@ which, with J the Jacobian d y^alpha/d x^a, expands to the blocks
     ydot^alpha   -> xdot^b J[alpha][b]
     dydot^alpha  -> dxdot^c J[alpha][c] + xdot^b dx^c d2y^alpha/(dx^c dx^b)
 
-Pulling functions back substitutes these images; pulling a vector field
-X = A^alpha d/dy^alpha + B^alpha d/d(dy^alpha) back solves the two
-triangular systems
+Pulling a function back substitutes these images (`pullback`), and the
+tensors move the same way, read as functions: the metric as
+xdot^a xdot^b g_ba and the two-form as dx^a dx^b omega_ba, with
+(psi* B)[a][b] = 1/2 d_a d_b psi*(form), which expands to
+J[alpha][a] J[beta][b] B[alpha][beta] o psi. The new Christoffel symbol
+Gamma'^a_{bc} is the coefficient of xdot^b dx^c in the pulled-back
+splitting covectors (J^-1)[a][alpha] psi*(nabla(ydot^alpha)), which
+expands to the inhomogeneous law (J^-1)[a][alpha] (Gamma^alpha_{beta gamma}
+o psi J[beta][b] J[gamma][c] + d2 y^alpha/(dx^b dx^c)).
+
+Pulling a vector field X = A^alpha d/dy^alpha + B^alpha d/d(dy^alpha)
+back solves the two triangular systems
 
     J[alpha][a] A'^a = psi*(A^alpha)
     J[alpha][b] B'^b = psi*(B^alpha) - A'(psi* dy^alpha)
@@ -34,6 +43,7 @@ metrics and a symplectomorphism for the two-forms.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Sequence
 
 from .cartan import CheckOutcome, residual_outcome
@@ -46,11 +56,20 @@ from .geometry import (
     Matrix,
     matrix_inverse,
 )
-from .grassmann import GeneratorTable, GradedError, GradedExpr, gsubstitute
+from .grassmann import (
+    GeneratorTable,
+    GradedError,
+    GradedExpr,
+    contract,
+    graded_equal,
+    gsubstitute,
+    partial,
+)
 from .sasakilift import (
     LiftedGeometry,
     VectorFieldPTM,
     apply_first_order,
+    nabla_dot,
     odd_fiber_name,
     pairing_via_lift,
     ptm_table,
@@ -58,9 +77,8 @@ from .sasakilift import (
     velocity_name,
 )
 from .symexpr import (
-    Add,
+    Const,
     Expr,
-    Mul,
     OracleConfig,
     Var,
     differentiate,
@@ -143,9 +161,15 @@ def jacobian_inverse(psi: SmoothMap) -> Matrix:
         ) from None
 
 
-def compose_scalar(psi: SmoothMap, e: Expr) -> Expr:
-    """A scalar in target coordinates, written in source coordinates."""
-    return simplify(substitute(e, dict(zip(psi.target.coords, psi.components))))
+def _solve(K: Matrix, rhs: Sequence[GradedExpr]) -> list[GradedExpr]:
+    """K . rhs: row a of K contracted with the right-hand sides."""
+    out = []
+    for row in K:
+        total = GradedExpr.zero(rhs[0].table)
+        for k, r in zip(row, rhs):
+            total = total + r.scale(k)
+        out.append(total)
+    return out
 
 
 def prolong(psi: SmoothMap, table: GeneratorTable) -> dict[str, GradedExpr]:
@@ -182,90 +206,68 @@ def pullback(psi: SmoothMap, f: GradedExpr) -> GradedExpr:
 # ---------------------------------------------------------------------------
 # tensor transport
 
-def _pullback_form(
-    psi: SmoothMap, tensor: MetricTensor | AlmostSymplectic, what: str
-) -> Matrix:
-    """(psi* B)[a][b] = J[alpha][a] J[beta][b] B[alpha][beta] o psi, for the
-    matrix B of a tensor on the map's target."""
+def _slots(
+    chart: Chart, tensor: MetricTensor | AlmostSymplectic
+) -> tuple[GeneratorTable, list[str]]:
+    """The table of the tensor's form on `chart` and the generators u^a it
+    is quadratic in: xdot^a for a metric, dx^a for a two-form."""
+    if isinstance(tensor, MetricTensor):
+        return tptm_table(chart), [velocity_name(c) for c in chart.coords]
+    return ptm_table(chart), [odd_fiber_name(c) for c in chart.coords]
+
+
+def _form(tensor: MetricTensor | AlmostSymplectic) -> GradedExpr:
+    """u^a u^b B_ba over the tensor's own chart."""
+    table, slots = _slots(tensor.chart, tensor)
+    U = [GradedExpr.generator(table, u) for u in slots]
+    return contract(tensor.matrix, U, U)
+
+
+def _pulled_form(
+    psi: SmoothMap, tensor: MetricTensor | AlmostSymplectic
+) -> GradedExpr:
+    """psi* of the form of a tensor on the map's target."""
     if tensor.chart != psi.target:
+        what = "metric" if isinstance(tensor, MetricTensor) else "two-form"
         raise GeometryError(f"{what} lives on a different chart than the map's target")
-    matrix = tensor.matrix
-    n_src, n_tgt = psi.source.dim, psi.target.dim
-    J = jacobian(psi)
-    comp = [[compose_scalar(psi, matrix[al][be]) for be in range(n_tgt)] for al in range(n_tgt)]
-    rows = []
-    for a in range(n_src):
-        row = []
-        for b in range(n_src):
-            terms = [
-                Mul.of(J[al][a], J[be][b], comp[al][be])
-                for al in range(n_tgt)
-                for be in range(n_tgt)
-            ]
-            row.append(simplify(Add.of(*terms)))
-        rows.append(tuple(row))
-    return tuple(rows)
+    return pullback(psi, _form(tensor))
+
+
+def _pullback_form(
+    psi: SmoothMap, tensor: MetricTensor | AlmostSymplectic
+) -> Matrix:
+    """(psi* B)[a][b] = 1/2 d_a d_b psi*(form of B), taking d_b first."""
+    f = _pulled_form(psi, tensor)
+    half = Const(Fraction(1, 2))
+    _, slots = _slots(psi.source, tensor)
+    firsts = [partial(f, b) for b in slots]
+    return tuple(tuple(partial(fb, a).scale(half).body() for fb in firsts) for a in slots)
 
 
 def pullback_metric(psi: SmoothMap, g: MetricTensor) -> MetricTensor:
     """(psi* g)[a][b] = J[alpha][a] J[beta][b] g[alpha][beta] o psi."""
-    return MetricTensor(psi.source, _pullback_form(psi, g, "metric"))
+    return MetricTensor(psi.source, _pullback_form(psi, g))
 
 
 def pullback_two_form(psi: SmoothMap, omega: AlmostSymplectic) -> AlmostSymplectic:
     """Same transport law as the metric; antisymmetry survives."""
-    return AlmostSymplectic(psi.source, _pullback_form(psi, omega, "two-form"))
+    return AlmostSymplectic(psi.source, _pullback_form(psi, omega))
 
 
 def transform_christoffel(
     psi: SmoothMap, gamma: ChristoffelSymbols
 ) -> ChristoffelSymbols:
-    """The inhomogeneous law: Gamma'^a_{bc} =
-    (J^-1)[a][alpha] (Gamma^alpha_{beta gamma} o psi J[beta][b] J[gamma][c]
-    + d2 y^alpha/(dx^b dx^c))."""
+    """Gamma'^a_{bc} = the body of d/d(dx^c) d/d(xdot^b) F^a for
+    F = (J^-1) psi*(nabla_dot(gamma)) (see module docstring)."""
     if gamma.chart != psi.target:
         raise GeometryError("symbols live on a different chart than the map's target")
-    src = psi.source.coords
-    n_src, n_tgt = psi.source.dim, psi.target.dim
-    J = jacobian(psi)
-    K = jacobian_inverse(psi)
-    comp = [
-        [
-            [compose_scalar(psi, gamma.entry(al, be, ga)) for ga in range(n_tgt)]
-            for be in range(n_tgt)
-        ]
-        for al in range(n_tgt)
-    ]
-    out = []
-    for a in range(n_src):
-        plane = []
-        for b in range(n_src):
-            row = []
-            for c in range(n_src):
-                terms = []
-                for al in range(n_tgt):
-                    inner = [differentiate(J[al][b], src[c])]
-                    for be in range(n_tgt):
-                        for ga in range(n_tgt):
-                            inner.append(
-                                Mul.of(comp[al][be][ga], J[be][b], J[ga][c])
-                            )
-                    terms.append(Mul.of(K[a][al], Add.of(*inner)))
-                row.append(simplify(Add.of(*terms)))
-            plane.append(tuple(row))
-        out.append(tuple(plane))
-    return ChristoffelSymbols(psi.source, tuple(out))
-
-
-def _componentwise_equal(
-    psi: SmoothMap, pulled: Matrix, source: Matrix, config: OracleConfig | None
-) -> bool:
-    cfg = config or OracleConfig().with_intervals(psi.source.intervals)
-    return all(
-        cfg.equal(pulled[a][b], source[a][b])
-        for a in range(psi.source.dim)
-        for b in range(psi.source.dim)
+    F = _solve(jacobian_inverse(psi), [pullback(psi, nabla) for nabla in nabla_dot(gamma)])
+    xdot = [velocity_name(c) for c in psi.source.coords]
+    dx = [odd_fiber_name(c) for c in psi.source.coords]
+    symbols = tuple(
+        tuple(tuple(partial(partial(Fa, b), c).body() for c in dx) for b in xdot) for Fa in F
     )
+    return ChristoffelSymbols(psi.source, symbols)
 
 
 def is_isometry(
@@ -274,10 +276,10 @@ def is_isometry(
     g_target: MetricTensor,
     config: OracleConfig | None = None,
 ) -> bool:
-    """Does psi* g_target equal g_source, componentwise? The pulled-back
-    matrix is compared as it is, so a degenerate map answers no."""
-    pulled = _pullback_form(psi, g_target, "metric")
-    return _componentwise_equal(psi, pulled, g_source.matrix, config)
+    """Does psi* g_target equal g_source, as forms xdot^a xdot^b g_ba? The
+    pulled-back form is compared as it is, so a degenerate map answers no."""
+    cfg = config or OracleConfig().with_intervals(psi.source.intervals)
+    return graded_equal(_pulled_form(psi, g_target), _form(g_source), cfg)
 
 
 def is_symplectomorphism(
@@ -286,24 +288,13 @@ def is_symplectomorphism(
     omega_target: AlmostSymplectic,
     config: OracleConfig | None = None,
 ) -> bool:
-    """Does psi* omega_target equal omega_source, componentwise?"""
-    pulled = _pullback_form(psi, omega_target, "two-form")
-    return _componentwise_equal(psi, pulled, omega_source.matrix, config)
+    """Does psi* omega_target equal omega_source, as forms dx^a dx^b omega_ba?"""
+    cfg = config or OracleConfig().with_intervals(psi.source.intervals)
+    return graded_equal(_pulled_form(psi, omega_target), _form(omega_source), cfg)
 
 
 # ---------------------------------------------------------------------------
 # vector fields and the naturality of the lift
-
-def _solve(K: Matrix, rhs: Sequence[GradedExpr]) -> list[GradedExpr]:
-    """K . rhs: row a of K contracted with the right-hand sides."""
-    out = []
-    for row in K:
-        total = GradedExpr.zero(rhs[0].table)
-        for k, r in zip(row, rhs):
-            total = total + r.scale(k)
-        out.append(total)
-    return out
-
 
 def field_pullback(psi: SmoothMap, V: VectorFieldPTM) -> VectorFieldPTM:
     """Transport a vector field on the target's odd tangent bundle to the

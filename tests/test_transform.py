@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from supersasaki.geometry import (
     AlmostSymplectic,
     Chart,
+    ChristoffelSymbols,
     GeometryError,
     MetricTensor,
     christoffel,
@@ -45,10 +47,11 @@ from supersasaki.symexpr import (
     simplify,
     substitute,
 )
+from supersasaki.symexpr.canonical import to_canonical
+from supersasaki.specfiles import load_geometry, load_map
 from supersasaki.transform import (
     SmoothMap,
     check_naturality,
-    compose_scalar,
     field_pullback,
     is_isometry,
     jacobian,
@@ -63,6 +66,7 @@ from supersasaki.transform import (
 )
 
 SEED = 90210
+SPECS = Path(__file__).resolve().parents[1] / "specs"
 
 
 def _p(text):
@@ -73,8 +77,8 @@ def euclidean_chart(name="euclidean2"):
     return Chart(("x", "y"), intervals={"x": (-1.0, 1.0), "y": (-1.0, 1.0)}, name=name)
 
 
-def euclidean_data():
-    ch = euclidean_chart()
+def euclidean_data(ch=None):
+    ch = ch or euclidean_chart()
     g = MetricTensor(ch, [[_p("1"), _p("0")], [_p("0"), _p("1")]])
     om = AlmostSymplectic(ch, [[_p("0"), _p("-1")], [_p("1"), _p("0")]])
     return g, om
@@ -290,10 +294,153 @@ def test_prolongation_is_d_and_the_tangent_lift(psi, seed):
     assert not (pullback(psi, lift_geometry(gE, omE).lifted) - moved.lifted).terms
 
 
+# The tensor transport written out by hand from the Jacobian, as the
+# transform module docstring expands it: J^T (B o psi) J for the metric and
+# the two-form, and the inhomogeneous law for the connection. They are the
+# references for moving tensors by `pullback`.
+
+def _expanded_pullback_form(psi, tensor):
+    """(psi* B)[a][b] = J[alpha][a] J[beta][b] B[alpha][beta] o psi."""
+    n_src, n_tgt = psi.source.dim, psi.target.dim
+    J = jacobian(psi)
+    to_source = dict(zip(psi.target.coords, psi.components))
+    B = [[simplify(substitute(e, to_source)) for e in row] for row in tensor.matrix]
+    return tuple(
+        tuple(
+            simplify(
+                Add.of(
+                    *(
+                        Mul.of(J[al][a], J[be][b], B[al][be])
+                        for al in range(n_tgt)
+                        for be in range(n_tgt)
+                    )
+                )
+            )
+            for b in range(n_src)
+        )
+        for a in range(n_src)
+    )
+
+
+def _inhomogeneous_christoffel(psi, gamma):
+    """Gamma'^a_{bc} = (J^-1)[a][alpha] (Gamma^alpha_{beta gamma} o psi
+    J[beta][b] J[gamma][c] + d2 y^alpha/(dx^b dx^c))."""
+    src = psi.source.coords
+    n_src, n_tgt = psi.source.dim, psi.target.dim
+    J = jacobian(psi)
+    K = jacobian_inverse(psi)
+    to_source = dict(zip(psi.target.coords, psi.components))
+    comp = [
+        [
+            [simplify(substitute(gamma.entry(al, be, ga), to_source)) for ga in range(n_tgt)]
+            for be in range(n_tgt)
+        ]
+        for al in range(n_tgt)
+    ]
+    out = []
+    for a in range(n_src):
+        plane = []
+        for b in range(n_src):
+            row = []
+            for c in range(n_src):
+                terms = []
+                for al in range(n_tgt):
+                    inner = [differentiate(J[al][b], src[c])]
+                    for be in range(n_tgt):
+                        for ga in range(n_tgt):
+                            inner.append(Mul.of(comp[al][be][ga], J[be][b], J[ga][c]))
+                    terms.append(Mul.of(K[a][al], Add.of(*inner)))
+                row.append(simplify(Add.of(*terms)))
+            plane.append(tuple(row))
+        out.append(tuple(plane))
+    return ChristoffelSymbols(psi.source, tuple(out))
+
+
+def _eight_maps():
+    """(map, source data, target data): the four shipped maps with their
+    spec data, and four maps from [-1/2, 1/2]^2 with flat source data."""
+    specs = {
+        name: load_geometry(SPECS / f"{name}.json")
+        for name in ("euclidean2", "polar", "misner", "varcoef")
+    }
+
+    def data(name):
+        return specs[name].metric, specs[name].omega
+
+    cases = [
+        (load_map(SPECS / "maps" / f"{name}.json", specs[src], specs[tgt]), data(src), data(tgt))
+        for name, src, tgt in (
+            ("rotation", "euclidean2", "euclidean2"),
+            ("scaling", "euclidean2", "euclidean2"),
+            ("polar_to_cartesian", "polar", "euclidean2"),
+            ("phi_translation", "misner", "misner"),
+        )
+    ]
+    for comps, tgt in (
+        (("s + s*t/3", "t - s^2/5"), "varcoef"),
+        (("sqrt(s + 1)", "exp(t)"), "polar"),
+        (("s/(1 + t)", "t"), "misner"),
+        (("s + t^3", "t - s^2"), "varcoef"),
+    ):
+        psi = SmoothMap(SQUARE, specs[tgt].chart, tuple(map(_p, comps)), name=", ".join(comps))
+        cases.append((psi, euclidean_data(SQUARE), data(tgt)))
+    return tuple(cases)
+
+
+EIGHT_MAPS = _eight_maps()
+
+
+@st.composite
+def transport_cases(draw):
+    """A near-identity map onto the flat euclidean2, or one of the eight
+    maps."""
+    if draw(st.booleans()):
+        return draw(near_identity_maps()), euclidean_data(SQUARE), euclidean_data()
+    return draw(st.sampled_from(EIGHT_MAPS))
+
+
+def _pairs(entries):
+    return [to_canonical(e) for e in entries]
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(case=transport_cases(), from_reference=st.booleans())
+def test_tensors_and_connections_move_by_the_prolongation(case, from_reference):
+    # pullback_metric, pullback_two_form and transform_christoffel give the
+    # references' canonical pairs, and the isometry answers agree with an
+    # entrywise comparison, against source data that is the reference
+    # itself (from_reference) or the source chart's own
+    psi, (g_source, om_source), (g_target, om_target) = case
+    g_ref = _expanded_pullback_form(psi, g_target)
+    om_ref = _expanded_pullback_form(psi, om_target)
+    for moved, ref in (
+        (pullback_metric(psi, g_target).matrix, g_ref),
+        (pullback_two_form(psi, om_target).matrix, om_ref),
+    ):
+        assert [_pairs(row) for row in moved] == [_pairs(row) for row in ref]
+    gamma = christoffel(g_target)
+    moved = transform_christoffel(psi, gamma).gamma
+    ref = _inhomogeneous_christoffel(psi, gamma).gamma
+    assert [[_pairs(row) for row in plane] for plane in moved] == [
+        [_pairs(row) for row in plane] for plane in ref
+    ]
+    if from_reference:
+        g_source = MetricTensor(psi.source, g_ref)
+        om_source = AlmostSymplectic(psi.source, om_ref)
+    cfg = OracleConfig().with_intervals(psi.source.intervals)
+
+    def entrywise(pulled, source):
+        return all(cfg.equal(p, q) for rp, rq in zip(pulled, source) for p, q in zip(rp, rq))
+
+    assert is_isometry(psi, g_source, g_target) == entrywise(g_ref, g_source.matrix)
+    assert is_symplectomorphism(psi, om_source, om_target) == entrywise(om_ref, om_source.matrix)
+
+
 def _compose_maps(outer, inner):
     """outer o inner, for inner's target chart equal to outer's source."""
     assert inner.target.coords == outer.source.coords
-    comps = tuple(compose_scalar(inner, e) for e in outer.components)
+    to_source = dict(zip(inner.target.coords, inner.components))
+    comps = tuple(simplify(substitute(e, to_source)) for e in outer.components)
     back = dict(zip(outer.source.coords, outer.inverse))
     inv = tuple(simplify(substitute(e, back)) for e in inner.inverse)
     return SmoothMap(inner.source, outer.target, comps, inv, name=f"{outer.name} o {inner.name}")
@@ -354,14 +501,12 @@ def test_christoffel_transport_along_a_singular_map_names_the_map():
 def test_pullback_of_splitting_covectors_is_jacobian_linear():
     # with the target flat and the source connection transported, pulling
     # back nabla(ydot^a) must give J^a_b nabla(xdot^b)
-    from supersasaki.grassmann import GradedExpr
     from supersasaki.sasakilift import nabla_dot
-    from supersasaki.transform import jacobian
 
     psi = polar_to_cartesian()
     gE, _ = euclidean_data()
     gammaE = christoffel(gE)
-    gammaP = transform_christoffel(psi, gammaE)
+    gammaP = _inhomogeneous_christoffel(psi, gammaE)
     nabla_target = nabla_dot(gammaE)
     nabla_source = nabla_dot(gammaP)
     J = jacobian(psi)
