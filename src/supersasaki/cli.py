@@ -62,7 +62,6 @@ from .grassmann import (
     GradedError,
     graded_to_text,
     parity_of,
-    parse_graded,
 )
 from .report import RunReport, render_structured, render_text
 from .sasakilift import (
@@ -288,15 +287,14 @@ def cmd_sasaki(args: argparse.Namespace, spec: GeometrySpec) -> RunReport:
         for i, c in enumerate(spec.chart.coords):
             if c not in spec.reference_nabla:
                 continue
-            ref = parse_graded(spec.reference_nabla[c], lift.tptm)
             report.info(
                 f"nabla {velocity_name(c)} minus reference",
-                graded_to_text(lift.nabla[i] - ref),
+                graded_to_text(lift.nabla[i] - spec.reference_nabla[c]),
             )
     if spec.reference_sasaki is not None:
-        ref = parse_graded(spec.reference_sasaki, lift.tptm)
         report.info(
-            "metric function minus reference", graded_to_text(lift.lifted - ref)
+            "metric function minus reference",
+            graded_to_text(lift.lifted - spec.reference_sasaki),
         )
     return report
 

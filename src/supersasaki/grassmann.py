@@ -302,14 +302,29 @@ def contract(
     B: Sequence[Sequence[Expr]], U: Sequence[GradedExpr], V: Sequence[GradedExpr]
 ) -> GradedExpr:
     """sum_ab U^a V^b B[b][a], the "X^a Y^b g_ba" layout of the pairing
-    identities and of a tensor's quadratic form; zero entries of B are
-    skipped."""
+    identities and of a tensor's quadratic form; zero weights are skipped.
+
+    A quadratic form (V is U, every U^a homogeneous) takes each unordered
+    pair once: U^b U^a = s_ab U^a U^b with s_ab = (-1)^(|U^a||U^b|), so the
+    a < b term weighs U^a U^b by B[b][a] + s_ab B[a][b]. That holds for any
+    B, and it halves the graded products of a symmetric or antisymmetric
+    one."""
     n = len(B)
+    parities = [parity_of(u) for u in U] if V is U else None
+    fold = parities is not None and None not in parities
     total = GradedExpr.zero(U[0].table)
     for a in range(n):
-        for b in range(n):
-            if B[b][a] != ZERO:
-                total = total + gmul(U[a], V[b]).scale(B[b][a])
+        for b in range(a if fold else 0, n):
+            w = B[b][a]
+            if fold and a != b and B[a][b] != ZERO:
+                mirror = B[a][b]
+                if parities[a] == parities[b] == ODD:
+                    mirror = Mul.of(Const(Fraction(-1)), mirror)
+                w = mirror if w == ZERO else Add.of(w, mirror)
+                if to_canonical(w)[0].is_zero():
+                    continue
+            if w != ZERO:
+                total = total + gmul(U[a], V[b]).scale(w)
     return total
 
 

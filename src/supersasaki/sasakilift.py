@@ -25,8 +25,8 @@ assembled directly as
 
 which is Sasaki's classical form xdot^a xdot^b g_ba + D(xdot)^a D(xdot)^b g_ba
 with the odd splitting in place of the even one D(xdot) and omega in place
-of g. Both lifts go through the one splitting `_splitting` and the one
-assembly `_sasaki_form`.
+of g. Both lifts go through the one splitting `_splitting`, and each is
+two `grassmann.contract`s, contract(g, xdot, xdot) + contract(B, F, F).
 
 Vector fields on the odd tangent bundle pair through either the vertical
 lift (1/2 iota_X iota_Y applied to the lifted metric) or the closed
@@ -55,6 +55,7 @@ from .grassmann import (
     GeneratorTable,
     GradedError,
     GradedExpr,
+    contract,
     extend_to,
     gmul,
     graded_to_text,
@@ -68,7 +69,6 @@ from .symexpr import (
     Expr,
     Mul,
     Var,
-    ZERO,
     simplify,
 )
 
@@ -143,24 +143,10 @@ def _sasaki_form(
     fibers: Sequence[GradedExpr],
     block: Matrix,
 ) -> GradedExpr:
-    """xdot^a xdot^b g_ba + F^a F^b B_ba over `table`, summed as
-    sum_{a<=b} w_ab F^a F^b with w_aa = B_aa and w_ab = 2 B_ba for a < b.
-    That is exact because B is symmetric when the fibers F are even and
-    antisymmetric when they are odd; zero block entries are skipped."""
-    n = g.chart.dim
-    xdot = [Var(velocity_name(c)) for c in g.chart.coords]
-    total = GradedExpr.scalar(
-        table,
-        Add.of(*(Mul.of(xdot[a], xdot[b], g.matrix[b][a]) for a in range(n) for b in range(n))),
-    )
-    two = Const(Fraction(2))
-    for a in range(n):
-        for b in range(a, n):
-            if block[b][a] == ZERO:
-                continue
-            w = block[a][a] if a == b else Mul.of(two, block[b][a])
-            total = total + gmul(fibers[a], fibers[b]).scale(w)
-    return total
+    """xdot^a xdot^b g_ba + F^a F^b B_ba over `table`: two quadratic forms,
+    each a `contract`."""
+    xdot = [GradedExpr.generator(table, velocity_name(c)) for c in g.chart.coords]
+    return contract(g.matrix, xdot, xdot) + contract(block, fibers, fibers)
 
 
 class LiftedGeometry:
@@ -329,74 +315,63 @@ def pairing_closed_form(
     ptm = X.table
     if ptm.even_names != chart.coords:
         raise GradedError("fields and tensors live on different charts")
-    n = chart.dim
-    gmat = g.matrix
+    ix = range(chart.dim)
     om = omega.matrix
+    dx = [GradedExpr.generator(ptm, odd_fiber_name(c)) for c in chart.coords]
+    Xs, Xbar, Ys, Ybar = X.components, X.barred, Y.components, Y.barred
     sign_y = -1 if Y.parity == ODD else 1
     sign_xy = -1 if (X.parity * ((Y.parity + 1) % 2)) % 2 else 1
 
-    total = GradedExpr.zero(ptm)
-
-    # X^a Y^b g_ba
-    for a in range(n):
-        for b in range(n):
-            piece = gmul(X.components[a], Y.components[b]).scale(gmat[b][a])
-            total = total + piece
-
-    # - X^a Y^b dx^c dx^d Gamma^e_{da} Gamma^f_{bc} omega_fe
-    for a in range(n):
-        for b in range(n):
-            XY = gmul(X.components[a], Y.components[b])
-            if XY.is_zero():
-                continue
-            for c in range(n):
-                for d in range(n):
-                    scalar_terms = []
-                    for e in range(n):
-                        for f_ in range(n):
-                            scalar_terms.append(
-                                Mul.of(gamma.entry(e, d, a), gamma.entry(f_, b, c), om[f_][e])
-                            )
-                    coeff = simplify(Add.of(*scalar_terms))
-                    dxdx = gmul(
-                        GradedExpr.generator(ptm, odd_fiber_name(chart.coords[c])),
-                        GradedExpr.generator(ptm, odd_fiber_name(chart.coords[d])),
-                    )
-                    piece = gmul(XY, dxdx).scale(coeff).scale(Const(Fraction(-1)))
-                    total = total + piece
-
-    # [ sign_y Xbar^a Y^b + sign_xy Ybar^a X^b ] dx^c Gamma^d_{cb} omega_da
-    for a in range(n):
-        for b in range(n):
-            bracket = gmul(X.barred[a], Y.components[b]).scale(Const(Fraction(sign_y))) + gmul(
-                Y.barred[a], X.components[b]
-            ).scale(Const(Fraction(sign_xy)))
-            if bracket.is_zero():
-                continue
-            for c in range(n):
-                scalar_terms = [
-                    Mul.of(gamma.entry(d, c, b), om[d][a]) for d in range(n)
+    total = contract(g.matrix, Xs, Ys) + contract(om, Xbar, Ybar).scale(sign_y)
+    for c in ix:
+        # (Gamma omega)_c[b][a] = Gamma^d_{cb} omega_da
+        gw = [
+            [simplify(Add.of(*(Mul.of(gamma.entry(d, c, b), om[d][a]) for d in ix))) for a in ix]
+            for b in ix
+        ]
+        bracket = contract(gw, Xbar, Ys).scale(sign_y) + contract(gw, Ybar, Xs).scale(sign_xy)
+        total = total + gmul(bracket, dx[c])
+    if all(u.is_zero() for u in Xs) or all(v.is_zero() for v in Ys):
+        return total
+    for c in ix:
+        for d in ix:
+            if c == d:
+                continue  # dx^c dx^c = 0
+            # (Gamma Gamma omega)_cd[b][a] = Gamma^e_{da} Gamma^f_{bc} omega_fe
+            ggw = [
+                [
+                    simplify(Add.of(*(
+                        Mul.of(gamma.entry(e, d, a), gamma.entry(f, b, c), om[f][e])
+                        for e in ix for f in ix
+                    )))
+                    for a in ix
                 ]
-                coeff = simplify(Add.of(*scalar_terms))
-                piece = gmul(
-                    bracket,
-                    GradedExpr.generator(ptm, odd_fiber_name(chart.coords[c])),
-                ).scale(coeff)
-                total = total + piece
-
-    # sign_y Xbar^a Ybar^b omega_ba
-    for a in range(n):
-        for b in range(n):
-            piece = gmul(X.barred[a], Y.barred[b]).scale(om[b][a]).scale(
-                Const(Fraction(sign_y))
-            )
-            total = total + piece
-
+                for b in ix
+            ]
+            total = total - gmul(contract(ggw, Xs, Ys), gmul(dx[c], dx[d]))
     return total
 
 
 # ---------------------------------------------------------------------------
 # random fields
+
+def _random_polynomial(
+    coords: Sequence[str], rng: random.Random, fewest: int, p_product: float
+) -> Expr:
+    """A constant in [-2, 2] plus fewest to 2 more terms, each an integer in
+    [-2, 2] times a coordinate, or with chance p_product a product of two
+    coordinates; a zero draw drops its term."""
+    terms: list[Expr] = [Const(Fraction(rng.randint(-2, 2)))]
+    for _ in range(rng.randint(fewest, 2)):
+        c = rng.randint(-2, 2)
+        if c == 0:
+            continue
+        v = Var(rng.choice(coords))
+        if rng.random() < p_product:
+            v = Mul.of(v, Var(rng.choice(coords)))
+        terms.append(Mul.of(Const(Fraction(c)), v))
+    return Add.of(*terms)
+
 
 def _random_coefficient(
     table: GeneratorTable, chart: Chart, parity: int, rng: random.Random
@@ -406,34 +381,17 @@ def _random_coefficient(
     matching the parity."""
     n = chart.dim
     coords = chart.coords
+    odd = [table.index(odd_fiber_name(c)) for c in coords]
     entries: list[tuple[tuple[int, ...], Expr]] = []
-
-    def scalar_poly() -> Expr:
-        terms: list[Expr] = [Const(Fraction(rng.randint(-2, 2)))]
-        for _ in range(rng.randint(0, 2)):
-            c = rng.randint(-2, 2)
-            if c == 0:
-                continue
-            v = Var(coords[rng.randrange(n)])
-            if rng.random() < 0.3:
-                v = Mul.of(v, Var(coords[rng.randrange(n)]))
-            terms.append(Mul.of(Const(Fraction(c)), v))
-        return Add.of(*terms)
-
     if parity == EVEN:
-        entries.append(((), scalar_poly()))
+        entries.append(((), _random_polynomial(coords, rng, 0, 0.3)))
         if n >= 2 and rng.random() < 0.5:
             i, j = sorted(rng.sample(range(n), 2))
-            entries.append(
-                (
-                    (table.index(odd_fiber_name(coords[i])), table.index(odd_fiber_name(coords[j]))),
-                    scalar_poly(),
-                )
-            )
+            entries.append(((odd[i], odd[j]), _random_polynomial(coords, rng, 0, 0.3)))
     else:
         for _ in range(rng.randint(1, 2)):
             i = rng.randrange(n)
-            entries.append(((table.index(odd_fiber_name(coords[i])),), scalar_poly()))
+            entries.append(((odd[i],), _random_polynomial(coords, rng, 0, 0.3)))
     return GradedExpr.make(table, entries)
 
 
@@ -450,19 +408,8 @@ def random_field(
 
 def random_base_field(chart: Chart, rng: random.Random) -> VectorFieldM:
     """Classical vector field with small integer polynomial components."""
-    comps: list[Expr] = []
-    for _ in chart.coords:
-        terms: list[Expr] = [Const(Fraction(rng.randint(-2, 2)))]
-        for _ in range(rng.randint(1, 2)):
-            c = rng.randint(-2, 2)
-            if c == 0:
-                continue
-            v: Expr = Var(rng.choice(chart.coords))
-            if rng.random() < 0.4:
-                v = Mul.of(v, Var(rng.choice(chart.coords)))
-            terms.append(Mul.of(Const(Fraction(c)), v))
-        comps.append(Add.of(*terms))
-    return VectorFieldM(chart, tuple(comps))
+    comps = tuple(_random_polynomial(chart.coords, rng, 1, 0.4) for _ in chart.coords)
+    return VectorFieldM(chart, comps)
 
 
 def vector_field_on_base(

@@ -15,8 +15,10 @@ Geometry document:
     }
 
 omega and everything from "notes" down are optional. The reference_*
-fields hold independently published values for the same chart; commands
-print deltas against them but never force agreement.
+fields hold independently published values for the same chart; all are
+parsed at load (reference_nabla and reference_sasaki over the chart's
+tptm generators), and commands print deltas against them but never force
+agreement.
 
 Vector field document (or inline dict):
 
@@ -50,9 +52,11 @@ from .geometry import (
     VectorFieldM,
     invert_numeric,
 )
-from .grassmann import EVEN, ODD, GradedError, GradedExpr, parse_graded
-from .sasakilift import VectorFieldPTM, ptm_table
-from .symexpr import Const, EvalError, Expr, ParseError, eval_numeric, parse_expr, simplify
+from .grassmann import EVEN, ODD, GeneratorTable, GradedError, GradedExpr, parse_graded
+from .sasakilift import VectorFieldPTM, ptm_table, tptm_table
+from .symexpr import (
+    Const, EvalError, Expr, ParseError, eval_numeric, parse_expr, simplify, to_text,
+)
 from .transform import SmoothMap
 
 
@@ -85,9 +89,22 @@ def _parse_entry(text: Any, vocabulary: list[str], where: str) -> Expr:
         raise SpecError(f"{where} must be an expression string, got {text!r}")
     try:
         tree = parse_expr(text, vocabulary)
-        simplify(tree)  # refuses a zero denominator while the entry has a name
+        # refuses a zero denominator, or a constant too long to print, while
+        # the entry has a name
+        to_text(simplify(tree))
         return tree
-    except (ParseError, ZeroDivisionError) as exc:
+    except (ParseError, ZeroDivisionError, EvalError) as exc:
+        raise SpecError(f"{where}: {exc}") from exc
+    except RecursionError:
+        raise SpecError(f"{where}: expression nested too deeply") from None
+
+
+def _parse_graded_entry(text: Any, table: GeneratorTable, where: str) -> GradedExpr:
+    if not isinstance(text, str):
+        raise SpecError(f"{where} must be an expression string, got {text!r}")
+    try:
+        return parse_graded(text, table)
+    except (ParseError, GradedError, ZeroDivisionError) as exc:
         raise SpecError(f"{where}: {exc}") from exc
     except RecursionError:
         raise SpecError(f"{where}: expression nested too deeply") from None
@@ -151,8 +168,8 @@ class GeometrySpec:
         omega: AlmostSymplectic | None,
         notes: str,
         reference_christoffel: tuple[tuple[str, str, str, Expr], ...] | None,
-        reference_nabla: Mapping[str, str] | None,
-        reference_sasaki: str | None,
+        reference_nabla: Mapping[str, GradedExpr] | None,
+        reference_sasaki: GradedExpr | None,
     ) -> None:
         self.name = name
         self.chart = chart
@@ -272,20 +289,22 @@ def load_geometry(
             rows.append((a, b, c, _parse_entry(value, vocab, f"{name}.reference_christoffel")))
         ref_gamma = tuple(rows)
 
+    tptm = tptm_table(chart)
     ref_nabla = None
     if "reference_nabla" in doc:
         raw = doc["reference_nabla"]
-        if not isinstance(raw, dict) or any(
-            k not in coords or not isinstance(v, str) for k, v in raw.items()
-        ):
+        if not isinstance(raw, dict) or any(k not in coords for k in raw):
             raise SpecError(
                 f"geometry {name!r}: reference_nabla maps coordinates to strings"
             )
-        ref_nabla = dict(raw)
+        ref_nabla = {
+            c: _parse_graded_entry(text, tptm, f"{name}.reference_nabla[{c}]")
+            for c, text in raw.items()
+        }
 
-    ref_sasaki = doc.get("reference_sasaki")
-    if ref_sasaki is not None and not isinstance(ref_sasaki, str):
-        raise SpecError(f"geometry {name!r}: reference_sasaki must be a string")
+    ref_sasaki = None
+    if "reference_sasaki" in doc:
+        ref_sasaki = _parse_graded_entry(doc["reference_sasaki"], tptm, f"{name}.reference_sasaki")
 
     return GeometrySpec(
         name=name,
@@ -334,13 +353,9 @@ def load_ptm_field(
         rows = doc.get(key)
         if not isinstance(rows, list) or len(rows) != chart.dim:
             raise SpecError(f"ptm field needs {chart.dim} '{key}' strings")
-        for i, text in enumerate(rows):
-            if not isinstance(text, str):
-                raise SpecError(f"field.{key}[{i}] must be a string")
-            try:
-                coefficients.append(parse_graded(text, table))
-            except (ParseError, GradedError) as exc:
-                raise SpecError(f"field.{key}[{i}]: {exc}") from exc
+        coefficients += (
+            _parse_graded_entry(text, table, f"field.{key}[{i}]") for i, text in enumerate(rows)
+        )
     try:
         return VectorFieldPTM(table, tuple(coefficients), parity)
     except GradedError as exc:

@@ -240,10 +240,11 @@ def _render(e: Expr) -> tuple[str, int]:
     """Return (text, precedence level of the outermost construct)."""
     if isinstance(e, Const):
         v = e.value
-        if v.denominator == 1:
-            text = str(v.numerator)
-        else:
-            text = f"{v.numerator}/{v.denominator}"
+        try:
+            text = str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
+        except ValueError:  # more digits than str() converts
+            digits = max(abs(v.numerator), v.denominator).bit_length() * 3 // 10
+            raise EvalError(f"a constant of about {digits} digits is too long to print") from None
         level = _SUM if v < 0 or v.denominator != 1 else _ATOM
         return text, level
     if isinstance(e, Var):

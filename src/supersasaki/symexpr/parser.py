@@ -78,11 +78,13 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
-def _number_value(text: str) -> Fraction:
-    if "." in text:
-        whole, frac = text.split(".")
+def _number_value(tok: _Token) -> Fraction:
+    whole, _, frac = tok.text.partition(".")
+    try:
         return Fraction(int(whole + frac), 10 ** len(frac))
-    return Fraction(int(text))
+    except ValueError:  # more digits than int() converts
+        digits = len(whole + frac)
+        raise ParseError(f"a number of {digits} digits is too long", tok.position) from None
 
 
 class _Parser:
@@ -149,7 +151,7 @@ class _Parser:
                 negative = True
                 self.advance()
             tok = self.expect("number")
-            value = _number_value(tok.text)
+            value = _number_value(tok)
             if value.denominator != 1:
                 raise ParseError("exponent must be an integer", tok.position)
             exponent = int(value)
@@ -160,7 +162,7 @@ class _Parser:
         tok = self.current
         if tok.kind == "number":
             self.advance()
-            return Const(_number_value(tok.text))
+            return Const(_number_value(tok))
         if tok.kind == "ident":
             self.advance()
             if self.current.kind == "(":

@@ -298,6 +298,9 @@ def test_input_errors_exit_2(capsys, tmp_path):
     for field, where in (
         ("lie:1/(x-x),0", "--x: field.components[0]: division by an expression"),
         ("interior:1,0,y", "--x: base field needs 2 components"),
+        # integers past the int <-> str conversion limit
+        ("lie:x*2^15000,0", "--x: field.components[0]: a constant of about 4500 digits"),
+        ("lie:x*1" + "0" * 5000 + ",0", "--x: field.components[0]: offset 2: a number of 5001"),
     ):
         code, _, err = _run(capsys, "pair", SPECS / "euclidean2.json", "--x", field, "--y", "deRham")
         assert code == 2, field
@@ -311,6 +314,7 @@ def test_input_errors_exit_2(capsys, tmp_path):
     assert "--map" in err
 
     flat = json.loads((SPECS / "euclidean2.json").read_text())
+    misner = json.loads((SPECS / "misner.json").read_text())
     one = ["0", "1"]
     # sqrt(x) is undefined on the whole sample domain
     undefined = dict(flat, name="undefined", metric=[["sqrt(x)", "0"], one],
@@ -339,6 +343,15 @@ def test_input_errors_exit_2(capsys, tmp_path):
          "nought.metric[0][0]"),
         ("christoffel", dict(flat, name="zeropow", metric=[["(x - x)^-1", "0"], one]),
          "zeropow.metric[0][0]"),
+        ("christoffel", dict(flat, name="huge", metric=[["x^20000*2^15000", "0"], one]),
+         "huge.metric[0][0]: a constant of about 4500 digits is too long to print"),
+        # the graded references are parsed at load, so every command refuses them
+        ("christoffel", dict(misner, reference_sasaki="2*tdot*phidot + q"),
+         "misner.reference_sasaki: offset 16: unknown identifier 'q'"),
+        ("sasaki", dict(misner, reference_sasaki="1/(tdot - tdot)"),
+         "misner.reference_sasaki: graded quantity has zero body"),
+        ("christoffel", dict(misner, reference_nabla={"t": "dtdot", "phi": "dphidot + q"}),
+         "misner.reference_nabla[phi]: offset 10: unknown identifier 'q'"),
     ):
         path = tmp_path / f"{doc['name']}.json"
         path.write_text(json.dumps(doc))

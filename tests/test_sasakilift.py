@@ -1,7 +1,13 @@
 import random
 import time
+from fractions import Fraction
+from functools import lru_cache
+from pathlib import Path
 
-from supersasaki.cartan import interior
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from supersasaki.cartan import interior, lie_derivative
 from supersasaki.geometry import (
     AlmostSymplectic,
     Chart,
@@ -12,6 +18,9 @@ from supersasaki.geometry import (
 from supersasaki.grassmann import (
     EVEN,
     ODD,
+    GeneratorTable,
+    GradedExpr,
+    contract,
     gmul,
     graded_equal,
     graded_to_text,
@@ -20,20 +29,41 @@ from supersasaki.grassmann import (
 )
 from supersasaki.sasakilift import (
     VectorFieldPTM,
+    _splitting,
+    classical_fiber_name,
     classical_sasaki,
+    classical_table,
     field_operator,
     lift_geometry,
     nabla_dot,
     pairing_closed_form,
     pairing_via_lift,
+    odd_fiber_name,
     ptm_table,
+    random_base_field,
     random_field,
     vector_field_on_base,
+    velocity_name,
     vertical_lift,
 )
-from supersasaki.symexpr import OracleConfig, canonical_text, eval_numeric, parse_expr
+from supersasaki.specfiles import load_geometry
+from supersasaki.symexpr import (
+    Add,
+    Const,
+    Mul,
+    OracleConfig,
+    Var,
+    ZERO,
+    canonical_text,
+    eval_numeric,
+    parse_expr,
+    simplify,
+)
 
 SEED = 1108
+SPECS = Path(__file__).resolve().parents[1] / "specs"
+SHIPPED = sorted(p.stem for p in SPECS.glob("*.json"))
+PROPERTY_SETTINGS = settings(max_examples=40, derandomize=True, deadline=None)
 
 
 def _p(text):
@@ -304,3 +334,138 @@ def test_pairing_is_left_linear_over_even_scalars():
         lhs = pairing_via_lift(fX_plus_Y, Z, lift)
         rhs = gmul(f, pairing_via_lift(X, Z, lift)) + pairing_via_lift(Y, Z, lift)
         assert graded_equal(lhs, rhs, cfg), "left module linearity failed"
+
+
+# ---------------------------------------------------------------------------
+# the lifts and the closed form against their hand-expanded sums
+
+def _expanded_sasaki_form(table, g, fibers, block):
+    """xdot^a xdot^b g_ba + F^a F^b B_ba, the g block as one scalar tree and
+    the F block summed over a <= b with w_aa = B_aa and w_ab = 2 B_ba, which
+    holds because B is symmetric for even fibers and antisymmetric for odd
+    ones."""
+    n = g.chart.dim
+    xdot = [Var(velocity_name(c)) for c in g.chart.coords]
+    total = GradedExpr.scalar(
+        table,
+        Add.of(*(Mul.of(xdot[a], xdot[b], g.matrix[b][a]) for a in range(n) for b in range(n))),
+    )
+    two = Const(Fraction(2))
+    for a in range(n):
+        for b in range(a, n):
+            if block[b][a] == ZERO:
+                continue
+            w = block[a][a] if a == b else Mul.of(two, block[b][a])
+            total = total + gmul(fibers[a], fibers[b]).scale(w)
+    return total
+
+
+def _expanded_closed_form(X, Y, lift):
+    """The pairing formula of pairing_closed_form, one nested loop per
+    bracket."""
+    g, omega, gamma = lift.metric, lift.omega, lift.gamma
+    chart = g.chart
+    ptm = X.table
+    n = chart.dim
+    gmat = g.matrix
+    om = omega.matrix
+    sign_y = -1 if Y.parity == ODD else 1
+    sign_xy = -1 if (X.parity * ((Y.parity + 1) % 2)) % 2 else 1
+
+    def dx(c):
+        return GradedExpr.generator(ptm, odd_fiber_name(chart.coords[c]))
+
+    total = GradedExpr.zero(ptm)
+    for a in range(n):
+        for b in range(n):
+            total = total + gmul(X.components[a], Y.components[b]).scale(gmat[b][a])
+    for a in range(n):
+        for b in range(n):
+            XY = gmul(X.components[a], Y.components[b])
+            if XY.is_zero():
+                continue
+            for c in range(n):
+                for d in range(n):
+                    coeff = simplify(Add.of(*(
+                        Mul.of(gamma.entry(e, d, a), gamma.entry(f_, b, c), om[f_][e])
+                        for e in range(n)
+                        for f_ in range(n)
+                    )))
+                    total = total - gmul(XY, gmul(dx(c), dx(d))).scale(coeff)
+    for a in range(n):
+        for b in range(n):
+            bracket = gmul(X.barred[a], Y.components[b]).scale(sign_y) + gmul(
+                Y.barred[a], X.components[b]
+            ).scale(sign_xy)
+            if bracket.is_zero():
+                continue
+            for c in range(n):
+                coeff = simplify(
+                    Add.of(*(Mul.of(gamma.entry(d, c, b), om[d][a]) for d in range(n)))
+                )
+                total = total + gmul(bracket, dx(c)).scale(coeff)
+    for a in range(n):
+        for b in range(n):
+            total = total + gmul(X.barred[a], Y.barred[b]).scale(om[b][a]).scale(sign_y)
+    return total
+
+
+@lru_cache(maxsize=None)
+def _shipped_lift(name):
+    spec = load_geometry(SPECS / f"{name}.json")
+    return lift_geometry(spec.metric, spec.require_omega())
+
+
+def test_both_lifts_equal_the_expanded_form_on_every_shipped_spec():
+    for name in SHIPPED:
+        lift = _shipped_lift(name)
+        g = lift.metric
+        expanded = _expanded_sasaki_form(lift.tptm, g, lift.nabla, lift.omega.matrix)
+        assert lift.lifted.terms == expanded.terms, name
+        table = classical_table(g.chart)
+        D = _splitting(lift.gamma, table, classical_fiber_name)
+        expanded = _expanded_sasaki_form(table, g, D, g.matrix)
+        assert classical_sasaki(g).terms == expanded.terms, name
+
+
+@PROPERTY_SETTINGS
+@given(
+    name=st.sampled_from(("euclidean2", "misner", "polar", "varcoef", "sphere", "rational")),
+    kind=st.sampled_from(("ptm", "lie x interior", "interior x lie")),
+    parities=st.sampled_from(((EVEN, EVEN), (EVEN, ODD), (ODD, EVEN), (ODD, ODD))),
+    seed=st.integers(0, 2**16),
+)
+def test_closed_form_equals_the_expanded_sum(name, kind, parities, seed):
+    lift = _shipped_lift(name)
+    rng = random.Random(seed)
+    if kind == "ptm":
+        X, Y = (random_field(lift.chart, p, rng) for p in parities)
+    else:
+        first, second = (lie_derivative, interior) if kind == "lie x interior" else (
+            interior, lie_derivative)
+        X = first(random_base_field(lift.chart, rng))
+        Y = second(random_base_field(lift.chart, rng))
+    assert pairing_closed_form(X, Y, lift).terms == _expanded_closed_form(X, Y, lift).terms
+
+
+_FOLD_TABLE = GeneratorTable.of(("x", EVEN), ("y", EVEN), ("p", ODD), ("q", ODD), ("r", ODD))
+_SCALARS = ("0", "1", "-1", "2", "x", "-x", "y", "x*y", "1 + x^2", "1/(1 + y^2)")
+_EVEN_ENTRIES = ("0", "1", "x", "y^2 + 1", "x*p*q", "1 + p*r", "y*q*r - x*p*q")
+_ODD_ENTRIES = ("p", "x*q", "p + y*r", "p*q*r", "q - x*p*q*r")
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data(), n=st.integers(1, 4), inhomogeneous=st.booleans())
+def test_contract_folds_a_quadratic_form_exactly(data, n, inhomogeneous):
+    B = [
+        [parse_expr(data.draw(st.sampled_from(_SCALARS))) for _ in range(n)]
+        for _ in range(n)
+    ]
+    texts = [
+        data.draw(st.sampled_from(_EVEN_ENTRIES + _ODD_ENTRIES)) for _ in range(n)
+    ]
+    if inhomogeneous:
+        texts[data.draw(st.integers(0, n - 1))] = "x + p"
+    U = [parse_graded(t, _FOLD_TABLE) for t in texts]
+    # a list copy of U is another sequence, so it takes the full n^2 sum
+    assert contract(B, U, U).terms == contract(B, U, list(U)).terms

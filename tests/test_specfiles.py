@@ -3,7 +3,8 @@ import json
 import pytest
 
 from supersasaki.geometry import christoffel
-from supersasaki.grassmann import EVEN, ODD
+from supersasaki.grassmann import EVEN, ODD, GradedExpr, graded_equal, parse_graded
+from supersasaki.sasakilift import tptm_table
 from supersasaki.specfiles import (
     SpecError,
     load_base_field,
@@ -89,7 +90,10 @@ def test_reference_blocks_parse():
     (a, b, c, value), = spec.reference_christoffel
     assert (a, b, c) == ("v", "u", "v")
     assert canonical_equal(value, parse_expr("u/(1 + u^2)"))
-    assert spec.reference_sasaki.startswith("udot^2")
+    # the graded references are parsed at load, over the chart's tptm table
+    tptm = tptm_table(spec.chart)
+    assert spec.reference_nabla["u"].terms == GradedExpr.generator(tptm, "dudot").terms
+    assert graded_equal(spec.reference_sasaki, parse_graded("udot^2 + vdot^2 + u^2*vdot^2", tptm))
 
 
 def test_load_base_field():
