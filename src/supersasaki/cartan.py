@@ -110,7 +110,7 @@ def residual_outcome(
     name: str,
     lhs: Sequence[GradedExpr],
     rhs: Sequence[GradedExpr],
-    config: OracleConfig | None,
+    config: OracleConfig,
 ) -> CheckOutcome:
     """The check lhs[k] = rhs[k] for every k: it holds when every residual
     lhs[k] - rhs[k] vanishes under the oracle, and reports the nonzero
@@ -126,8 +126,10 @@ def residual_outcome(
 def cartan_commutators(
     X: VectorFieldM, Y: VectorFieldM, config: OracleConfig | None = None
 ) -> tuple[CheckOutcome, ...]:
-    """The graded commutation table of d, i, and L on one chart."""
+    """The graded commutation table of d, i, and L on one chart. With no
+    config, the checks sample the chart's box."""
     chart = X.chart
+    config = config or OracleConfig(intervals=chart.intervals)
     table = ptm_table(chart)
     zero_field = VectorFieldPTM(table, (GradedExpr.zero(table),) * len(table), EVEN)
     d = de_rham(chart)
@@ -167,8 +169,10 @@ def verify_proposition(
       (v)   <L_X|i_Y> = -dX^a Y^b omega_ba
       (vi)  <L_X|L_Y> = X^a Y^b g_ba + dX^a dY^b omega_ba
 
-    Every entry is evaluated even if an earlier one fails.
+    Every entry is evaluated even if an earlier one fails. With no config,
+    the checks sample the chart's box.
     """
+    config = config or OracleConfig(intervals=lift.chart.intervals)
     g, om = lift.metric.matrix, lift.omega.matrix
     ptm = lift.ptm
     d = de_rham(lift.chart)

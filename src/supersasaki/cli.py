@@ -90,11 +90,13 @@ from .symexpr import (
     OracleConfig,
     OracleError,
     ParseError,
+    ONE,
+    Var,
     ZERO,
     canonical_text,
     eval_numeric,
     free_vars,
-    parse_expr,
+    neg,
     to_text,
 )
 from .transform import SmoothMap, check_naturality, pairing_invariance
@@ -186,8 +188,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _config(args: argparse.Namespace, spec: GeometrySpec) -> OracleConfig:
     return OracleConfig(
-        samples=args.samples, tol=args.tol, seed=args.seed
-    ).with_intervals(spec.chart.intervals)
+        samples=args.samples, tol=args.tol, seed=args.seed, intervals=spec.chart.intervals
+    )
 
 
 def _gamma_label(spec: GeometrySpec, a: int, b: int, c: int) -> str:
@@ -357,8 +359,11 @@ def cmd_pair(args: argparse.Namespace, spec: GeometrySpec) -> RunReport:
     cfg = _config(args, spec)
     via = pairing_via_lift(X, Y, lift)
     closed = pairing_closed_form(X, Y, lift)
-    report.values["pairing (vertical lift)"] = graded_to_text(via)
-    report.values["pairing (closed form)"] = graded_to_text(closed)
+    for key, value in (("pairing (vertical lift)", via), ("pairing (closed form)", closed)):
+        try:
+            report.values[key] = graded_to_text(value)
+        except EvalError as exc:
+            raise EvalError(f"{key}: {exc}") from exc
     outcome = residual_outcome("vertical lift and closed form agree", [via], [closed], cfg)
     report.add(outcome.name, outcome.holds, outcome.residual)
     return report
@@ -425,19 +430,14 @@ def _suite_invariance(args: argparse.Namespace, spec: GeometrySpec) -> RunReport
     cfg = _config(args, spec)
 
     tchart = lift_n.chart
-    fixed: list[tuple[str, VectorFieldPTM]] = []
-    frame = vector_field_on_base(
-        tchart, tuple(parse_expr("1" if i == 0 else "0", list(tchart.coords)) for i in range(tchart.dim))
-    )
-    fixed.append(("first coordinate field", frame))
+    coords = tchart.coords
+    rest = (ZERO,) * (tchart.dim - 1)
+    fixed: list[tuple[str, VectorFieldPTM]] = [
+        ("first coordinate field", vector_field_on_base(tchart, (ONE,) + rest))
+    ]
     if tchart.dim >= 2:
-        comps = ["0"] * tchart.dim
-        comps[0] = tchart.coords[1]
-        comps[1] = "-" + tchart.coords[0]
-        rotational = vector_field_on_base(
-            tchart, tuple(parse_expr(c, list(tchart.coords)) for c in comps)
-        )
-        fixed.append(("rotational field", rotational))
+        rotation = (Var(coords[1]), neg(Var(coords[0]))) + rest[1:]
+        fixed.append(("rotational field", vector_field_on_base(tchart, rotation)))
     rng = random.Random(args.seed)
     fixed.append(("seeded odd field", random_field(tchart, ODD, rng)))
     fixed.append(("seeded even field", random_field(tchart, EVEN, rng)))

@@ -515,11 +515,13 @@ def restrict_to(f: GradedExpr, sub_table: GeneratorTable) -> GradedExpr:
 
 
 def graded_equal(f: GradedExpr, g: GradedExpr, config: OracleConfig | None = None) -> bool:
-    """Coefficient-wise equality through the scalar oracle."""
+    """Coefficient-wise equality: identical canonical pairs are equal, and
+    only a coefficient whose pairs differ is printed for the scalar oracle."""
     f._same_table(g)
     config = config or OracleConfig()
     for mono in set(f.terms) | set(g.terms):
-        if not config.equal(f.coefficient(mono), g.coefficient(mono)):
+        a, b = f.terms.get(mono, _ZERO_PAIR), g.terms.get(mono, _ZERO_PAIR)
+        if a != b and not config.equal(pair_to_expr(a), pair_to_expr(b)):
             return False
     return True
 

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import os
 from typing import Any, Mapping
 
@@ -211,7 +212,10 @@ def load_geometry(
         if (
             not isinstance(box, list)
             or len(box) != 2
-            or not all(isinstance(v, (int, float)) for v in box)
+            or not all(
+                isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+                for v in box
+            )
             or not box[0] < box[1]
         ):
             raise SpecError(

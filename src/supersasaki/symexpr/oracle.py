@@ -55,78 +55,12 @@ def _within(left: float, right: float, tol: float) -> bool:
     return abs(left - right) <= tol * max(1.0, abs(left), abs(right))
 
 
-def sample_compare(
-    a: Expr,
-    b: Expr,
-    *,
-    samples: int = DEFAULT_SAMPLES,
-    tol: float = DEFAULT_TOL,
-    domain: Mapping[str, Interval] | None = None,
-    seed: int = 0,
-) -> Witness | None:
-    """Sampling tier alone: None if all samples agree, else a witness.
-    Raises ValueError unless samples >= 1 and 0 < tol < 1: no samples, or
-    a tolerance of the values' own size, would pass any comparison."""
-    if samples < 1:
-        raise ValueError(f"samples must be at least 1, got {samples}")
-    if not 0 < tol < 1:
-        raise ValueError(f"tol must lie strictly between 0 and 1, got {tol}")
-    names = tuple(sorted(free_vars(a) | free_vars(b)))
-    domain = domain or {}
-    if not names:
-        try:
-            va, vb = eval_numeric(a, {}), eval_numeric(b, {})
-        except EvalError as exc:
-            raise OracleError(f"constant comparison left the domain: {exc}") from exc
-        return None if _within(va, vb, tol) else Witness({}, va, vb)
-    rng = _rng_for(seed, names)
-    collected = 0
-    attempts = 0
-    last_error: EvalError | None = None
-    while collected < samples:
-        attempts += 1
-        if attempts > samples * _ATTEMPT_FACTOR:
-            raise OracleError(
-                f"could not collect {samples} in-domain samples after {attempts - 1} "
-                f"attempts; last failure: {last_error}"
-            )
-        point = {}
-        for name in names:
-            lo, hi = domain.get(name, DEFAULT_INTERVAL)
-            point[name] = rng.uniform(lo, hi)
-        try:
-            va = eval_numeric(a, point)
-            vb = eval_numeric(b, point)
-        except EvalError as exc:
-            last_error = exc
-            continue
-        if not _within(va, vb, tol):
-            return Witness(point, va, vb)
-        collected += 1
-    return None
-
-
-def expr_equal(
-    a: Expr,
-    b: Expr,
-    *,
-    samples: int = DEFAULT_SAMPLES,
-    tol: float = DEFAULT_TOL,
-    domain: Mapping[str, Interval] | None = None,
-    seed: int = 0,
-) -> bool:
-    """Two-tier equality: exact canonical coincidence, else sampling."""
-    if canonical_equal(a, b):
-        return True
-    witness = sample_compare(a, b, samples=samples, tol=tol, domain=domain, seed=seed)
-    return witness is None
-
-
 class OracleConfig:
     """Equality-check policy shared across a computation: sample count
     (at least 1), tolerance (in (0, 1)), RNG seed, and per-variable sampling
-    intervals. Other settings raise ValueError: they would pass anything.
-    Immutable by convention."""
+    intervals (a variable with none samples DEFAULT_INTERVAL). Other
+    settings raise ValueError: they would pass anything. Immutable by
+    convention."""
 
     __slots__ = ("samples", "tol", "seed", "intervals")
 
@@ -146,21 +80,49 @@ class OracleConfig:
         self.seed = seed
         self.intervals = {} if intervals is None else intervals
 
-    def with_intervals(self, extra: Mapping[str, Interval]) -> "OracleConfig":
-        merged = dict(self.intervals)
-        merged.update(extra)
-        return OracleConfig(self.samples, self.tol, self.seed, merged)
-
     def equal(self, a: Expr, b: Expr) -> bool:
-        return expr_equal(
-            a, b, samples=self.samples, tol=self.tol, domain=self.intervals,
-            seed=self.seed,
-        )
+        return expr_equal(a, b, self)
 
-    def witness(self, a: Expr, b: Expr) -> Witness | None:
-        if canonical_equal(a, b):
-            return None
-        return sample_compare(
-            a, b, samples=self.samples, tol=self.tol, domain=self.intervals,
-            seed=self.seed,
-        )
+
+def sample_compare(a: Expr, b: Expr, config: OracleConfig) -> Witness | None:
+    """Sampling tier alone, under config's policy: None if all samples
+    agree, else a witness."""
+    names = tuple(sorted(free_vars(a) | free_vars(b)))
+    samples, tol = config.samples, config.tol
+    if not names:
+        try:
+            va, vb = eval_numeric(a, {}), eval_numeric(b, {})
+        except EvalError as exc:
+            raise OracleError(f"constant comparison left the domain: {exc}") from exc
+        return None if _within(va, vb, tol) else Witness({}, va, vb)
+    rng = _rng_for(config.seed, names)
+    collected = 0
+    attempts = 0
+    last_error: EvalError | None = None
+    while collected < samples:
+        attempts += 1
+        if attempts > samples * _ATTEMPT_FACTOR:
+            raise OracleError(
+                f"could not collect {samples} in-domain samples after {attempts - 1} "
+                f"attempts; last failure: {last_error}"
+            )
+        point = {}
+        for name in names:
+            lo, hi = config.intervals.get(name, DEFAULT_INTERVAL)
+            point[name] = rng.uniform(lo, hi)
+        try:
+            va = eval_numeric(a, point)
+            vb = eval_numeric(b, point)
+        except EvalError as exc:
+            last_error = exc
+            continue
+        if not _within(va, vb, tol):
+            return Witness(point, va, vb)
+        collected += 1
+    return None
+
+
+def expr_equal(a: Expr, b: Expr, config: OracleConfig) -> bool:
+    """Two-tier equality: exact canonical coincidence, else sampling under
+    config."""
+    return canonical_equal(a, b) or sample_compare(a, b, config) is None

@@ -133,7 +133,7 @@ class SmoothMap:
                         f"{sorted(extra)}"
                     )
             forward = dict(zip(self.target.coords, self.components))
-            cfg = OracleConfig().with_intervals(self.source.intervals)
+            cfg = OracleConfig(intervals=self.source.intervals)
             for a, c in enumerate(self.source.coords):
                 back = substitute(self.inverse[a], forward)
                 if not cfg.equal(back, Var(c)):
@@ -278,7 +278,7 @@ def is_isometry(
 ) -> bool:
     """Does psi* g_target equal g_source, as forms xdot^a xdot^b g_ba? The
     pulled-back form is compared as it is, so a degenerate map answers no."""
-    cfg = config or OracleConfig().with_intervals(psi.source.intervals)
+    cfg = config or OracleConfig(intervals=psi.source.intervals)
     return graded_equal(_pulled_form(psi, g_target), _form(g_source), cfg)
 
 
@@ -289,7 +289,7 @@ def is_symplectomorphism(
     config: OracleConfig | None = None,
 ) -> bool:
     """Does psi* omega_target equal omega_source, as forms dx^a dx^b omega_ba?"""
-    cfg = config or OracleConfig().with_intervals(psi.source.intervals)
+    cfg = config or OracleConfig(intervals=psi.source.intervals)
     return graded_equal(_pulled_form(psi, omega_target), _form(omega_source), cfg)
 
 
@@ -344,7 +344,7 @@ def check_naturality(
 ) -> NaturalityReport:
     """Pull the target's lifted metric back along the prolonged map and
     compare with the source's own lifted metric."""
-    cfg = config or OracleConfig().with_intervals(psi.source.intervals)
+    cfg = config or OracleConfig(intervals=psi.source.intervals)
     outcome = residual_outcome(
         "naturality", [pullback(psi, target_lift.lifted)], [source_lift.lifted], cfg
     )
@@ -369,7 +369,7 @@ def pairing_invariance(
     target chart, for every pair X = fields[i], Y = fields[j] with i <= j
     of (name, field) entries given over the target's odd tangent bundle.
     Each field is pulled back once."""
-    cfg = config or OracleConfig().with_intervals(psi.source.intervals)
+    cfg = config or OracleConfig(intervals=psi.source.intervals)
     pulled = [field_pullback(psi, V) for _, V in fields]
     out = []
     for i, (name_i, X) in enumerate(fields):

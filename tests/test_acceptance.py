@@ -68,9 +68,7 @@ def _spec(name):
 
 
 def _cfg(spec, samples=20, seed=SEED):
-    return OracleConfig(samples=samples, tol=1e-9, seed=seed).with_intervals(
-        spec.chart.intervals
-    )
+    return OracleConfig(samples=samples, tol=1e-9, seed=seed, intervals=spec.chart.intervals)
 
 
 def _sample_point(spec, rng):

@@ -133,7 +133,7 @@ def test_commutator_table_randomized():
     rng = random.Random(SEED)
     start = time.monotonic()
     for g, _ in (euclidean2(), misner(), polar()):
-        cfg = OracleConfig(samples=20, tol=1e-9, seed=SEED).with_intervals(g.chart.intervals)
+        cfg = OracleConfig(samples=20, tol=1e-9, seed=SEED, intervals=g.chart.intervals)
         for round_no in range(4):
             X = random_base_field(g.chart, rng)
             Y = random_base_field(g.chart, rng)
@@ -172,7 +172,7 @@ def test_lie_against_d_gives_the_flat_one_form():
 
 def test_proposition_on_fixed_fields():
     for g, om in (euclidean2(), misner(), polar()):
-        cfg = OracleConfig(samples=20, tol=1e-9, seed=SEED).with_intervals(g.chart.intervals)
+        cfg = OracleConfig(samples=20, tol=1e-9, seed=SEED, intervals=g.chart.intervals)
         c0, c1 = g.chart.coords
         X = VectorFieldM(g.chart, (_p(c1), _p(c0)))
         Y = VectorFieldM(g.chart, (_p("1"), _p(f"{c0}*{c1}")))
@@ -219,7 +219,7 @@ def test_proposition_randomized_all_geometries():
     # curved4 comes last so that the earlier charts keep their draws
     for g, om in (euclidean2(), misner(), polar(), curved4()):
         lift = lift_geometry(g, om)
-        cfg = OracleConfig(samples=20, tol=1e-9, seed=SEED).with_intervals(g.chart.intervals)
+        cfg = OracleConfig(samples=20, tol=1e-9, seed=SEED, intervals=g.chart.intervals)
         for round_no in range(5):
             X = random_base_field(g.chart, rng)
             Y = random_base_field(g.chart, rng)
@@ -233,7 +233,7 @@ def test_epsilon_level_pairing_recovers_base_tensors():
     rng = random.Random(SEED + 2)
     for g, om in (euclidean2(), misner(), polar()):
         lift = lift_geometry(g, om)
-        cfg = OracleConfig(samples=20, tol=1e-9, seed=SEED).with_intervals(g.chart.intervals)
+        cfg = OracleConfig(samples=20, tol=1e-9, seed=SEED, intervals=g.chart.intervals)
         for _ in range(4):
             X = random_base_field(g.chart, rng)
             Y = random_base_field(g.chart, rng)
@@ -257,3 +257,43 @@ def test_residuals_report_actual_failures():
     outcome = residual_outcome("L_X = i_X", LX.coefficients, iX.coefficients, OracleConfig())
     assert not outcome.holds
     assert outcome.residual == "y; -y + dy"
+
+
+def test_chart_checks_without_a_config_sample_the_chart_box(monkeypatch):
+    import supersasaki.cartan as cartan
+
+    seen = []
+    real = cartan.graded_equal
+
+    def recording(f, g, config=None):
+        seen.append(config)
+        return real(f, g, config)
+
+    monkeypatch.setattr(cartan, "graded_equal", recording)
+    g, om = polar()
+    lift = lift_geometry(g, om)
+    rng = random.Random(SEED)
+    X, Y = random_base_field(g.chart, rng), random_base_field(g.chart, rng)
+    assert all(o.holds for o in verify_proposition(lift, X, Y))
+    assert all(o.holds for o in cartan_commutators(X, Y))
+    assert seen and all(cfg is not None and cfg.intervals == g.chart.intervals for cfg in seen)
+
+
+def test_identical_pairs_never_reach_the_oracle(monkeypatch):
+    import supersasaki.symexpr.oracle as oracle
+
+    calls = []
+    real = oracle.expr_equal
+
+    def counting(*args, **kwargs):
+        calls.append(args[:2])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "expr_equal", counting)
+    lift = lift_geometry(*polar())
+    assert graded_equal(lift.lifted, lift.lifted)
+    assert calls == []
+    # a coefficient whose pairs differ still goes to the oracle
+    shifted = lift.lifted + parse_graded("r", lift.lifted.table)
+    assert not graded_equal(lift.lifted, shifted)
+    assert len(calls) == 1

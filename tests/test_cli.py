@@ -307,6 +307,13 @@ def test_input_errors_exit_2(capsys, tmp_path):
         assert err.startswith("error:") and where in err, err
         assert len(err.splitlines()) == 1, err
 
+    # a result too long to print names the value it belongs to
+    huge = "lie:x*2^8000,0"
+    code, _, err = _run(capsys, "pair", SPECS / "euclidean2.json", "--x", huge, "--y", huge)
+    assert code == 2
+    assert err.startswith("error: pairing (vertical lift): a constant of about 4800 digits"), err
+    assert len(err.splitlines()) == 1, err
+
     code, _, err = _run(
         capsys, "check", SPECS / "euclidean2.json", "--suite", "naturality"
     )
@@ -315,6 +322,8 @@ def test_input_errors_exit_2(capsys, tmp_path):
 
     flat = json.loads((SPECS / "euclidean2.json").read_text())
     misner = json.loads((SPECS / "misner.json").read_text())
+    varcoef = json.loads((SPECS / "varcoef.json").read_text())
+    inf = float("inf")  # written as the JSON number 1e309
     one = ["0", "1"]
     # sqrt(x) is undefined on the whole sample domain
     undefined = dict(flat, name="undefined", metric=[["sqrt(x)", "0"], one],
@@ -352,9 +361,17 @@ def test_input_errors_exit_2(capsys, tmp_path):
          "misner.reference_sasaki: graded quantity has zero body"),
         ("christoffel", dict(misner, reference_nabla={"t": "dtdot", "phi": "dphidot + q"}),
          "misner.reference_nabla[phi]: offset 10: unknown identifier 'q'"),
+        # the sample box is checked where it is read: bounds must be finite
+        # numbers, and a boolean is not a number
+        ("christoffel", dict(flat, sample_domain={"x": [0, inf], "y": [-1.0, 1.0]}),
+         "euclidean2': sample_domain['x'] must be [lo, hi] with lo < hi"),
+        ("christoffel", dict(varcoef, sample_domain={"u": [0, inf], "v": [-1.0, 1.0]}),
+         "varcoef': sample_domain['u'] must be [lo, hi] with lo < hi"),
+        ("sasaki", dict(flat, sample_domain={"x": [True, 2], "y": [-1.0, 1.0]}),
+         "euclidean2': sample_domain['x'] must be [lo, hi] with lo < hi"),
     ):
         path = tmp_path / f"{doc['name']}.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(doc).replace("Infinity", "1e309"))
         code, _, err = _run(capsys, command, path)
         assert code == 2, where
         assert err.startswith("error:") and where in err, err

@@ -109,7 +109,7 @@ def _sign(p, q):
 
 
 def _config(chart):
-    return OracleConfig(samples=20, tol=1e-9, seed=0).with_intervals(chart.intervals)
+    return OracleConfig(samples=20, tol=1e-9, seed=0, intervals=chart.intervals)
 
 
 @PROPERTY_SETTINGS

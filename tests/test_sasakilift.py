@@ -267,7 +267,7 @@ def test_pairing_epsilon_part_recovers_the_base_metric():
 def test_closed_form_matches_lift_on_random_fields():
     rng = random.Random(SEED)
     for g, om in (euclidean2(), misner(), polar()):
-        cfg = OracleConfig(samples=25, tol=1e-9, seed=SEED).with_intervals(g.chart.intervals)
+        cfg = OracleConfig(samples=25, tol=1e-9, seed=SEED, intervals=g.chart.intervals)
         lift = lift_geometry(g, om)
         for parity in (EVEN, ODD):
             for _ in range(8):
@@ -301,7 +301,7 @@ def test_pairing_rejects_mismatched_inputs():
 def test_pairing_is_graded_symmetric():
     rng = random.Random(SEED + 1)
     g, om = polar()
-    cfg = OracleConfig(samples=25, tol=1e-9, seed=SEED).with_intervals(g.chart.intervals)
+    cfg = OracleConfig(samples=25, tol=1e-9, seed=SEED, intervals=g.chart.intervals)
     lift = lift_geometry(g, om)
     for _ in range(10):
         X = random_field(g.chart, rng.choice((EVEN, ODD)), rng)
@@ -316,7 +316,7 @@ def test_pairing_is_graded_symmetric():
 def test_pairing_is_left_linear_over_even_scalars():
     rng = random.Random(SEED + 2)
     g, om = misner()
-    cfg = OracleConfig(samples=25, tol=1e-9, seed=SEED).with_intervals(g.chart.intervals)
+    cfg = OracleConfig(samples=25, tol=1e-9, seed=SEED, intervals=g.chart.intervals)
     lift = lift_geometry(g, om)
     table = ptm_table(g.chart)
     from supersasaki.grassmann import parse_graded

@@ -155,7 +155,7 @@ def test_prolongation_to_the_odd_tangent_bundle():
     # over the ptm table only the y and dy blocks are built, and they agree
     # with the same blocks of the full prolongation
     for psi in (polar_to_cartesian(), bend()):
-        cfg = OracleConfig(samples=25, tol=1e-9, seed=SEED).with_intervals(psi.source.intervals)
+        cfg = OracleConfig(samples=25, tol=1e-9, seed=SEED, intervals=psi.source.intervals)
         ptm, tptm = ptm_table(psi.source), tptm_table(psi.source)
         short = prolong(psi, ptm)
         full = prolong(psi, tptm)
@@ -427,7 +427,7 @@ def test_tensors_and_connections_move_by_the_prolongation(case, from_reference):
     if from_reference:
         g_source = MetricTensor(psi.source, g_ref)
         om_source = AlmostSymplectic(psi.source, om_ref)
-    cfg = OracleConfig().with_intervals(psi.source.intervals)
+    cfg = OracleConfig(intervals=psi.source.intervals)
 
     def entrywise(pulled, source):
         return all(cfg.equal(p, q) for rp, rq in zip(pulled, source) for p, q in zip(rp, rq))
@@ -450,7 +450,7 @@ def test_prolongation_is_functorial():
     first = rotation("1")
     second = rotation("1/2")
     composed = _compose_maps(second, first)
-    cfg = OracleConfig(samples=25, tol=1e-9, seed=SEED).with_intervals(first.source.intervals)
+    cfg = OracleConfig(samples=25, tol=1e-9, seed=SEED, intervals=first.source.intervals)
     direct = prolong(composed, tptm_table(composed.source))
     step1 = prolong(second, tptm_table(second.source))
     table = tptm_table(first.source)
@@ -478,7 +478,7 @@ def test_christoffel_transport_matches_direct_computation():
     gammaE = christoffel(gE)
     moved = transform_christoffel(psi, gammaE)
     direct = christoffel(gP)
-    cfg = OracleConfig(samples=25, tol=1e-9, seed=SEED).with_intervals(psi.source.intervals)
+    cfg = OracleConfig(samples=25, tol=1e-9, seed=SEED, intervals=psi.source.intervals)
     n = 2
     for a in range(n):
         for b in range(n):
@@ -510,7 +510,7 @@ def test_pullback_of_splitting_covectors_is_jacobian_linear():
     nabla_target = nabla_dot(gammaE)
     nabla_source = nabla_dot(gammaP)
     J = jacobian(psi)
-    cfg = OracleConfig(samples=25, tol=1e-9, seed=SEED).with_intervals(psi.source.intervals)
+    cfg = OracleConfig(samples=25, tol=1e-9, seed=SEED, intervals=psi.source.intervals)
     n = 2
     for alpha in range(n):
         pulled = pullback(psi, nabla_target[alpha])
@@ -534,7 +534,7 @@ def test_christoffel_naturality_across_shipped_maps():
         )
     )
     for psi, g_target in cases:
-        cfg = OracleConfig(samples=25, tol=1e-9, seed=SEED).with_intervals(psi.source.intervals)
+        cfg = OracleConfig(samples=25, tol=1e-9, seed=SEED, intervals=psi.source.intervals)
         pulled_metric = pullback_metric(psi, g_target)
         moved = transform_christoffel(psi, christoffel(g_target))
         direct = christoffel(pulled_metric)
@@ -564,7 +564,7 @@ def test_preserving_both_structures_forces_naturality():
     ]
     preserved = 0
     for psi, source_data, target_data in cases:
-        cfg = OracleConfig(samples=25, tol=1e-9, seed=SEED).with_intervals(psi.source.intervals)
+        cfg = OracleConfig(samples=25, tol=1e-9, seed=SEED, intervals=psi.source.intervals)
         report = check_naturality(
             psi, lift_geometry(*source_data), lift_geometry(*target_data), cfg
         )
@@ -577,7 +577,7 @@ def test_preserving_both_structures_forces_naturality():
 def test_rotation_is_an_isometry_and_natural():
     psi = rotation()
     gE, omE = euclidean_data()
-    cfg = OracleConfig(samples=25, tol=1e-9, seed=SEED).with_intervals(psi.source.intervals)
+    cfg = OracleConfig(samples=25, tol=1e-9, seed=SEED, intervals=psi.source.intervals)
     assert is_isometry(psi, gE, gE, cfg)
     assert is_symplectomorphism(psi, omE, omE, cfg)
     lift = lift_geometry(gE, omE)
@@ -589,7 +589,7 @@ def test_rotation_is_an_isometry_and_natural():
 def test_scaling_breaks_naturality_with_a_visible_residual():
     psi = doubling()
     gE, omE = euclidean_data()
-    cfg = OracleConfig(samples=25, tol=1e-9, seed=SEED).with_intervals(psi.source.intervals)
+    cfg = OracleConfig(samples=25, tol=1e-9, seed=SEED, intervals=psi.source.intervals)
     lift = lift_geometry(gE, omE)
     report = check_naturality(psi, lift, lift, cfg)
     assert not report.isometry
@@ -602,7 +602,7 @@ def test_polar_chart_naturality_is_exact():
     gE, omE = euclidean_data()
     gP = pullback_metric(psi, gE)
     omP = pullback_two_form(psi, omE)
-    cfg = OracleConfig(samples=25, tol=1e-9, seed=SEED).with_intervals(psi.source.intervals)
+    cfg = OracleConfig(samples=25, tol=1e-9, seed=SEED, intervals=psi.source.intervals)
     report = check_naturality(psi, lift_geometry(gP, omP), lift_geometry(gE, omE), cfg)
     assert report.isometry and report.symplectomorphism and report.holds
 
@@ -625,7 +625,7 @@ def test_pairing_invariance_under_chart_change():
     omP = pullback_two_form(psi, omE)
     source_lift = lift_geometry(gP, omP)
     target_lift = lift_geometry(gE, omE)
-    cfg = OracleConfig(samples=25, tol=1e-9, seed=SEED).with_intervals(psi.source.intervals)
+    cfg = OracleConfig(samples=25, tol=1e-9, seed=SEED, intervals=psi.source.intervals)
     rng = random.Random(SEED)
     for parity in (EVEN, ODD):
         for _ in range(3):
@@ -650,7 +650,7 @@ def test_pairing_invariance_pulls_each_field_back_once(monkeypatch):
     psi = rotation()
     gE, omE = euclidean_data()
     lift = lift_geometry(gE, omE)
-    cfg = OracleConfig(samples=25, tol=1e-9, seed=SEED).with_intervals(psi.source.intervals)
+    cfg = OracleConfig(samples=25, tol=1e-9, seed=SEED, intervals=psi.source.intervals)
     rng = random.Random(SEED)
     names = ("a", "b", "c")
     fields = [
@@ -670,7 +670,7 @@ def test_translation_along_a_symmetry_direction():
     g = MetricTensor(ch, [[_p("0"), _p("1")], [_p("1"), _p("t")]])
     om = AlmostSymplectic(ch, [[_p("0"), _p("-1")], [_p("1"), _p("0")]])
     psi = SmoothMap(ch, ch, (_p("t"), _p("phi + 1")), inverse=(_p("t"), _p("phi - 1")), name="phi_translation")
-    cfg = OracleConfig(samples=25, tol=1e-9, seed=SEED).with_intervals(ch.intervals)
+    cfg = OracleConfig(samples=25, tol=1e-9, seed=SEED, intervals=ch.intervals)
     lift = lift_geometry(g, om)
     report = check_naturality(psi, lift, lift, cfg)
     assert report.isometry and report.holds
