@@ -25,12 +25,15 @@ assembled directly as
 
 which is Sasaki's classical form xdot^a xdot^b g_ba + D(xdot)^a D(xdot)^b g_ba
 with the odd splitting in place of the even one D(xdot) and omega in place
-of g. Both lifts go through the one splitting `_splitting`, and each is
-two `grassmann.contract`s, contract(g, xdot, xdot) + contract(B, F, F).
+of g. Both lifts go through the one splitting `_splitting`, whose F^a is
+one `grassmann.contract` over the plane Gamma^a, and each lift is two
+more, contract(g, xdot, xdot) + contract(B, F, F).
 
 Vector fields on the odd tangent bundle pair through either the vertical
 lift (1/2 iota_X iota_Y applied to the lifted metric) or the closed
-formula; both are exposed and tested against each other.
+formula X^a Y^b g_ba + (-1)^|Y| N_X^a N_Y^b omega_ba, with
+N_Z^a = Zbar^a + Z^b dx^c Gamma^a_{cb} again one `contract` per a; both
+are exposed and tested against each other.
 """
 
 from __future__ import annotations
@@ -63,14 +66,7 @@ from .grassmann import (
     partial,
     restrict_to,
 )
-from .symexpr import (
-    Add,
-    Const,
-    Expr,
-    Mul,
-    Var,
-    simplify,
-)
+from .symexpr import Add, Const, Expr, Mul, Var
 
 
 def odd_fiber_name(coord: str) -> str:
@@ -118,17 +114,16 @@ def _splitting(
 ) -> tuple[GradedExpr, ...]:
     """F^a = fiber(x^a)dot + fiber(x^b) xdot^c Gamma^a_{cb} over `table`,
     the splitting of both lifts: the fibers are odd generators in
-    nabla_dot and even ones in classical_sasaki."""
+    nabla_dot and even ones in classical_sasaki. Each F^a takes one
+    `contract` over the plane Gamma^a."""
     coords = gamma.chart.coords
-    xdot = [Var(velocity_name(c)) for c in coords]
-    out = []
-    for a, xa in enumerate(coords):
-        F = GradedExpr.generator(table, velocity_name(fiber(xa)))
-        for b, xb in enumerate(coords):
-            K = Add.of(*(Mul.of(x, gamma.entry(a, c, b)) for c, x in enumerate(xdot)))
-            F = F + GradedExpr.generator(table, fiber(xb)).scale(K)
-        out.append(F)
-    return tuple(out)
+    fibers = [GradedExpr.generator(table, fiber(c)) for c in coords]
+    xdot = [GradedExpr.generator(table, velocity_name(c)) for c in coords]
+    return tuple(
+        GradedExpr.generator(table, velocity_name(fiber(xa)))
+        + contract(gamma.gamma[a], fibers, xdot)
+        for a, xa in enumerate(coords)
+    )
 
 
 def nabla_dot(gamma: ChristoffelSymbols) -> tuple[GradedExpr, ...]:
@@ -298,7 +293,13 @@ def pairing_via_lift(
 def pairing_closed_form(
     X: VectorFieldPTM, Y: VectorFieldPTM, lift: LiftedGeometry
 ) -> GradedExpr:
-    """The expanded pairing formula:
+    """The pairing in closed form:
+
+        <X|Y> = X^a Y^b g_ba + (-1)^|Y| N_X^a N_Y^b omega_ba ,
+        N_Z^a = Zbar^a + Z^b dx^c Gamma^a_{cb} ,
+
+    the splitting with (Z, Zbar) in place of (xdot, dxdot), Gamma being
+    symmetric. Multiplied out it is the four-bracket sum
 
         <X|Y> = X^a Y^b g_ba
               - X^a Y^b dx^c dx^d Gamma^e_{da} Gamma^f_{bc} omega_fe
@@ -310,46 +311,21 @@ def pairing_closed_form(
     the chart data lift.metric, lift.omega and lift.gamma, never the lifted
     metric or the splitting covectors.
     """
-    g, omega, gamma = lift.metric, lift.omega, lift.gamma
-    chart = g.chart
-    ptm = X.table
-    if ptm.even_names != chart.coords:
-        raise GradedError("fields and tensors live on different charts")
-    ix = range(chart.dim)
-    om = omega.matrix
-    dx = [GradedExpr.generator(ptm, odd_fiber_name(c)) for c in chart.coords]
-    Xs, Xbar, Ys, Ybar = X.components, X.barred, Y.components, Y.barred
-    sign_y = -1 if Y.parity == ODD else 1
-    sign_xy = -1 if (X.parity * ((Y.parity + 1) % 2)) % 2 else 1
+    if X.table != lift.ptm or Y.table != lift.ptm:
+        raise GradedError("paired fields do not live over the lift's odd tangent bundle")
+    gamma = lift.gamma
+    dx = [GradedExpr.generator(X.table, odd_fiber_name(c)) for c in gamma.chart.coords]
 
-    total = contract(g.matrix, Xs, Ys) + contract(om, Xbar, Ybar).scale(sign_y)
-    for c in ix:
-        # (Gamma omega)_c[b][a] = Gamma^d_{cb} omega_da
-        gw = [
-            [simplify(Add.of(*(Mul.of(gamma.entry(d, c, b), om[d][a]) for d in ix))) for a in ix]
-            for b in ix
+    def N(Z: VectorFieldPTM) -> list[GradedExpr]:
+        return [
+            bar + contract(plane, Z.components, dx)
+            for bar, plane in zip(Z.barred, gamma.gamma)
         ]
-        bracket = contract(gw, Xbar, Ys).scale(sign_y) + contract(gw, Ybar, Xs).scale(sign_xy)
-        total = total + gmul(bracket, dx[c])
-    if all(u.is_zero() for u in Xs) or all(v.is_zero() for v in Ys):
-        return total
-    for c in ix:
-        for d in ix:
-            if c == d:
-                continue  # dx^c dx^c = 0
-            # (Gamma Gamma omega)_cd[b][a] = Gamma^e_{da} Gamma^f_{bc} omega_fe
-            ggw = [
-                [
-                    simplify(Add.of(*(
-                        Mul.of(gamma.entry(e, d, a), gamma.entry(f, b, c), om[f][e])
-                        for e in ix for f in ix
-                    )))
-                    for a in ix
-                ]
-                for b in ix
-            ]
-            total = total - gmul(contract(ggw, Xs, Ys), gmul(dx[c], dx[d]))
-    return total
+
+    sign_y = -1 if Y.parity == ODD else 1
+    return contract(lift.metric.matrix, X.components, Y.components) + contract(
+        lift.omega.matrix, N(X), N(Y)
+    ).scale(sign_y)
 
 
 # ---------------------------------------------------------------------------

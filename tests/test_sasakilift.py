@@ -291,11 +291,12 @@ def test_pairing_rejects_mismatched_inputs():
     lift = lift_geometry(g, om)
     X = vector_field_on_base(g.chart, (_p("1"), _p("0")))
     W = vector_field_on_base(gP.chart, (_p("1"), _p("0")))
-    with pytest.raises(GradedError):
-        pairing_via_lift(X, W, lift)
     wrong_lift = lift_geometry(gP, omP)
-    with pytest.raises(GradedError):
-        pairing_via_lift(X, X, wrong_lift)
+    message = "paired fields do not live over the lift's odd tangent bundle"
+    for pairing in (pairing_via_lift, pairing_closed_form):
+        for args in ((X, W, lift), (W, X, lift), (X, X, wrong_lift)):
+            with pytest.raises(GradedError, match=message):
+                pairing(*args)
 
 
 def test_pairing_is_graded_symmetric():
@@ -430,7 +431,9 @@ def test_both_lifts_equal_the_expanded_form_on_every_shipped_spec():
 
 @PROPERTY_SETTINGS
 @given(
-    name=st.sampled_from(("euclidean2", "misner", "polar", "varcoef", "sphere", "rational")),
+    name=st.sampled_from(
+        ("euclidean2", "misner", "polar", "varcoef", "sphere", "rational", "curved4")
+    ),
     kind=st.sampled_from(("ptm", "lie x interior", "interior x lie")),
     parities=st.sampled_from(((EVEN, EVEN), (EVEN, ODD), (ODD, EVEN), (ODD, ODD))),
     seed=st.integers(0, 2**16),
