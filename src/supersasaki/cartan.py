@@ -19,7 +19,6 @@ the vertical-lift pairing, the right side assembled from the chart data.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
 
 from .geometry import (
     Chart,
@@ -33,9 +32,8 @@ from .grassmann import (
     GradedError,
     GradedExpr,
     contract,
-    graded_equal,
-    graded_to_text,
 )
+from .report import CheckOutcome, residual_outcome
 from .sasakilift import (
     LiftedGeometry,
     VectorFieldPTM,
@@ -92,35 +90,6 @@ def super_commutator(U: VectorFieldPTM, V: VectorFieldPTM) -> VectorFieldPTM:
         ),
         (U.parity + V.parity) % 2,
     )
-
-
-# ---------------------------------------------------------------------------
-# check reports
-
-class CheckOutcome:
-    __slots__ = ("name", "holds", "residual")
-
-    def __init__(self, name: str, holds: bool, residual: str) -> None:
-        self.name = name
-        self.holds = holds
-        self.residual = residual  # canonical text of the residual, "0" when it vanishes
-
-
-def residual_outcome(
-    name: str,
-    lhs: Sequence[GradedExpr],
-    rhs: Sequence[GradedExpr],
-    config: OracleConfig,
-) -> CheckOutcome:
-    """The check lhs[k] = rhs[k] for every k: it holds when every residual
-    lhs[k] - rhs[k] vanishes under the oracle, and reports the nonzero
-    residuals joined by "; ", or "0"."""
-    residuals = [left - right for left, right in zip(lhs, rhs, strict=True)]
-    holds = all(
-        graded_equal(r, GradedExpr.zero(r.table), config) for r in residuals
-    )
-    nonzero = [graded_to_text(r) for r in residuals if not r.is_zero()]
-    return CheckOutcome(name, holds, "; ".join(nonzero) or "0")
 
 
 def cartan_commutators(

@@ -38,12 +38,10 @@ import time
 from typing import Callable, Sequence
 
 from .cartan import (
-    CheckOutcome,
     cartan_commutators,
     de_rham,
     interior,
     lie_derivative,
-    residual_outcome,
     verify_proposition,
 )
 from .geometry import (
@@ -63,7 +61,7 @@ from .grassmann import (
     graded_to_text,
     parity_of,
 )
-from .report import RunReport, render_structured, render_text
+from .report import CheckOutcome, RunReport, render_structured, render_text, residual_outcome
 from .sasakilift import (
     LiftedGeometry,
     VectorFieldPTM,
@@ -99,7 +97,13 @@ from .symexpr import (
     neg,
     to_text,
 )
-from .transform import SmoothMap, check_naturality, pairing_invariance
+from .transform import (
+    SmoothMap,
+    check_naturality,
+    is_isometry,
+    is_symplectomorphism,
+    pairing_invariance,
+)
 
 # unusable input (exit 2): bad files and specs, and chart data the engine
 # cannot evaluate on its sample domain or parse within the recursion limit
@@ -226,10 +230,7 @@ def cmd_christoffel(args: argparse.Namespace, spec: GeometrySpec) -> RunReport:
     rng = random.Random(args.seed)
     worst = 0.0
     for _ in range(args.samples):
-        point = {
-            c: rng.uniform(*spec.chart.intervals.get(c, (-1.0, 1.0)))
-            for c in spec.chart.coords
-        }
+        point = {c: rng.uniform(*spec.chart.intervals[c]) for c in spec.chart.coords}
         fd = christoffel_fd(spec.metric, point)
         sym = [
             [
@@ -364,8 +365,9 @@ def cmd_pair(args: argparse.Namespace, spec: GeometrySpec) -> RunReport:
             report.values[key] = graded_to_text(value)
         except EvalError as exc:
             raise EvalError(f"{key}: {exc}") from exc
-    outcome = residual_outcome("vertical lift and closed form agree", [via], [closed], cfg)
-    report.add(outcome.name, outcome.holds, outcome.residual)
+    report.rows.append(
+        residual_outcome("vertical lift and closed form agree", [via], [closed], cfg)
+    )
     return report
 
 
@@ -442,23 +444,18 @@ def _suite_invariance(args: argparse.Namespace, spec: GeometrySpec) -> RunReport
     fixed.append(("seeded odd field", random_field(tchart, ODD, rng)))
     fixed.append(("seeded even field", random_field(tchart, EVEN, rng)))
 
-    for outcome in pairing_invariance(psi, lift_m, lift_n, fixed, cfg):
-        report.add(outcome.name, outcome.holds, outcome.residual)
+    report.rows += pairing_invariance(psi, lift_m, lift_n, fixed, cfg)
     return report
 
 
 def _suite_naturality(args: argparse.Namespace, spec: GeometrySpec) -> RunReport:
     report, psi, lift_m, lift_n = _chart_change(args, spec, "check naturality")
-    outcome = check_naturality(psi, lift_m, lift_n, _config(args, spec))
-    report.info(f"map is an isometry: {'yes' if outcome.isometry else 'no'}")
-    report.info(
-        f"map is a symplectomorphism: {'yes' if outcome.symplectomorphism else 'no'}"
-    )
-    report.add(
-        "pullback of the lifted metric equals the source lift",
-        outcome.holds,
-        outcome.residual,
-    )
+    cfg = _config(args, spec)
+    isometry = is_isometry(psi, lift_m.metric, lift_n.metric, cfg)
+    symplectic = is_symplectomorphism(psi, lift_m.omega, lift_n.omega, cfg)
+    report.info(f"map is an isometry: {'yes' if isometry else 'no'}")
+    report.info(f"map is a symplectomorphism: {'yes' if symplectic else 'no'}")
+    report.rows.append(check_naturality(psi, lift_m, lift_n, cfg))
     return report
 
 

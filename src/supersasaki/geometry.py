@@ -349,15 +349,7 @@ def vector_commutator(X: VectorFieldM, Y: VectorFieldM) -> VectorFieldM:
 def acs_candidate(g: MetricTensor, omega: AlmostSymplectic) -> Matrix:
     """J with J_a^b = omega_ac g^cb; squares to -Id exactly when the pair
     is compatible in the usual sense. Row index a, column index b."""
-    ginv = g.inverse
-    n = g.chart.dim
-    return tuple(
-        tuple(
-            simplify(Add.of(*(Mul.of(omega.matrix[a][c], ginv[c][b]) for c in range(n))))
-            for b in range(n)
-        )
-        for a in range(n)
-    )
+    return matrix_mul(omega.matrix, g.inverse)
 
 
 def squares_to_minus_identity(J: Matrix) -> bool:

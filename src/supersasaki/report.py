@@ -10,10 +10,11 @@ the source.
 from __future__ import annotations
 
 import json
+from typing import Sequence
 
 from .geometry import OMEGA_DICTIONARY_NOTE
-from .grassmann import ODD_DERIVATIVE_NOTE
-from .symexpr import MONOMIAL_ORDER_NOTE
+from .grassmann import ODD_DERIVATIVE_NOTE, GradedExpr, graded_equal, graded_to_text
+from .symexpr import MONOMIAL_ORDER_NOTE, OracleConfig
 
 CONVENTION_LEDGER: tuple[str, ...] = (
     ODD_DERIVATIVE_NOTE,
@@ -22,37 +23,59 @@ CONVENTION_LEDGER: tuple[str, ...] = (
 )
 
 
-class ResultRow:
-    __slots__ = ("name", "status", "residual")
+class CheckOutcome:
+    """One verdict and one report row; `holds` is None for an info line."""
 
-    def __init__(self, name: str, status: str, residual: str = "") -> None:
+    __slots__ = ("name", "holds", "residual")
+
+    def __init__(self, name: str, holds: bool | None, residual: str = "") -> None:
         self.name = name
-        self.status = status  # "pass" | "fail" | "info"
-        self.residual = residual
+        self.holds = holds
+        self.residual = residual  # a check's residual text, "0" when it vanishes
+
+    @property
+    def status(self) -> str:
+        return "info" if self.holds is None else "pass" if self.holds else "fail"
+
+
+def residual_outcome(
+    name: str,
+    lhs: Sequence[GradedExpr],
+    rhs: Sequence[GradedExpr],
+    config: OracleConfig,
+) -> CheckOutcome:
+    """The check lhs[k] = rhs[k] for every k: it holds when every residual
+    lhs[k] - rhs[k] vanishes under the oracle, and reports the nonzero
+    residuals joined by "; ", or "0"."""
+    residuals = [left - right for left, right in zip(lhs, rhs, strict=True)]
+    holds = all(
+        graded_equal(r, GradedExpr.zero(r.table), config) for r in residuals
+    )
+    nonzero = [graded_to_text(r) for r in residuals if not r.is_zero()]
+    return CheckOutcome(name, holds, "; ".join(nonzero) or "0")
 
 
 class RunReport:
     """The one mutable record: commands fill it in, then it is rendered."""
 
-    __slots__ = ("command", "inputs", "values", "rows", "notes", "elapsed")
+    __slots__ = ("command", "inputs", "values", "rows", "elapsed")
 
     def __init__(self, command: str, inputs: dict[str, str] | None = None) -> None:
         self.command = command
         self.inputs: dict[str, str] = {} if inputs is None else inputs
         self.values: dict[str, object] = {}
-        self.rows: list[ResultRow] = []
-        self.notes: list[str] = []
+        self.rows: list[CheckOutcome] = []
         self.elapsed: float | None = None
 
     def add(self, name: str, ok: bool, residual: str = "") -> None:
-        self.rows.append(ResultRow(name, "pass" if ok else "fail", residual))
+        self.rows.append(CheckOutcome(name, ok, residual))
 
     def info(self, name: str, residual: str = "") -> None:
-        self.rows.append(ResultRow(name, "info", residual))
+        self.rows.append(CheckOutcome(name, None, residual))
 
     @property
     def all_pass(self) -> bool:
-        return all(r.status != "fail" for r in self.rows)
+        return all(r.holds is not False for r in self.rows)
 
 
 def render_text(report: RunReport, with_timing: bool = False) -> str:
@@ -72,8 +95,6 @@ def render_text(report: RunReport, with_timing: bool = False) -> str:
         else:
             tail = "" if row.status == "pass" or not row.residual else f" | residual: {row.residual}"
             lines.append(f"[{row.status.upper()}] {row.name}{tail}")
-    for note in report.notes:
-        lines.append(f"note: {note}")
     lines.append("conventions:")
     for conv in CONVENTION_LEDGER:
         lines.append(f"  - {conv}")
@@ -98,7 +119,6 @@ def render_structured(report: RunReport, with_timing: bool = False) -> str:
             {"name": r.name, "status": r.status, "residual": r.residual}
             for r in report.rows
         ],
-        "notes": list(report.notes),
         "conventions": list(CONVENTION_LEDGER),
     }
     if with_timing and report.elapsed is not None:

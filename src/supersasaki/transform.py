@@ -46,7 +46,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .cartan import CheckOutcome, residual_outcome
 from .geometry import (
     AlmostSymplectic,
     Chart,
@@ -76,6 +75,7 @@ from .sasakilift import (
     tptm_table,
     velocity_name,
 )
+from .report import CheckOutcome, residual_outcome
 from .symexpr import (
     Const,
     Expr,
@@ -324,37 +324,19 @@ def field_pullback(psi: SmoothMap, V: VectorFieldPTM) -> VectorFieldPTM:
     return VectorFieldPTM(table, tuple(A + B), V.parity)
 
 
-class NaturalityReport:
-    __slots__ = ("isometry", "symplectomorphism", "holds", "residual")
-
-    def __init__(
-        self, isometry: bool, symplectomorphism: bool, holds: bool, residual: str
-    ) -> None:
-        self.isometry = isometry
-        self.symplectomorphism = symplectomorphism
-        self.holds = holds
-        self.residual = residual
-
-
 def check_naturality(
     psi: SmoothMap,
     source_lift: LiftedGeometry,
     target_lift: LiftedGeometry,
     config: OracleConfig | None = None,
-) -> NaturalityReport:
+) -> CheckOutcome:
     """Pull the target's lifted metric back along the prolonged map and
     compare with the source's own lifted metric."""
-    cfg = config or OracleConfig(intervals=psi.source.intervals)
-    outcome = residual_outcome(
-        "naturality", [pullback(psi, target_lift.lifted)], [source_lift.lifted], cfg
-    )
-    return NaturalityReport(
-        isometry=is_isometry(psi, source_lift.metric, target_lift.metric, cfg),
-        symplectomorphism=is_symplectomorphism(
-            psi, source_lift.omega, target_lift.omega, cfg
-        ),
-        holds=outcome.holds,
-        residual=outcome.residual,
+    return residual_outcome(
+        "pullback of the lifted metric equals the source lift",
+        [pullback(psi, target_lift.lifted)],
+        [source_lift.lifted],
+        config or OracleConfig(intervals=psi.source.intervals),
     )
 
 

@@ -7,7 +7,6 @@ from supersasaki.cartan import (
     de_rham,
     interior,
     lie_derivative,
-    residual_outcome,
     super_commutator,
     verify_proposition,
 )
@@ -19,7 +18,13 @@ from supersasaki.geometry import (
     vector_commutator,
 )
 from supersasaki.grassmann import EVEN, ODD, graded_equal, graded_to_text, parse_graded
-from supersasaki.report import CONVENTION_LEDGER, RunReport, render_structured, render_text
+from supersasaki.report import (
+    CONVENTION_LEDGER,
+    RunReport,
+    render_structured,
+    render_text,
+    residual_outcome,
+)
 from supersasaki.sasakilift import (
     apply_first_order,
     field_operator,
@@ -260,16 +265,16 @@ def test_residuals_report_actual_failures():
 
 
 def test_chart_checks_without_a_config_sample_the_chart_box(monkeypatch):
-    import supersasaki.cartan as cartan
+    import supersasaki.report as report
 
     seen = []
-    real = cartan.graded_equal
+    real = report.graded_equal
 
     def recording(f, g, config=None):
         seen.append(config)
         return real(f, g, config)
 
-    monkeypatch.setattr(cartan, "graded_equal", recording)
+    monkeypatch.setattr(report, "graded_equal", recording)
     g, om = polar()
     lift = lift_geometry(g, om)
     rng = random.Random(SEED)

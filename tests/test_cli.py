@@ -253,6 +253,28 @@ def test_structured_format_is_json(capsys):
     assert "elapsed_seconds" not in doc, "timing only shows up with --timing"
 
 
+def test_verdicts_render_as_pass_fail_and_info_rows():
+    from supersasaki.report import CheckOutcome, RunReport, render_structured, render_text
+
+    report = RunReport("rows")
+    report.rows += [CheckOutcome("ok", True, "0"), CheckOutcome("bad", False, "x")]
+    report.info("note", "y")
+    assert [r.status for r in report.rows] == ["pass", "fail", "info"]
+    text = render_text(report).splitlines()
+    assert "[PASS] ok" in text and "[FAIL] bad | residual: x" in text
+    assert "[info] note: y" in text and "summary: 1/2 checks pass" in text
+    doc = json.loads(render_structured(report))
+    assert doc["results"] == [
+        {"name": "ok", "status": "pass", "residual": "0"},
+        {"name": "bad", "status": "fail", "residual": "x"},
+        {"name": "note", "status": "info", "residual": "y"},
+    ]
+    assert "notes" not in doc
+    assert not report.all_pass
+    del report.rows[1]
+    assert report.all_pass, "an info row never fails a report"
+
+
 def test_reports_are_deterministic(capsys):
     argv = [
         "check",

@@ -48,6 +48,7 @@ from supersasaki.symexpr import (
     substitute,
 )
 from supersasaki.symexpr.canonical import to_canonical
+from supersasaki.report import CheckOutcome
 from supersasaki.specfiles import load_geometry, load_map
 from supersasaki.transform import (
     SmoothMap,
@@ -568,7 +569,8 @@ def test_preserving_both_structures_forces_naturality():
         report = check_naturality(
             psi, lift_geometry(*source_data), lift_geometry(*target_data), cfg
         )
-        if report.isometry and report.symplectomorphism:
+        isometry = is_isometry(psi, source_data[0], target_data[0], cfg)
+        if isometry and is_symplectomorphism(psi, source_data[1], target_data[1], cfg):
             preserved += 1
             assert report.holds, f"{psi.name}: preserved both structures but broke the lift"
     assert preserved >= 3, "property check should not be vacuous"
@@ -592,7 +594,7 @@ def test_scaling_breaks_naturality_with_a_visible_residual():
     cfg = OracleConfig(samples=25, tol=1e-9, seed=SEED, intervals=psi.source.intervals)
     lift = lift_geometry(gE, omE)
     report = check_naturality(psi, lift, lift, cfg)
-    assert not report.isometry
+    assert not is_isometry(psi, gE, gE, cfg)
     assert not report.holds
     assert report.residual == "3*xdot^2 + 3*ydot^2 + 6*dxdot*dydot"
 
@@ -604,7 +606,23 @@ def test_polar_chart_naturality_is_exact():
     omP = pullback_two_form(psi, omE)
     cfg = OracleConfig(samples=25, tol=1e-9, seed=SEED, intervals=psi.source.intervals)
     report = check_naturality(psi, lift_geometry(gP, omP), lift_geometry(gE, omE), cfg)
-    assert report.isometry and report.symplectomorphism and report.holds
+    assert is_isometry(psi, gP, gE, cfg) and is_symplectomorphism(psi, omP, omE, cfg)
+    assert report.holds
+
+
+def test_naturality_is_one_verdict_named_as_its_report_row():
+    # only scaling breaks the lift; its residual is the lifted metric's
+    # 4*(...) - (...) at every monomial
+    for psi, (g_source, om_source), (g_target, om_target) in EIGHT_MAPS[:4]:
+        cfg = OracleConfig(samples=25, tol=1e-9, seed=SEED, intervals=psi.source.intervals)
+        outcome = check_naturality(
+            psi, lift_geometry(g_source, om_source), lift_geometry(g_target, om_target), cfg
+        )
+        assert isinstance(outcome, CheckOutcome)
+        assert outcome.name == "pullback of the lifted metric equals the source lift"
+        assert outcome.holds is (psi.name != "scaling"), psi.name
+        expected = "3*xdot^2 + 3*ydot^2 + 6*dxdot*dydot" if psi.name == "scaling" else "0"
+        assert outcome.residual == expected, psi.name
 
 
 def test_field_pullback_respects_parity_and_chart():
@@ -673,4 +691,4 @@ def test_translation_along_a_symmetry_direction():
     cfg = OracleConfig(samples=25, tol=1e-9, seed=SEED, intervals=ch.intervals)
     lift = lift_geometry(g, om)
     report = check_naturality(psi, lift, lift, cfg)
-    assert report.isometry and report.holds
+    assert is_isometry(psi, g, g, cfg) and report.holds
