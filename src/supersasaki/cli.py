@@ -100,9 +100,8 @@ from .symexpr import (
 from .transform import (
     SmoothMap,
     check_naturality,
-    is_isometry,
-    is_symplectomorphism,
     pairing_invariance,
+    preserves,
 )
 
 # unusable input (exit 2): bad files and specs, and chart data the engine
@@ -275,7 +274,7 @@ def cmd_sasaki(args: argparse.Namespace, spec: GeometrySpec) -> RunReport:
     for i, c in enumerate(spec.chart.coords):
         report.values[f"nabla {velocity_name(c)}"] = graded_to_text(lift.nabla[i])
 
-    report.add("metric function is even", parity_of(lift.lifted) in (EVEN, None))
+    report.add("metric function is even", parity_of(lift.lifted) == EVEN)
     velocities = {velocity_name(c) for c in spec.chart.coords}
     odd_velocities = {odd_velocity_name(c) for c in spec.chart.coords}
     names = lift.tptm.names
@@ -451,8 +450,8 @@ def _suite_invariance(args: argparse.Namespace, spec: GeometrySpec) -> RunReport
 def _suite_naturality(args: argparse.Namespace, spec: GeometrySpec) -> RunReport:
     report, psi, lift_m, lift_n = _chart_change(args, spec, "check naturality")
     cfg = _config(args, spec)
-    isometry = is_isometry(psi, lift_m.metric, lift_n.metric, cfg)
-    symplectic = is_symplectomorphism(psi, lift_m.omega, lift_n.omega, cfg)
+    isometry = preserves(psi, lift_m.metric, lift_n.metric, cfg)
+    symplectic = preserves(psi, lift_m.omega, lift_n.omega, cfg)
     report.info(f"map is an isometry: {'yes' if isometry else 'no'}")
     report.info(f"map is a symplectomorphism: {'yes' if symplectic else 'no'}")
     report.rows.append(check_naturality(psi, lift_m, lift_n, cfg))

@@ -53,7 +53,9 @@ from .geometry import (
     VectorFieldM,
     invert_numeric,
 )
-from .grassmann import EVEN, ODD, GeneratorTable, GradedError, GradedExpr, parse_graded
+from .grassmann import (
+    EVEN, ODD, GeneratorTable, GradedError, GradedExpr, graded_to_text, parse_graded,
+)
 from .sasakilift import VectorFieldPTM, ptm_table, tptm_table
 from .symexpr import (
     Const, EvalError, Expr, ParseError, eval_numeric, parse_expr, simplify, to_text,
@@ -104,8 +106,11 @@ def _parse_graded_entry(text: Any, table: GeneratorTable, where: str) -> GradedE
     if not isinstance(text, str):
         raise SpecError(f"{where} must be an expression string, got {text!r}")
     try:
-        return parse_graded(text, table)
-    except (ParseError, GradedError, ZeroDivisionError) as exc:
+        value = parse_graded(text, table)
+        # refuses a constant too long to print while the entry has a name
+        graded_to_text(value)
+        return value
+    except (ParseError, GradedError, ZeroDivisionError, EvalError) as exc:
         raise SpecError(f"{where}: {exc}") from exc
     except RecursionError:
         raise SpecError(f"{where}: expression nested too deeply") from None
@@ -230,7 +235,9 @@ def load_geometry(
     n = len(coords)
     vocab = list(coords)
 
-    def load_matrix(key: str) -> tuple[tuple[Expr, ...], ...]:
+    def load_tensor(
+        key: str, kind: type[MetricTensor | AlmostSymplectic]
+    ) -> MetricTensor | AlmostSymplectic:
         rows = doc.get(key)
         if (
             not isinstance(rows, list)
@@ -238,30 +245,25 @@ def load_geometry(
             or any(not isinstance(r, list) or len(r) != n for r in rows)
         ):
             raise SpecError(f"geometry {name!r}: '{key}' must be a {n}x{n} matrix")
-        return tuple(
+        written = tuple(
             tuple(_parse_entry(e, vocab, f"{name}.{key}[{i}][{j}]") for j, e in enumerate(row))
             for i, row in enumerate(rows)
         )
+        try:
+            tensor = kind(chart, written)
+        except GeometryError as exc:
+            raise SpecError(f"geometry {name!r}: {exc}") from exc
+        _check_on_grid(chart, key, written, tensor.matrix)
+        return tensor
 
-    written = load_matrix("metric")
-    try:
-        metric = MetricTensor(chart, written)
-    except GeometryError as exc:
-        raise SpecError(f"geometry {name!r}: {exc}") from exc
-    _check_on_grid(chart, "metric", written, metric.matrix)
-
+    metric = load_tensor("metric", MetricTensor)
     omega = None
     if "omega" in doc:
         if n % 2:
             raise SpecError(
                 f"geometry {name!r}: a two-form needs an even number of coordinates"
             )
-        written = load_matrix("omega")
-        try:
-            omega = AlmostSymplectic(chart, written)
-        except GeometryError as exc:
-            raise SpecError(f"geometry {name!r}: {exc}") from exc
-        _check_on_grid(chart, "omega", written, omega.matrix)
+        omega = load_tensor("omega", AlmostSymplectic)
 
     notes = doc.get("notes", "")
     if not isinstance(notes, str):

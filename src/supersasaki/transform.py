@@ -244,14 +244,13 @@ def _pullback_form(
     return tuple(tuple(partial(fb, a).scale(half).body() for fb in firsts) for a in slots)
 
 
-def pullback_metric(psi: SmoothMap, g: MetricTensor) -> MetricTensor:
-    """(psi* g)[a][b] = J[alpha][a] J[beta][b] g[alpha][beta] o psi."""
-    return MetricTensor(psi.source, _pullback_form(psi, g))
-
-
-def pullback_two_form(psi: SmoothMap, omega: AlmostSymplectic) -> AlmostSymplectic:
-    """Same transport law as the metric; antisymmetry survives."""
-    return AlmostSymplectic(psi.source, _pullback_form(psi, omega))
+def pullback_tensor(
+    psi: SmoothMap, tensor: MetricTensor | AlmostSymplectic
+) -> MetricTensor | AlmostSymplectic:
+    """(psi* B)[a][b] = J[alpha][a] J[beta][b] B[alpha][beta] o psi, of the
+    tensor's own class: symmetry of a metric and antisymmetry of a two-form
+    both survive."""
+    return type(tensor)(psi.source, _pullback_form(psi, tensor))
 
 
 def transform_christoffel(
@@ -270,27 +269,18 @@ def transform_christoffel(
     return ChristoffelSymbols(psi.source, symbols)
 
 
-def is_isometry(
+def preserves(
     psi: SmoothMap,
-    g_source: MetricTensor,
-    g_target: MetricTensor,
+    source: MetricTensor | AlmostSymplectic,
+    target: MetricTensor | AlmostSymplectic,
     config: OracleConfig | None = None,
 ) -> bool:
-    """Does psi* g_target equal g_source, as forms xdot^a xdot^b g_ba? The
-    pulled-back form is compared as it is, so a degenerate map answers no."""
+    """Does psi* target equal source, as forms u^a u^b B_ba? For metrics
+    this asks whether psi is an isometry, for two-forms whether it is a
+    symplectomorphism. The pulled-back form is compared as it is, so a
+    degenerate map answers no."""
     cfg = config or OracleConfig(intervals=psi.source.intervals)
-    return graded_equal(_pulled_form(psi, g_target), _form(g_source), cfg)
-
-
-def is_symplectomorphism(
-    psi: SmoothMap,
-    omega_source: AlmostSymplectic,
-    omega_target: AlmostSymplectic,
-    config: OracleConfig | None = None,
-) -> bool:
-    """Does psi* omega_target equal omega_source, as forms dx^a dx^b omega_ba?"""
-    cfg = config or OracleConfig(intervals=psi.source.intervals)
-    return graded_equal(_pulled_form(psi, omega_target), _form(omega_source), cfg)
+    return graded_equal(_pulled_form(psi, target), _form(source), cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -53,6 +53,59 @@ def test_sasaki_reference_deltas_are_reported_not_reconciled(capsys):
     assert "metric function minus reference:" in out
 
 
+def test_sasaki_evenness_row_fails_on_a_mixed_parity_function(capsys, monkeypatch):
+    # parity_of gives None for a function with even and odd terms, which
+    # must not count as even
+    import supersasaki.cli as cli
+    from supersasaki.grassmann import GradedExpr
+
+    lift_geometry = cli.lift_geometry
+
+    def mixed(g, omega):
+        lift = lift_geometry(g, omega)
+        lift.lifted = lift.lifted + GradedExpr.generator(lift.tptm, "dx")
+        return lift
+
+    monkeypatch.setattr(cli, "lift_geometry", mixed)
+    code, out, _ = _run(capsys, "sasaki", SPECS / "euclidean2.json")
+    assert code == 1
+    assert "[FAIL] metric function is even" in out
+
+
+@pytest.mark.parametrize(
+    "key, value, where",
+    [
+        ("reference_sasaki", "tdot*10^5000", "misner.reference_sasaki"),
+        ("reference_nabla", {"t": "dtdot*10^5000", "phi": "dphidot"},
+         "misner.reference_nabla[t]"),
+    ],
+    ids=["reference_sasaki", "reference_nabla"],
+)
+def test_an_oversized_reference_exits_2_naming_it(capsys, tmp_path, key, value, where):
+    # a graded reference holding a constant too long to print is refused at
+    # load, under every command
+    path = tmp_path / "misner.json"
+    path.write_text(json.dumps(dict(json.loads((SPECS / "misner.json").read_text()), **{key: value})))
+    for command in ("christoffel", "sasaki", "acs"):
+        code, _, err = _run(capsys, command, path)
+        assert code == 2, command
+        assert err.startswith(f"error: {where}: a constant of about 4983 digits"), err
+        assert len(err.splitlines()) == 1, err
+
+
+def test_an_oversized_raw_field_component_exits_2_naming_it(capsys, tmp_path):
+    raw = tmp_path / "raw.json"
+    raw.write_text(json.dumps(
+        {"kind": "ptm", "parity": "odd", "components": ["dx*10^5000", "0"], "barred": ["0", "0"]}
+    ))
+    code, _, err = _run(
+        capsys, "pair", SPECS / "euclidean2.json", "--x", f"raw:{raw}", "--y", "deRham"
+    )
+    assert code == 2
+    assert err.startswith("error: --x: field.components[0]: a constant of about 4983"), err
+    assert len(err.splitlines()) == 1, err
+
+
 def test_classical_sasaki(capsys):
     code, out, _ = _run(capsys, "classical-sasaki", SPECS / "euclidean2.json")
     assert code == 0

@@ -56,8 +56,8 @@ def _commands():
          "--y", "lie:specs/fields/shear.json"),
         ("pair", "specs/varcoef.json", "--x", "lie:u*v+1,v-2", "--y", "interior:u+1,2*u*v"),
     ]
-    # The one curved chart of dimension above 2. Its proposition round is
-    # the slowest entry: about 7.5 s (Python 3.11.7, 2-CPU host), nearly all
+    # A curved chart of dimension above 2 with a diagonal metric. Its
+    # proposition round takes about 0.4 s (Python 3.11.7, 2-CPU host), most
     # of it in the left side of (vi), the lift pairing <L_X|L_Y>.
     curved4 = "specs/curved4.json"
     cmds += [
@@ -106,6 +106,16 @@ def _commands():
         ("pair", sphere, "--x", "lie:0,1/sin(theta)", "--y", "deRham"),
         ("check", sphere, "--suite", "cartan", "--fields", "1"),
         ("check", sphere, "--suite", "proposition", "--fields", "1"),
+    ]
+    # A dense 4-D metric, 3I + v v^T, every entry nonzero, and a two-form
+    # with a polynomial entry.
+    dense4 = "specs/dense4.json"
+    cmds += [
+        ("christoffel", dense4),
+        ("sasaki", dense4),
+        ("acs", dense4),
+        ("check", dense4, "--suite", "cartan", "--fields", "1"),
+        ("check", dense4, "--suite", "proposition", "--fields", "1"),
     ]
     return cmds
 
@@ -214,6 +224,11 @@ GOLDEN = {
     'pair specs/sphere.json --x lie:0,1/sin(theta) --y deRham': (0, 'b5f5f270e3c42702e810101055f4075b06031a22231d49185d640d30536eaf02'),
     'check specs/sphere.json --suite cartan --fields 1': (0, '0216c3095e25fc5837771268082f4d6936c654a9a20dd8ff04874687580b0f5d'),
     'check specs/sphere.json --suite proposition --fields 1': (0, '1e6e2285fee2955bf1b3b64282ee89f787ae28e083a6ed5ce7ac8c7f3e332ec2'),
+    'christoffel specs/dense4.json': (0, '8bf4b00b49d5665123c5b9cd4305b815653de2429899c63c340f67784cc7b038'),
+    'sasaki specs/dense4.json': (0, '9445a63807e37108130bbac4f227f10e36885695d39fc3573671980574b084f7'),
+    'acs specs/dense4.json': (0, 'e8e6aa9d418c7a38884c550b1ccf213332545fc7ab4dc5a1176b5c28485469ee'),
+    'check specs/dense4.json --suite cartan --fields 1': (0, '84f9fb6c9a07c9f0e0f073852a3b0d90f95331dc57806de9a8861e69ca700b72'),
+    'check specs/dense4.json --suite proposition --fields 1': (0, '30ff08580867534dfcad063d2112b2b980c54925b56e24e810a71d66d420077d'),
 }
 
 

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -94,6 +95,26 @@ def test_reference_blocks_parse():
     tptm = tptm_table(spec.chart)
     assert spec.reference_nabla["u"].terms == GradedExpr.generator(tptm, "dudot").terms
     assert graded_equal(spec.reference_sasaki, parse_graded("udot^2 + vdot^2 + u^2*vdot^2", tptm))
+
+
+@pytest.mark.parametrize(
+    "key, value, where",
+    [
+        ("reference_sasaki", "udot*10^5000", "demo.reference_sasaki"),
+        ("reference_nabla", {"u": "dudot", "v": "dvdot*10^5000"}, "demo.reference_nabla[v]"),
+    ],
+    ids=["reference_sasaki", "reference_nabla"],
+)
+def test_a_reference_too_long_to_print_names_the_entry(key, value, where):
+    with pytest.raises(SpecError, match=f"^{re.escape(where)}: a constant of about 4983 digits"):
+        load_geometry({**GOOD, key: value})
+
+
+def test_a_ptm_field_component_too_long_to_print_names_the_entry():
+    field = {"kind": "ptm", "parity": "odd", "components": ["0", "du*10^5000"],
+             "barred": ["0", "0"]}
+    with pytest.raises(SpecError, match=r"^field\.components\[1\]: a constant of about 4983"):
+        load_ptm_field(field, load_geometry(GOOD).chart)
 
 
 def test_load_base_field():

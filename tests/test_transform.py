@@ -54,15 +54,13 @@ from supersasaki.transform import (
     SmoothMap,
     check_naturality,
     field_pullback,
-    is_isometry,
     jacobian,
     jacobian_inverse,
-    is_symplectomorphism,
     pairing_invariance,
+    preserves,
     prolong,
     pullback,
-    pullback_metric,
-    pullback_two_form,
+    pullback_tensor,
     transform_christoffel,
 )
 
@@ -291,7 +289,7 @@ def test_prolongation_is_d_and_the_tangent_lift(psi, seed):
             c.terms for c in _expanded_field_pullback(psi, V)
         ]
     gE, omE = euclidean_data()
-    moved = lift_geometry(pullback_metric(psi, gE), pullback_two_form(psi, omE))
+    moved = lift_geometry(pullback_tensor(psi, gE), pullback_tensor(psi, omE))
     assert not (pullback(psi, lift_geometry(gE, omE).lifted) - moved.lifted).terms
 
 
@@ -407,16 +405,16 @@ def _pairs(entries):
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(case=transport_cases(), from_reference=st.booleans())
 def test_tensors_and_connections_move_by_the_prolongation(case, from_reference):
-    # pullback_metric, pullback_two_form and transform_christoffel give the
-    # references' canonical pairs, and the isometry answers agree with an
+    # pullback_tensor and transform_christoffel give the references'
+    # canonical pairs, and the answers of preserves agree with an
     # entrywise comparison, against source data that is the reference
     # itself (from_reference) or the source chart's own
     psi, (g_source, om_source), (g_target, om_target) = case
     g_ref = _expanded_pullback_form(psi, g_target)
     om_ref = _expanded_pullback_form(psi, om_target)
     for moved, ref in (
-        (pullback_metric(psi, g_target).matrix, g_ref),
-        (pullback_two_form(psi, om_target).matrix, om_ref),
+        (pullback_tensor(psi, g_target).matrix, g_ref),
+        (pullback_tensor(psi, om_target).matrix, om_ref),
     ):
         assert [_pairs(row) for row in moved] == [_pairs(row) for row in ref]
     gamma = christoffel(g_target)
@@ -433,8 +431,8 @@ def test_tensors_and_connections_move_by_the_prolongation(case, from_reference):
     def entrywise(pulled, source):
         return all(cfg.equal(p, q) for rp, rq in zip(pulled, source) for p, q in zip(rp, rq))
 
-    assert is_isometry(psi, g_source, g_target) == entrywise(g_ref, g_source.matrix)
-    assert is_symplectomorphism(psi, om_source, om_target) == entrywise(om_ref, om_source.matrix)
+    assert preserves(psi, g_source, g_target) == entrywise(g_ref, g_source.matrix)
+    assert preserves(psi, om_source, om_target) == entrywise(om_ref, om_source.matrix)
 
 
 def _compose_maps(outer, inner):
@@ -460,22 +458,29 @@ def test_prolongation_is_functorial():
         assert graded_equal(image, chained, cfg), f"functoriality broke at {gen}"
 
 
-def test_pullback_metric_recovers_polar_from_flat():
+def test_pullback_tensor_recovers_polar_from_flat():
     psi = polar_to_cartesian()
     gE, omE = euclidean_data()
-    gP = pullback_metric(psi, gE)
+    gP = pullback_tensor(psi, gE)
     assert canonical_equal(gP.matrix[0][0], _p("1"))
     assert canonical_equal(gP.matrix[1][1], _p("r^2"))
     assert is_zero_expr(gP.matrix[0][1])
-    omP = pullback_two_form(psi, omE)
+    omP = pullback_tensor(psi, omE)
     assert canonical_equal(omP.matrix[0][1], _p("-r"))
     assert canonical_equal(omP.matrix[1][0], _p("r"))
+
+
+def test_pullback_tensor_keeps_the_tensor_class():
+    psi = polar_to_cartesian()
+    gE, omE = euclidean_data()
+    assert type(pullback_tensor(psi, gE)) is MetricTensor
+    assert type(pullback_tensor(psi, omE)) is AlmostSymplectic
 
 
 def test_christoffel_transport_matches_direct_computation():
     psi = polar_to_cartesian()
     gE, _ = euclidean_data()
-    gP = pullback_metric(psi, gE)
+    gP = pullback_tensor(psi, gE)
     gammaE = christoffel(gE)
     moved = transform_christoffel(psi, gammaE)
     direct = christoffel(gP)
@@ -536,7 +541,7 @@ def test_christoffel_naturality_across_shipped_maps():
     )
     for psi, g_target in cases:
         cfg = OracleConfig(samples=25, tol=1e-9, seed=SEED, intervals=psi.source.intervals)
-        pulled_metric = pullback_metric(psi, g_target)
+        pulled_metric = pullback_tensor(psi, g_target)
         moved = transform_christoffel(psi, christoffel(g_target))
         direct = christoffel(pulled_metric)
         n = psi.source.dim
@@ -551,8 +556,8 @@ def test_christoffel_naturality_across_shipped_maps():
 def test_preserving_both_structures_forces_naturality():
     gE, omE = euclidean_data()
     psiP = polar_to_cartesian()
-    gP = pullback_metric(psiP, gE)
-    omP = pullback_two_form(psiP, omE)
+    gP = pullback_tensor(psiP, gE)
+    omP = pullback_tensor(psiP, omE)
     ch = Chart(("t", "phi"), intervals={"t": (0.5, 1.5), "phi": (0.2, 1.2)}, name="misner")
     gMis = MetricTensor(ch, [[_p("0"), _p("1")], [_p("1"), _p("t")]])
     omMis = AlmostSymplectic(ch, [[_p("0"), _p("-1")], [_p("1"), _p("0")]])
@@ -569,8 +574,8 @@ def test_preserving_both_structures_forces_naturality():
         report = check_naturality(
             psi, lift_geometry(*source_data), lift_geometry(*target_data), cfg
         )
-        isometry = is_isometry(psi, source_data[0], target_data[0], cfg)
-        if isometry and is_symplectomorphism(psi, source_data[1], target_data[1], cfg):
+        isometry = preserves(psi, source_data[0], target_data[0], cfg)
+        if isometry and preserves(psi, source_data[1], target_data[1], cfg):
             preserved += 1
             assert report.holds, f"{psi.name}: preserved both structures but broke the lift"
     assert preserved >= 3, "property check should not be vacuous"
@@ -580,8 +585,8 @@ def test_rotation_is_an_isometry_and_natural():
     psi = rotation()
     gE, omE = euclidean_data()
     cfg = OracleConfig(samples=25, tol=1e-9, seed=SEED, intervals=psi.source.intervals)
-    assert is_isometry(psi, gE, gE, cfg)
-    assert is_symplectomorphism(psi, omE, omE, cfg)
+    assert preserves(psi, gE, gE, cfg)
+    assert preserves(psi, omE, omE, cfg)
     lift = lift_geometry(gE, omE)
     report = check_naturality(psi, lift, lift, cfg)
     assert report.holds
@@ -594,7 +599,7 @@ def test_scaling_breaks_naturality_with_a_visible_residual():
     cfg = OracleConfig(samples=25, tol=1e-9, seed=SEED, intervals=psi.source.intervals)
     lift = lift_geometry(gE, omE)
     report = check_naturality(psi, lift, lift, cfg)
-    assert not is_isometry(psi, gE, gE, cfg)
+    assert not preserves(psi, gE, gE, cfg)
     assert not report.holds
     assert report.residual == "3*xdot^2 + 3*ydot^2 + 6*dxdot*dydot"
 
@@ -602,11 +607,11 @@ def test_scaling_breaks_naturality_with_a_visible_residual():
 def test_polar_chart_naturality_is_exact():
     psi = polar_to_cartesian()
     gE, omE = euclidean_data()
-    gP = pullback_metric(psi, gE)
-    omP = pullback_two_form(psi, omE)
+    gP = pullback_tensor(psi, gE)
+    omP = pullback_tensor(psi, omE)
     cfg = OracleConfig(samples=25, tol=1e-9, seed=SEED, intervals=psi.source.intervals)
     report = check_naturality(psi, lift_geometry(gP, omP), lift_geometry(gE, omE), cfg)
-    assert is_isometry(psi, gP, gE, cfg) and is_symplectomorphism(psi, omP, omE, cfg)
+    assert preserves(psi, gP, gE, cfg) and preserves(psi, omP, omE, cfg)
     assert report.holds
 
 
@@ -639,8 +644,8 @@ def test_field_pullback_respects_parity_and_chart():
 def test_pairing_invariance_under_chart_change():
     psi = polar_to_cartesian()
     gE, omE = euclidean_data()
-    gP = pullback_metric(psi, gE)
-    omP = pullback_two_form(psi, omE)
+    gP = pullback_tensor(psi, gE)
+    omP = pullback_tensor(psi, omE)
     source_lift = lift_geometry(gP, omP)
     target_lift = lift_geometry(gE, omE)
     cfg = OracleConfig(samples=25, tol=1e-9, seed=SEED, intervals=psi.source.intervals)
@@ -691,4 +696,4 @@ def test_translation_along_a_symmetry_direction():
     cfg = OracleConfig(samples=25, tol=1e-9, seed=SEED, intervals=ch.intervals)
     lift = lift_geometry(g, om)
     report = check_naturality(psi, lift, lift, cfg)
-    assert is_isometry(psi, g, g, cfg) and report.holds
+    assert preserves(psi, g, g, cfg) and report.holds
