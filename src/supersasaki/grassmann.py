@@ -15,19 +15,20 @@ position p of a monomial costs the sign (-1)^p.
 Substitution is an algebra morphism: even generators go to scalars (the
 prolongation of a chart change sends every even generator to a function of
 the base chart, never to an expression with a nilpotent part), odd
-generators to odd expressions. A nilpotent argument of a scalar operation
-arises only inside parse_graded, for text such as 1/(1 + dx*dy); there each
-operation is expanded as a finite Taylor series around the body.
+generators to odd expressions. parse_graded folds every subtree that names
+no odd generator as one scalar and combines only odd generators, sums,
+products and non-negative powers in the graded algebra, so a scalar
+operation never meets a nilpotent argument.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from typing import Iterable, Mapping, Sequence
 
 from .symexpr import (
     Add,
-    Call,
     Const,
     Div,
     Expr,
@@ -38,7 +39,6 @@ from .symexpr import (
     Var,
     ZERO,
     as_expr,
-    differentiate,
     free_vars,
     parse_expr,
     substitute,
@@ -157,6 +157,12 @@ def _merge_with_sign(m1: Monomial, m2: Monomial) -> tuple[Monomial | None, int]:
     return tuple(out), sign
 
 
+def _pair_names(pair: Pair) -> frozenset[str]:
+    """The names a coefficient depends on, read from the atoms of its pair."""
+    num, den = pair
+    return frozenset().union(*map(free_vars, num.atoms() | den.atoms()))
+
+
 def _drop_zeros(entries: Iterable[tuple[Monomial, Pair]]) -> dict[Monomial, Pair]:
     return {mono: pair for mono, pair in entries if not pair[0].is_zero()}
 
@@ -200,11 +206,12 @@ class GradedExpr:
             acc[mono] = add_pairs(acc[mono], pair) if mono in acc else pair
         out = GradedExpr(table, _drop_zeros(acc.items()))
         even = set(table.even_names)
-        for c in map(out.coefficient, out.terms):
-            stray = free_vars(c) - even
+        for pair in out.terms.values():
+            stray = _pair_names(pair) - even
             if stray:
                 raise GradedError(
-                    f"coefficient {to_text(c)} depends on non-even names {sorted(stray)}"
+                    f"coefficient {to_text(pair_to_expr(pair))} depends on "
+                    f"non-even names {sorted(stray)}"
                 )
         return out
 
@@ -358,88 +365,30 @@ def partial(f: GradedExpr, name: str) -> GradedExpr:
 # ---------------------------------------------------------------------------
 # substitution
 
-def _graded_compose(f_of_w: Expr, w: str, ge: GradedExpr) -> GradedExpr:
-    """f(ge) for an even graded argument, by finite Taylor expansion of f
-    around the body: f(b + s) = sum_k f^(k)(b) s^k / k!, s nilpotent."""
-    table = ge.table
-    if parity_of(ge) not in (EVEN,):
-        raise GradedError("scalar operations apply to even graded arguments only")
-    body = ge.body()
-    soul = GradedExpr(table, {m: c for m, c in ge.terms.items() if m})
-    acc_terms = [GradedExpr.scalar(table, substitute(f_of_w, {w: body}))]
-    power = GradedExpr.one(table)
-    deriv = f_of_w
-    factorial = 1
-    k = 0
-    while True:
-        k += 1
-        power = gmul(power, soul)
-        if power.is_zero():
-            break
-        deriv = differentiate(deriv, w)
-        if deriv == ZERO:
-            break
-        factorial *= k
-        acc_terms.append(
-            power.scale(Div(substitute(deriv, {w: body}), Const(Fraction(factorial))))
-        )
-    total = GradedExpr.zero(table)
-    for t in acc_terms:
-        total = total + t
-    return total
-
-
-_FRESH = "_w0"
-
-
-def graded_inverse(ge: GradedExpr) -> GradedExpr:
-    """Multiplicative inverse; requires an even argument with nonzero body."""
-    if parity_of(ge) not in (EVEN,):
-        raise GradedError("only even graded quantities are invertible")
-    if () not in ge.terms:
-        raise ZeroDivisionError("graded quantity has zero body, not invertible")
-    return _graded_compose(Div(ONE, Var(_FRESH)), _FRESH, ge)
-
-
 def graded_eval_scalar(e: Expr, table: GeneratorTable) -> GradedExpr:
     """Evaluate a scalar tree whose variables name generators of the table,
-    as an algebra morphism; the evaluator behind parse_graded."""
-    if isinstance(e, Const):
+    as an algebra morphism; the evaluator behind parse_graded. A subtree
+    that names no odd generator is one scalar, folded by to_canonical; a
+    divisor, the base of a negative power or a function argument that
+    names one is refused."""
+    odd = set(table.odd_names)
+    if not free_vars(e) & odd:
         return GradedExpr.scalar(table, e)
     if isinstance(e, Var):
-        if e.name not in table:
-            raise GradedError(f"{e.name!r} is not a generator of the target table")
         return GradedExpr.generator(table, e.name)
     if isinstance(e, Add):
-        total = GradedExpr.zero(table)
-        for t in e.terms:
-            total = total + graded_eval_scalar(t, table)
-        return total
+        return sum((graded_eval_scalar(t, table) for t in e.terms), GradedExpr.zero(table))
     if isinstance(e, Mul):
-        total = GradedExpr.one(table)
-        for f in e.factors:
-            total = gmul(total, graded_eval_scalar(f, table))
-        return total
-    if isinstance(e, Pow):
-        base = graded_eval_scalar(e.base, table)
-        k = e.exponent
-        if k < 0:
-            base = graded_inverse(base)
-            k = -k
-        total = GradedExpr.one(table)
-        for _ in range(k):
-            total = gmul(total, base)
-        return total
-    if isinstance(e, Div):
-        num = graded_eval_scalar(e.num, table)
-        den = graded_eval_scalar(e.den, table)
-        return gmul(num, graded_inverse(den))
-    if isinstance(e, Call):
-        arg = graded_eval_scalar(e.arg, table)
-        if not any(m for m in arg.terms):
-            return GradedExpr.scalar(table, Call(e.func, arg.body()))
-        return _graded_compose(Call(e.func, Var(_FRESH)), _FRESH, arg)
-    raise TypeError(f"not an expression node: {e!r}")
+        factors = [graded_eval_scalar(f, table) for f in e.factors]
+    elif isinstance(e, Pow) and e.exponent >= 0:
+        factors = [graded_eval_scalar(e.base, table)] * e.exponent
+    elif isinstance(e, Div) and not free_vars(e.den) & odd:
+        return graded_eval_scalar(e.num, table).scale(Div(ONE, e.den))
+    else:
+        raise GradedError(
+            f"odd generators inside a quotient, negative power or function: {to_text(e)}"
+        )
+    return reduce(gmul, factors, GradedExpr.one(table))
 
 
 def gsubstitute(
@@ -506,8 +455,8 @@ def restrict_to(f: GradedExpr, sub_table: GeneratorTable) -> GradedExpr:
     dropped names."""
     _check_prefix(sub_table, f.table)
     allowed = set(sub_table.names)
-    for mono in f.terms:
-        used = {f.table[i][0] for i in mono} | set(free_vars(f.coefficient(mono)))
+    for mono, pair in f.terms.items():
+        used = {f.table[i][0] for i in mono} | _pair_names(pair)
         stray = used - allowed
         if stray:
             raise GradedError(f"expression uses generators {sorted(stray)} not in target")

@@ -56,7 +56,7 @@ from .geometry import (
 from .grassmann import (
     EVEN, ODD, GeneratorTable, GradedError, GradedExpr, graded_to_text, parse_graded,
 )
-from .sasakilift import VectorFieldPTM, ptm_table, tptm_table
+from .sasakilift import VectorFieldPTM, classical_table, ptm_table, tptm_table
 from .symexpr import (
     Const, EvalError, Expr, ParseError, eval_numeric, parse_expr, simplify, to_text,
 )
@@ -229,7 +229,11 @@ def load_geometry(
         intervals[c] = (float(box[0]), float(box[1]))
     try:
         chart = Chart(tuple(coords), intervals, name=name)
-    except GeometryError as exc:
+        # the ptm, tptm and classical tables refuse coordinates whose derived
+        # generator names collide, such as x with dx, xdot or delta_x
+        tptm = tptm_table(chart)
+        classical_table(chart)
+    except (GeometryError, GradedError) as exc:
         raise SpecError(f"geometry {name!r}: {exc}") from exc
 
     n = len(coords)
@@ -295,7 +299,6 @@ def load_geometry(
             rows.append((a, b, c, _parse_entry(value, vocab, f"{name}.reference_christoffel")))
         ref_gamma = tuple(rows)
 
-    tptm = tptm_table(chart)
     ref_nabla = None
     if "reference_nabla" in doc:
         raw = doc["reference_nabla"]

@@ -72,6 +72,26 @@ def test_sasaki_evenness_row_fails_on_a_mixed_parity_function(capsys, monkeypatc
     assert "[FAIL] metric function is even" in out
 
 
+def test_sasaki_zero_section_row_fails_on_a_term_that_survives_there(capsys, monkeypatch):
+    # a coefficient that names a velocity need not vanish where the
+    # velocities do: (1 + xdot)*dx*dy is dx*dy at the zero section
+    import supersasaki.cli as cli
+    from supersasaki.grassmann import parse_graded
+
+    lift_geometry = cli.lift_geometry
+
+    def surviving(g, omega):
+        lift = lift_geometry(g, omega)
+        lift.lifted = lift.lifted + parse_graded("(1 + xdot)*dx*dy", lift.tptm)
+        return lift
+
+    monkeypatch.setattr(cli, "lift_geometry", surviving)
+    code, out, _ = _run(capsys, "sasaki", SPECS / "euclidean2.json")
+    assert code == 1
+    assert "[PASS] metric function is even" in out
+    assert "[FAIL] vanishes at the zero section" in out
+
+
 @pytest.mark.parametrize(
     "key, value, where",
     [
@@ -433,9 +453,21 @@ def test_input_errors_exit_2(capsys, tmp_path):
         ("christoffel", dict(misner, reference_sasaki="2*tdot*phidot + q"),
          "misner.reference_sasaki: offset 16: unknown identifier 'q'"),
         ("sasaki", dict(misner, reference_sasaki="1/(tdot - tdot)"),
-         "misner.reference_sasaki: graded quantity has zero body"),
+         "misner.reference_sasaki: division by an expression that is identically zero"),
+        # a graded quotient needs a divisor without odd generators
+        ("christoffel", dict(misner, reference_sasaki="1/(1 + dtdot*dphidot)"),
+         "misner.reference_sasaki: odd generators inside a quotient"),
         ("christoffel", dict(misner, reference_nabla={"t": "dtdot", "phi": "dphidot + q"}),
          "misner.reference_nabla[phi]: offset 10: unknown identifier 'q'"),
+        # a coordinate whose derived generator names collide with another's
+        # is refused at load, under every command
+        *(
+            (command, dict(flat, name="clash", coords=["x", w],
+                           sample_domain={"x": [-1, 1], w: [-1, 1]}),
+             f"geometry 'clash': duplicate generator name {w!r}")
+            for w in ("dx", "xdot", "delta_x")
+            for command in ("christoffel", "classical-sasaki")
+        ),
         # the sample box is checked where it is read: bounds must be finite
         # numbers, and a boolean is not a number
         ("christoffel", dict(flat, sample_domain={"x": [0, inf], "y": [-1.0, 1.0]}),

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -119,8 +120,8 @@ def test_substitute_parity_violation_rejected():
 
 
 def test_even_image_with_a_nilpotent_part_is_refused():
-    # chart changes send even generators to scalars; a soul would need the
-    # Taylor expansion that only parse_graded performs
+    # chart changes send even generators to scalars; a soul would need a
+    # Taylor expansion of each coefficient around the body
     U = GeneratorTable.of(("u", EVEN), ("v", EVEN), ("du", ODD), ("dv", ODD))
     f = _g("x^2*dy")
     images = {"x": parse_graded("u + du*dv", U), "dx": parse_graded("du", U)}
@@ -128,8 +129,19 @@ def test_even_image_with_a_nilpotent_part_is_refused():
         gsubstitute(f, images, U)
 
 
-def test_parse_graded_expands_around_the_body():
-    assert graded_to_text(_g("1/(1 + dx*dy)")) == "1 - dx*dy"
+def test_parse_graded_refuses_odd_generators_under_a_quotient_power_or_function():
+    # such text would need a Taylor expansion around the body; the error
+    # names the subterm
+    for text, subterm in (
+        ("x*dx + 1/(1 + dx*dy)", "1/(1 + dx*dy)"),
+        ("(x + dx*dy)^-1", "(x + dx*dy)^-1"),
+        ("exp(dx*dy)", "exp(dx*dy)"),
+        ("y + sqrt(1 + dx*dy)", "sqrt(1 + dx*dy)"),
+    ):
+        with pytest.raises(GradedError, match=f"odd generators inside .*: {re.escape(subterm)}$"):
+            _g(text)
+    # an odd numerator over an odd-free divisor is a scalar multiple
+    assert graded_to_text(_g("x*dx/(1 + y) + dy/2")) == "x/(y + 1)*dx + 1/2*dy"
 
 
 def test_tables_must_be_leading_parts_of_each_other():

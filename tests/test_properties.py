@@ -22,6 +22,7 @@ from supersasaki.grassmann import (
     graded_equal,
     gsubstitute,
     parity_of,
+    parse_graded,
     partial,
 )
 from supersasaki.sasakilift import (
@@ -286,6 +287,41 @@ def test_graded_arithmetic_on_pairs_matches_simplify_of_trees(data):
             if idx in m
         }
     _assert_coefficients(partial(f, name), derivs)
+
+
+SCALAR_TREES = st.recursive(
+    st.one_of(
+        st.sampled_from([Var("x"), Var("y")]),
+        st.builds(lambda n, d: Const(Fraction(n, d)), st.integers(-3, 3), st.integers(1, 3)),
+    ),
+    lambda kids: st.one_of(
+        st.builds(Add.of, kids, kids),
+        st.builds(Mul.of, kids, kids),
+        st.builds(Div, kids, kids),
+        st.builds(Pow, kids, st.integers(-2, 3)),
+        st.builds(Call, st.sampled_from(("sin", "sqrt", "exp")), kids),
+    ),
+    max_leaves=4,
+)
+
+
+@TREE_SETTINGS
+@given(data=st.data())
+def test_parse_graded_folds_each_odd_free_subtree_as_one_scalar(data):
+    # a sum of scalar trees times odd generators in written order parses to
+    # the sum built from GradedExpr.scalar and gmul, pair for pair
+    table = ptm_table(CHARTS[0])
+    texts, want = [], GradedExpr.zero(table)
+    for _ in range(data.draw(st.integers(1, 3))):
+        s = data.draw(SCALAR_TREES)
+        _simplified(s)
+        odd = data.draw(st.lists(st.sampled_from(("dx", "dy")), max_size=3))
+        term = GradedExpr.scalar(table, s)
+        for w in odd:
+            term = gmul(term, GradedExpr.generator(table, w))
+        want = want + term
+        texts.append("*".join([f"({to_text(s)})", *odd]))
+    assert parse_graded(" + ".join(texts), table).terms == want.terms
 
 
 @PAIR_SETTINGS
