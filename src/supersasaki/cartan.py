@@ -20,12 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .geometry import (
-    Chart,
-    VectorFieldM,
-    covariant_derivative,
-    vector_commutator,
-)
+from .geometry import Chart, VectorFieldM, vector_commutator
 from .grassmann import (
     EVEN,
     ODD,
@@ -42,6 +37,7 @@ from .sasakilift import (
     odd_fiber_name,
     pairing_via_lift,
     ptm_table,
+    split_field,
 )
 from .symexpr import Const, OracleConfig, differentiate
 
@@ -129,7 +125,8 @@ def verify_proposition(
 
     Left sides come from the vertical-lift pairing against lift.lifted;
     right sides are contracted in the graded algebra from the chart data
-    lift.metric, lift.omega and lift.gamma, with dX^a = dx^c (DX)^a_c:
+    lift.metric, lift.omega and lift.gamma, with dX^a = dx^c (DX)^a_c =
+    N_{L_X}^a, the closed form's splitting of L_X (`split_field`):
 
       (i)   <i_X|i_Y> = Y^a X^b omega_ba
       (ii)  <i_X|d>   = 0
@@ -143,20 +140,12 @@ def verify_proposition(
     """
     config = config or OracleConfig(intervals=lift.chart.intervals)
     g, om = lift.metric.matrix, lift.omega.matrix
-    ptm = lift.ptm
     d = de_rham(lift.chart)
     iX, iY = interior(X), interior(Y)
     LX, LY = lie_derivative(X), lie_derivative(Y)
     Xs, Ys = LX.components, LY.components
-
-    def one_forms(Z: VectorFieldM) -> list[GradedExpr]:
-        return [
-            GradedExpr.linear(ptm, zip(ptm.odd_names, row))
-            for row in covariant_derivative(lift.gamma, Z)
-        ]
-
-    dX, dY = one_forms(X), one_forms(Y)
-    zero = GradedExpr.zero(ptm)
+    dX, dY = split_field(LX, lift.gamma), split_field(LY, lift.gamma)
+    zero = GradedExpr.zero(lift.ptm)
     checks = (
         ("(i) <i_X|i_Y> = omega(X,Y)", pairing_via_lift(iX, iY, lift), contract(om, Ys, Xs)),
         ("(ii) <i_X|d> = 0", pairing_via_lift(iX, d, lift), zero),

@@ -6,7 +6,6 @@ Index conventions, fixed once for the whole package:
   * bilinear_eval(B, X, Y) = sum_ab X^a Y^b B[a][b]
   * christoffel: Gamma^a_{bc} = 1/2 g^{ad} (d_b g_dc + d_c g_bd - d_d g_bc),
     symmetric in the lower pair
-  * covariant_derivative(X): (DX)^a_b = d_b X^a + X^c Gamma^a_{cb}
 """
 
 from __future__ import annotations
@@ -302,22 +301,6 @@ def torsion_residual(
         )
         for a in range(n)
     )
-
-
-def covariant_derivative(gamma: ChristoffelSymbols, X: VectorFieldM) -> Matrix:
-    """(DX)^a_b = d_b X^a + X^c Gamma^a_{cb}."""
-    chart = gamma.chart
-    n = chart.dim
-    out = []
-    for a in range(n):
-        row = []
-        for b in range(n):
-            terms = [differentiate(X.components[a], chart.coords[b])]
-            for c in range(n):
-                terms.append(Mul.of(X.components[c], gamma.entry(a, c, b)))
-            row.append(simplify(Add.of(*terms)))
-        out.append(tuple(row))
-    return tuple(out)
 
 
 def bilinear_eval(

@@ -32,8 +32,8 @@ more, contract(g, xdot, xdot) + contract(B, F, F).
 Vector fields on the odd tangent bundle pair through either the vertical
 lift (1/2 iota_X iota_Y applied to the lifted metric) or the closed
 formula X^a Y^b g_ba + (-1)^|Y| N_X^a N_Y^b omega_ba, with
-N_Z^a = Zbar^a + Z^b dx^c Gamma^a_{cb} again one `contract` per a; both
-are exposed and tested against each other.
+N_Z^a = Zbar^a + Z^b dx^c Gamma^a_{cb} from `split_field`, again one
+`contract` per a; both are exposed and tested against each other.
 """
 
 from __future__ import annotations
@@ -290,6 +290,17 @@ def pairing_via_lift(
     return restrict_to(scaled, lift.ptm)
 
 
+def split_field(Z: VectorFieldPTM, gamma: ChristoffelSymbols) -> list[GradedExpr]:
+    """N_Z^a = Zbar^a + Z^b dx^c Gamma^a_{cb}, the splitting nabla(xdot^a)
+    with (Z, Zbar) in place of (xdot, dxdot), one `contract` per a. For
+    Z = L_X it is the one-form dX^a = dx^c (DX)^a_c of the covariant
+    derivative (DX)^a_c = d_c X^a + X^b Gamma^a_{bc}."""
+    dx = [GradedExpr.generator(Z.table, odd_fiber_name(c)) for c in gamma.chart.coords]
+    return [
+        bar + contract(plane, Z.components, dx) for bar, plane in zip(Z.barred, gamma.gamma)
+    ]
+
+
 def pairing_closed_form(
     X: VectorFieldPTM, Y: VectorFieldPTM, lift: LiftedGeometry
 ) -> GradedExpr:
@@ -298,8 +309,8 @@ def pairing_closed_form(
         <X|Y> = X^a Y^b g_ba + (-1)^|Y| N_X^a N_Y^b omega_ba ,
         N_Z^a = Zbar^a + Z^b dx^c Gamma^a_{cb} ,
 
-    the splitting with (Z, Zbar) in place of (xdot, dxdot), Gamma being
-    symmetric. Multiplied out it is the four-bracket sum
+    N_Z being `split_field(Z, Gamma)`, Gamma symmetric. Multiplied out it
+    is the four-bracket sum
 
         <X|Y> = X^a Y^b g_ba
               - X^a Y^b dx^c dx^d Gamma^e_{da} Gamma^f_{bc} omega_fe
@@ -313,18 +324,9 @@ def pairing_closed_form(
     """
     if X.table != lift.ptm or Y.table != lift.ptm:
         raise GradedError("paired fields do not live over the lift's odd tangent bundle")
-    gamma = lift.gamma
-    dx = [GradedExpr.generator(X.table, odd_fiber_name(c)) for c in gamma.chart.coords]
-
-    def N(Z: VectorFieldPTM) -> list[GradedExpr]:
-        return [
-            bar + contract(plane, Z.components, dx)
-            for bar, plane in zip(Z.barred, gamma.gamma)
-        ]
-
     sign_y = -1 if Y.parity == ODD else 1
     return contract(lift.metric.matrix, X.components, Y.components) + contract(
-        lift.omega.matrix, N(X), N(Y)
+        lift.omega.matrix, split_field(X, lift.gamma), split_field(Y, lift.gamma)
     ).scale(sign_y)
 
 

@@ -44,7 +44,8 @@ metrics and a symplectomorphism for the two-forms.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 from .geometry import (
     AlmostSymplectic,
@@ -90,9 +91,10 @@ from .symexpr import (
 
 class SmoothMap:
     """y^alpha = components[alpha](x); the optional inverse is checked to
-    compose to the identity."""
+    compose to the identity. prolongations holds the map's images over each
+    source table, filled by `prolong`."""
 
-    __slots__ = ("source", "target", "components", "inverse", "name")
+    __slots__ = ("source", "target", "components", "inverse", "name", "prolongations")
 
     def __init__(
         self,
@@ -105,6 +107,7 @@ class SmoothMap:
         self.source = source
         self.target = target
         self.name = name
+        self.prolongations: dict[GeneratorTable, Mapping[str, GradedExpr]] = {}
         if len(components) != self.target.dim:
             raise GeometryError(
                 f"map {self.name!r} needs {self.target.dim} components"
@@ -172,10 +175,13 @@ def _solve(K: Matrix, rhs: Sequence[GradedExpr]) -> list[GradedExpr]:
     return out
 
 
-def prolong(psi: SmoothMap, table: GeneratorTable) -> dict[str, GradedExpr]:
+def prolong(psi: SmoothMap, table: GeneratorTable) -> Mapping[str, GradedExpr]:
     """Images of the target's generators over `table`, the source's odd
     tangent bundle table (y and dy) or its tangent bundle table (also every
-    velocity): y -> y(x), dy -> d(y(x)), wdot -> T(image of w)."""
+    velocity): y -> y(x), dy -> d(y(x)), wdot -> T(image of w). Built once
+    per map and table, and read-only since every later call shares it."""
+    if table in psi.prolongations:
+        return psi.prolongations[table]
     d = [(GradedExpr.generator(table, odd_fiber_name(x)), x) for x in psi.source.coords]
     images: dict[str, GradedExpr] = {}
     for yc, comp in zip(psi.target.coords, psi.components):
@@ -188,7 +194,8 @@ def prolong(psi: SmoothMap, table: GeneratorTable) -> dict[str, GradedExpr]:
         ]
         for w, image in list(images.items()):
             images[velocity_name(w)] = apply_first_order(T, image)
-    return images
+    psi.prolongations[table] = MappingProxyType(images)
+    return psi.prolongations[table]
 
 
 def pullback(psi: SmoothMap, f: GradedExpr) -> GradedExpr:

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from supersasaki.cartan import lie_derivative
 from supersasaki.geometry import (
     AlmostSymplectic,
     Chart,
@@ -12,13 +13,14 @@ from supersasaki.geometry import (
     bilinear_eval,
     christoffel,
     christoffel_fd,
-    covariant_derivative,
     eval_matrix,
     metric_compatibility_residual,
     squares_to_minus_identity,
     torsion_residual,
     vector_commutator,
 )
+from supersasaki.grassmann import graded_equal, parse_graded, partial
+from supersasaki.sasakilift import odd_fiber_name, split_field
 from supersasaki.symexpr import (
     OracleConfig,
     canonical_equal,
@@ -135,12 +137,22 @@ def test_finite_difference_cross_check():
         print(f"{g.chart.name}: fd worst {worst:.3e}")
 
 
+def _covariant_derivative(gamma, X):
+    """(DX)^a_b, the coefficient of dx^b in N_{L_X}^a = split_field(L_X)^a."""
+    dx = [odd_fiber_name(c) for c in gamma.chart.coords]
+    return [[partial(Na, b).body() for b in dx] for Na in split_field(lie_derivative(X), gamma)]
+
+
 def test_covariant_derivative_of_coordinate_field():
     g = polar_metric()
     gamma = christoffel(g)
-    # X = d/dtheta has components (0, 1); (DX)^a_b = Gamma^a_{b theta}
+    # X = d/dtheta has components (0, 1); (DX)^a_b = Gamma^a_{b theta},
+    # so N_{L_X} = (-r*dtheta, dr/r)
     X = VectorFieldM(g.chart, (_p("0"), _p("1")))
-    DX = covariant_derivative(gamma, X)
+    N = split_field(lie_derivative(X), gamma)
+    assert graded_equal(N[0], parse_graded("-r*dtheta", N[0].table))
+    assert graded_equal(N[1], parse_graded("dr/r", N[1].table))
+    DX = _covariant_derivative(gamma, X)
     assert canonical_equal(DX[0][1], _p("-r"))
     assert canonical_equal(DX[1][0], _p("1/r"))
     assert is_zero_expr(DX[0][0])
@@ -234,14 +246,14 @@ def test_covariant_derivative_flat_cases():
     gamma = christoffel(g)
     # Euler field: (DX)^a_b = d_b X^a = identity
     X = VectorFieldM(ch, (_p("x"), _p("y")))
-    DX = covariant_derivative(gamma, X)
+    DX = _covariant_derivative(gamma, X)
     for a in range(2):
         for b in range(2):
             want = _p("1") if a == b else _p("0")
             assert canonical_equal(DX[a][b], want)
     # constant field: zero matrix
     C = VectorFieldM(ch, (_p("3"), _p("-1")))
-    DC = covariant_derivative(gamma, C)
+    DC = _covariant_derivative(gamma, C)
     assert all(is_zero_expr(DC[a][b]) for a in range(2) for b in range(2))
 
 
@@ -249,7 +261,7 @@ def test_covariant_derivative_of_time_direction():
     g = misner_metric()
     gamma = christoffel(g)
     X = VectorFieldM(g.chart, (_p("1"), _p("0")))
-    DX = covariant_derivative(gamma, X)
+    DX = _covariant_derivative(gamma, X)
     for a in range(2):
         for c in range(2):
             assert canonical_equal(DX[a][c], gamma.entry(a, 0, c)), (

@@ -1,3 +1,4 @@
+import json
 import random
 import time
 from fractions import Fraction
@@ -43,6 +44,7 @@ from supersasaki.sasakilift import (
     ptm_table,
     random_base_field,
     random_field,
+    split_field,
     vector_field_on_base,
     velocity_name,
     vertical_lift,
@@ -56,6 +58,7 @@ from supersasaki.symexpr import (
     Var,
     ZERO,
     canonical_text,
+    differentiate,
     eval_numeric,
     parse_expr,
     simplify,
@@ -64,6 +67,10 @@ from supersasaki.symexpr import (
 SEED = 1108
 SPECS = Path(__file__).resolve().parents[1] / "specs"
 SHIPPED = sorted(p.stem for p in SPECS.glob("*.json"))
+SHIPPED_2D = tuple(
+    name for name in SHIPPED
+    if len(json.loads((SPECS / f"{name}.json").read_text())["coords"]) == 2
+)
 PROPERTY_SETTINGS = settings(max_examples=40, derandomize=True, deadline=None)
 
 
@@ -443,6 +450,34 @@ def test_closed_form_equals_the_expanded_sum(name, kind, parities, seed):
         X = first(random_base_field(lift.chart, rng))
         Y = second(random_base_field(lift.chart, rng))
     assert pairing_closed_form(X, Y, lift).terms == _expanded_closed_form(X, Y, lift).terms
+
+
+def _tree_split_of_lie_derivative(X, lift):
+    """dx^b (d_b X^a + X^c Gamma^a_{cb}): the covariant derivative of X in
+    trees, simplified entry by entry and read as one one-form per a."""
+    coords = lift.chart.coords
+    return [
+        GradedExpr.linear(lift.ptm, [
+            (odd_fiber_name(xb), simplify(Add.of(
+                differentiate(Xa, xb),
+                *(Mul.of(Xc, lift.gamma.entry(a, c, b)) for c, Xc in enumerate(X.components)),
+            )))
+            for b, xb in enumerate(coords)
+        ])
+        for a, Xa in enumerate(X.components)
+    ]
+
+
+@PROPERTY_SETTINGS
+@given(seed=st.integers(0, 2**16))
+def test_split_lie_derivative_is_the_covariant_derivative(seed):
+    rng = random.Random(seed)
+    for name in SHIPPED_2D:
+        lift = _shipped_lift(name)
+        X = random_base_field(lift.chart, rng)
+        got = split_field(lie_derivative(X), lift.gamma)
+        want = _tree_split_of_lie_derivative(X, lift)
+        assert [N.terms for N in got] == [N.terms for N in want], name
 
 
 _FOLD_TABLE = GeneratorTable.of(("x", EVEN), ("y", EVEN), ("p", ODD), ("q", ODD), ("r", ODD))

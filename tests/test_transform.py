@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -48,6 +49,8 @@ from supersasaki.symexpr import (
     substitute,
 )
 from supersasaki.symexpr.canonical import to_canonical
+from supersasaki import transform
+from supersasaki.cli import main
 from supersasaki.report import CheckOutcome
 from supersasaki.specfiles import load_geometry, load_map
 from supersasaki.transform import (
@@ -167,6 +170,35 @@ def test_prolongation_to_the_odd_tangent_bundle():
         assert pulled.table == ptm
         via_full = pullback(psi, extend_to(f, tptm_table(psi.target)))
         assert graded_equal(extend_to(pulled, tptm), via_full, cfg), psi.name
+
+
+def test_prolong_builds_once_per_map_and_table():
+    psi, twin, other = polar_to_cartesian(), polar_to_cartesian(), rotation("1")
+    for table in (ptm_table(psi.source), tptm_table(psi.source)):
+        assert prolong(psi, table) is prolong(psi, table)
+        assert prolong(twin, table) is not prolong(psi, table)
+    assert prolong(psi, ptm_table(psi.source)) is not prolong(psi, tptm_table(psi.source))
+    table = tptm_table(other.source)
+    assert not graded_equal(prolong(other, table)["x"], prolong(rotation("1/2"), table)["x"])
+
+
+@pytest.mark.parametrize("suite, calls", [("naturality", 8), ("invariance", 10)])
+def test_a_chart_change_job_prolongs_its_map_once_per_table(capsys, suite, calls):
+    # polar -> euclidean2. naturality: one tptm prolongation (d and T give 6
+    # operator applications) and one ptm prolongation (2). invariance: the
+    # ptm prolongation once, plus one application per target coordinate in
+    # each of the four pulled-back fields (8).
+    with mock.patch.object(
+        transform, "apply_first_order", side_effect=transform.apply_first_order
+    ) as spy:
+        code = main([
+            "check", str(SPECS / "polar.json"), "--suite", suite,
+            "--map", str(SPECS / "maps" / "polar_to_cartesian.json"),
+            "--target", str(SPECS / "euclidean2.json"),
+        ])
+    capsys.readouterr()
+    assert code == 0
+    assert spy.call_count == calls
 
 
 def test_prolongation_on_a_line():
