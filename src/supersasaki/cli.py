@@ -45,7 +45,6 @@ from .cartan import (
     verify_proposition,
 )
 from .geometry import (
-    GeometryError,
     VectorFieldM,
     acs_candidate,
     christoffel,
@@ -57,7 +56,6 @@ from .geometry import (
 from .grassmann import (
     EVEN,
     ODD,
-    GradedError,
     GradedExpr,
     graded_to_text,
     gsubstitute,
@@ -77,18 +75,17 @@ from .sasakilift import (
     velocity_name,
 )
 from .specfiles import (
+    INPUT_ERRORS,
     GeometrySpec,
     SpecError,
     load_base_field,
     load_geometry,
     load_map,
     load_ptm_field,
+    naming,
 )
 from .symexpr import (
-    EvalError,
     OracleConfig,
-    OracleError,
-    ParseError,
     ONE,
     Var,
     ZERO,
@@ -102,13 +99,6 @@ from .transform import (
     check_naturality,
     pairing_invariance,
     preserves,
-)
-
-# unusable input (exit 2): bad files and specs, and chart data the engine
-# cannot evaluate on its sample domain or parse within the recursion limit
-_INPUT_ERRORS = (
-    SpecError, ParseError, GeometryError, GradedError, OSError,
-    EvalError, OracleError, ZeroDivisionError, RecursionError,
 )
 
 
@@ -320,7 +310,7 @@ def _parse_field_arg(
     text: str, spec: GeometrySpec, what: str
 ):
     """FIELD argument -> a ptm vector field (see module docstring); a bad
-    argument's SpecError names the flag `what`."""
+    argument's error names the flag `what`."""
     chart = spec.chart
     if text == "deRham":
         return de_rham(chart), "deRham"
@@ -332,7 +322,7 @@ def _parse_field_arg(
         raise SpecError(
             f"{what}: expected deRham, interior:..., lie:..., or raw:..., got {text!r}"
         )
-    try:
+    with naming(what):
         if prefix == "raw":
             return load_ptm_field(payload, chart), f"raw field from {payload}"
         if payload.endswith(".json"):
@@ -341,8 +331,6 @@ def _parse_field_arg(
         else:
             base = load_base_field({"components": payload.split(",")}, chart)
             label = f"{prefix}({payload})"
-    except SpecError as exc:
-        raise SpecError(f"{what}: {exc}") from exc
     return (interior(base) if prefix == "interior" else lie_derivative(base)), label
 
 
@@ -358,10 +346,8 @@ def cmd_pair(args: argparse.Namespace, spec: GeometrySpec) -> RunReport:
     via = pairing_via_lift(X, Y, lift)
     closed = pairing_closed_form(X, Y, lift)
     for key, value in (("pairing (vertical lift)", via), ("pairing (closed form)", closed)):
-        try:
+        with naming(key):
             report.values[key] = graded_to_text(value)
-        except EvalError as exc:
-            raise EvalError(f"{key}: {exc}") from exc
     report.rows.append(
         residual_outcome("vertical lift and closed form agree", [via], [closed], cfg)
     )
@@ -482,8 +468,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             report = _SUITES[args.suite](args, spec)
         else:
             report = _COMMANDS[args.command](args, spec)
-    except _INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except INPUT_ERRORS as error:
+        print(f"error: {error}", file=sys.stderr)
         return 2
     report.elapsed = time.perf_counter() - started
     renderer = render_structured if args.format == "structured" else render_text

@@ -75,9 +75,6 @@ def odd_fiber_name(coord: str) -> str:
 def velocity_name(coord: str) -> str:
     return coord + "dot"
 
-def odd_velocity_name(coord: str) -> str:
-    return velocity_name(odd_fiber_name(coord))
-
 def classical_fiber_name(coord: str) -> str:
     return "delta_" + coord
 

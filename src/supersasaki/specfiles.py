@@ -14,11 +14,11 @@ Geometry document:
       "reference_sasaki": "2*tdot*phidot + ..."
     }
 
-omega and everything from "notes" down are optional. The reference_*
-fields hold independently published values for the same chart; all are
-parsed at load (reference_nabla and reference_sasaki over the chart's
-tptm generators), and commands print deltas against them but never force
-agreement.
+omega and everything from "notes" down are optional, and every key of
+sample_domain must be a coordinate. The reference_* fields hold
+independently published values for the same chart; all are parsed at load
+(reference_nabla and reference_sasaki over the chart's tptm generators),
+and commands print deltas against them but never force agreement.
 
 Vector field document (or inline dict):
 
@@ -38,11 +38,12 @@ may mention only the chart coordinates.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import math
 import os
-from typing import Any, Mapping
+from typing import Any, Iterator, Mapping
 
 from .geometry import (
     AlmostSymplectic,
@@ -58,13 +59,35 @@ from .grassmann import (
 )
 from .sasakilift import VectorFieldPTM, classical_table, ptm_table, tptm_table
 from .symexpr import (
-    Const, EvalError, Expr, ParseError, eval_numeric, parse_expr, simplify, to_text,
+    Const, EvalError, Expr, OracleError, ParseError, eval_numeric, parse_expr, simplify,
+    to_text,
 )
 from .transform import SmoothMap
 
 
 class SpecError(ValueError):
     """A spec document that does not satisfy its schema."""
+
+
+# unusable input (exit 2): bad files and specs, and chart data the engine
+# cannot evaluate on its sample domain or parse within the recursion limit
+INPUT_ERRORS = (
+    SpecError, ParseError, GeometryError, GradedError, OSError,
+    EvalError, OracleError, ZeroDivisionError, RecursionError,
+)
+
+
+@contextlib.contextmanager
+def naming(where: str) -> Iterator[None]:
+    """Turn unusable input raised inside the block into a SpecError that
+    names `where`, the entry, map, flag or value at fault. Any other
+    exception, a programming error, passes through unchanged."""
+    try:
+        yield
+    except RecursionError:
+        raise SpecError(f"{where}: expression nested too deeply") from None
+    except INPUT_ERRORS as exc:
+        raise SpecError(f"{where}: {exc}") from exc
 
 
 def _load_document(
@@ -87,33 +110,23 @@ def _load_document(
     return doc
 
 
-def _parse_entry(text: Any, vocabulary: list[str], where: str) -> Expr:
+def _parse_entry(
+    text: Any, vocabulary: list[str] | GeneratorTable, where: str
+) -> Expr | GradedExpr:
+    """The entry `where` as an expression over the chart coordinates, or as
+    a graded expression when `vocabulary` is a generator table."""
     if not isinstance(text, str):
         raise SpecError(f"{where} must be an expression string, got {text!r}")
-    try:
-        tree = parse_expr(text, vocabulary)
-        # refuses a zero denominator, or a constant too long to print, while
-        # the entry has a name
-        to_text(simplify(tree))
-        return tree
-    except (ParseError, ZeroDivisionError, EvalError) as exc:
-        raise SpecError(f"{where}: {exc}") from exc
-    except RecursionError:
-        raise SpecError(f"{where}: expression nested too deeply") from None
-
-
-def _parse_graded_entry(text: Any, table: GeneratorTable, where: str) -> GradedExpr:
-    if not isinstance(text, str):
-        raise SpecError(f"{where} must be an expression string, got {text!r}")
-    try:
-        value = parse_graded(text, table)
-        # refuses a constant too long to print while the entry has a name
-        graded_to_text(value)
-        return value
-    except (ParseError, GradedError, ZeroDivisionError, EvalError) as exc:
-        raise SpecError(f"{where}: {exc}") from exc
-    except RecursionError:
-        raise SpecError(f"{where}: expression nested too deeply") from None
+    with naming(where):
+        # printing refuses a zero denominator, or a constant too long to
+        # print, while the entry has a name
+        if isinstance(vocabulary, GeneratorTable):
+            value = parse_graded(text, vocabulary)
+            graded_to_text(value)
+        else:
+            value = parse_expr(text, vocabulary)
+            to_text(simplify(value))
+    return value
 
 
 def _value(forms: tuple[Expr, Expr], point: dict[str, float]) -> float:
@@ -162,7 +175,7 @@ def _check_on_grid(chart: Chart, key: str, written: Matrix, matrix: Matrix) -> N
 
 class GeometrySpec:
     __slots__ = (
-        "name", "chart", "metric", "omega", "notes",
+        "name", "chart", "metric", "omega",
         "reference_christoffel", "reference_nabla", "reference_sasaki",
     )
 
@@ -172,7 +185,6 @@ class GeometrySpec:
         chart: Chart,
         metric: MetricTensor,
         omega: AlmostSymplectic | None,
-        notes: str,
         reference_christoffel: tuple[tuple[str, str, str, Expr], ...] | None,
         reference_nabla: Mapping[str, GradedExpr] | None,
         reference_sasaki: GradedExpr | None,
@@ -181,7 +193,6 @@ class GeometrySpec:
         self.chart = chart
         self.metric = metric
         self.omega = omega
-        self.notes = notes
         self.reference_christoffel = reference_christoffel
         self.reference_nabla = reference_nabla
         self.reference_sasaki = reference_sasaki
@@ -227,14 +238,14 @@ def load_geometry(
                 f"geometry {name!r}: sample_domain[{c!r}] must be [lo, hi] with lo < hi"
             )
         intervals[c] = (float(box[0]), float(box[1]))
-    try:
-        chart = Chart(tuple(coords), intervals, name=name)
+    # a sample_domain key that is no coordinate reaches Chart's own check
+    unknown = {k: v for k, v in domain.items() if k not in intervals}
+    with naming(f"geometry {name!r}"):
+        chart = Chart(tuple(coords), {**intervals, **unknown}, name=name)
         # the ptm, tptm and classical tables refuse coordinates whose derived
         # generator names collide, such as x with dx, xdot or delta_x
         tptm = tptm_table(chart)
         classical_table(chart)
-    except (GeometryError, GradedError) as exc:
-        raise SpecError(f"geometry {name!r}: {exc}") from exc
 
     n = len(coords)
     vocab = list(coords)
@@ -253,10 +264,8 @@ def load_geometry(
             tuple(_parse_entry(e, vocab, f"{name}.{key}[{i}][{j}]") for j, e in enumerate(row))
             for i, row in enumerate(rows)
         )
-        try:
+        with naming(f"geometry {name!r}"):
             tensor = kind(chart, written)
-        except GeometryError as exc:
-            raise SpecError(f"geometry {name!r}: {exc}") from exc
         _check_on_grid(chart, key, written, tensor.matrix)
         return tensor
 
@@ -269,8 +278,7 @@ def load_geometry(
             )
         omega = load_tensor("omega", AlmostSymplectic)
 
-    notes = doc.get("notes", "")
-    if not isinstance(notes, str):
+    if not isinstance(doc.get("notes", ""), str):
         raise SpecError(f"geometry {name!r}: 'notes' must be a string")
 
     ref_gamma = None
@@ -307,20 +315,19 @@ def load_geometry(
                 f"geometry {name!r}: reference_nabla maps coordinates to strings"
             )
         ref_nabla = {
-            c: _parse_graded_entry(text, tptm, f"{name}.reference_nabla[{c}]")
+            c: _parse_entry(text, tptm, f"{name}.reference_nabla[{c}]")
             for c, text in raw.items()
         }
 
     ref_sasaki = None
     if "reference_sasaki" in doc:
-        ref_sasaki = _parse_graded_entry(doc["reference_sasaki"], tptm, f"{name}.reference_sasaki")
+        ref_sasaki = _parse_entry(doc["reference_sasaki"], tptm, f"{name}.reference_sasaki")
 
     return GeometrySpec(
         name=name,
         chart=chart,
         metric=metric,
         omega=omega,
-        notes=notes,
         reference_christoffel=ref_gamma,
         reference_nabla=ref_nabla,
         reference_sasaki=ref_sasaki,
@@ -363,12 +370,10 @@ def load_ptm_field(
         if not isinstance(rows, list) or len(rows) != chart.dim:
             raise SpecError(f"ptm field needs {chart.dim} '{key}' strings")
         coefficients += (
-            _parse_graded_entry(text, table, f"field.{key}[{i}]") for i, text in enumerate(rows)
+            _parse_entry(text, table, f"field.{key}[{i}]") for i, text in enumerate(rows)
         )
-    try:
+    with naming("ptm field"):
         return VectorFieldPTM(table, tuple(coefficients), parity)
-    except GradedError as exc:
-        raise SpecError(f"ptm field: {exc}") from exc
 
 
 def load_map(
@@ -405,7 +410,7 @@ def load_map(
         inverse = tuple(
             _parse_entry(e, tvocab, f"{name}.inverse[{i}]") for i, e in enumerate(raw)
         )
-    try:
+    with naming(f"map {name!r}"):
         return SmoothMap(
             source_geometry.chart,
             target_geometry.chart,
@@ -413,5 +418,3 @@ def load_map(
             inverse,
             name=name,
         )
-    except GeometryError as exc:
-        raise SpecError(f"map {name!r}: {exc}") from exc

@@ -24,19 +24,13 @@ from .expr import (
     Var,
     ZERO,
     as_expr,
-    cos,
     eval_numeric,
-    exp,
     free_vars,
-    ln,
     neg,
-    sin,
-    sqrt,
     substitute,
     to_text,
 )
 from .oracle import (
-    Assignment,
     Interval,
     OracleConfig,
     OracleError,
@@ -47,12 +41,12 @@ from .oracle import (
 from .parser import ParseError, UnknownIdentifierError, parse_expr
 
 __all__ = [
-    "Add", "Assignment", "Call", "Const", "Div", "EvalError", "Expr",
+    "Add", "Call", "Const", "Div", "EvalError", "Expr",
     "FUNCTIONS", "Interval", "MONOMIAL_ORDER_NOTE", "Mul", "ONE",
     "OracleConfig", "OracleError",
     "ParseError", "Pow", "UnknownIdentifierError", "Var", "Witness", "ZERO",
-    "as_expr", "canonical_equal", "canonical_text", "cos",
-    "differentiate", "eval_numeric", "exp", "expr_equal", "free_vars",
-    "is_zero_expr", "ln", "neg", "parse_expr", "sample_compare", "simplify",
-    "sin", "sqrt", "substitute", "to_text",
+    "as_expr", "canonical_equal", "canonical_text",
+    "differentiate", "eval_numeric", "expr_equal", "free_vars",
+    "is_zero_expr", "neg", "parse_expr", "sample_compare", "simplify",
+    "substitute", "to_text",
 ]

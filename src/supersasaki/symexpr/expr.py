@@ -190,26 +190,6 @@ def neg(e: Expr) -> Expr:
     return Mul.of(Const(Fraction(-1)), e)
 
 
-def sin(e: Expr) -> Expr:
-    return Call("sin", e)
-
-
-def cos(e: Expr) -> Expr:
-    return Call("cos", e)
-
-
-def exp(e: Expr) -> Expr:
-    return Call("exp", e)
-
-
-def sqrt(e: Expr) -> Expr:
-    return Call("sqrt", e)
-
-
-def ln(e: Expr) -> Expr:
-    return Call("ln", e)
-
-
 # ---------------------------------------------------------------------------
 # printing
 

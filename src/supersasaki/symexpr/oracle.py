@@ -15,7 +15,6 @@ from typing import Mapping
 from .canonical import canonical_equal
 from .expr import EvalError, Expr, eval_numeric, free_vars
 
-Assignment = Mapping[str, float]
 Interval = tuple[float, float]
 
 DEFAULT_SAMPLES = 50

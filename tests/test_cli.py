@@ -476,6 +476,9 @@ def test_input_errors_exit_2(capsys, tmp_path):
          "varcoef': sample_domain['u'] must be [lo, hi] with lo < hi"),
         ("sasaki", dict(flat, sample_domain={"x": [True, 2], "y": [-1.0, 1.0]}),
          "euclidean2': sample_domain['x'] must be [lo, hi] with lo < hi"),
+        # every sample_domain key must be a coordinate
+        ("sasaki", dict(flat, sample_domain={"x": [-1, 1], "y": [-1, 1], "yy": [5, 6]}),
+         "geometry 'euclidean2': interval given for unknown coordinate 'yy'"),
     ):
         path = tmp_path / f"{doc['name']}.json"
         path.write_text(json.dumps(doc).replace("Infinity", "1e309"))
@@ -483,6 +486,19 @@ def test_input_errors_exit_2(capsys, tmp_path):
         assert code == 2, where
         assert err.startswith("error:") and where in err, err
         assert len(err.splitlines()) == 1, err
+
+    # an inverse that cannot be sampled on the box names its map
+    bad_inverse = tmp_path / "bad_inverse.json"
+    bad_inverse.write_text(json.dumps({
+        "name": "bad_inverse", "source": "euclidean2", "target": "euclidean2",
+        "components": ["x", "y"], "inverse": ["sqrt(-x - 10)", "y"],
+    }))
+    code, out, err = _run(
+        capsys, "check", SPECS / "euclidean2.json", "--suite", "naturality", "--map", bad_inverse
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: map 'bad_inverse': could not collect"), err
+    assert len(err.splitlines()) == 1, err
 
     # an entry loads where its written or its canonical form is defined:
     # the canonical forms (sqrt(x^2 + 1) - 1)/x^2 and (1 - sin(x))/cos(x)^2

@@ -7,13 +7,15 @@ from supersasaki.geometry import christoffel
 from supersasaki.grassmann import EVEN, ODD, GradedExpr, graded_equal, parse_graded
 from supersasaki.sasakilift import tptm_table
 from supersasaki.specfiles import (
+    INPUT_ERRORS,
     SpecError,
     load_base_field,
     load_geometry,
     load_map,
     load_ptm_field,
+    naming,
 )
-from supersasaki.symexpr import canonical_equal, parse_expr
+from supersasaki.symexpr import ParseError, canonical_equal, parse_expr
 
 GOOD = {
     "name": "demo",
@@ -55,12 +57,27 @@ def test_schema_violations():
         {**GOOD, "metric": [["1", "w"], ["w", "1"]]},  # unknown name
         {**GOOD, "sample_domain": {"u": [-1.0, 1.0]}},  # missing v
         {**GOOD, "sample_domain": {"u": [1.0, -1.0], "v": [0, 1]}},  # reversed
+        {**GOOD, "sample_domain": {**GOOD["sample_domain"], "uu": [5, 6]}},  # no coord
         {**GOOD, "omega": [["0", "-1"]]},
         {**GOOD, "name": ""},
     ]
     for doc in bad_cases:
         with pytest.raises(SpecError):
             load_geometry(doc)
+
+
+def test_naming_names_every_input_fault_and_nothing_else():
+    for kind in INPUT_ERRORS:
+        fault = kind("boom", 3) if kind is ParseError else kind("boom")
+        with pytest.raises(SpecError) as caught:
+            with naming("demo.metric[0][0]"):
+                raise fault
+        detail = "expression nested too deeply" if kind is RecursionError else str(fault)
+        assert str(caught.value) == f"demo.metric[0][0]: {detail}", kind
+    # a programming error is no input fault and keeps its own type and text
+    with pytest.raises(TypeError, match="^unsupported operand$"):
+        with naming("demo.metric[0][0]"):
+            raise TypeError("unsupported operand")
 
 
 def test_odd_dimension_rejects_two_form():

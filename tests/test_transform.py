@@ -29,7 +29,6 @@ from supersasaki.grassmann import (
 from supersasaki.sasakilift import (
     lift_geometry,
     odd_fiber_name,
-    odd_velocity_name,
     ptm_table,
     random_field,
     tptm_table,
@@ -241,9 +240,9 @@ def _expanded_prolong(psi, table):
             table, Add.of(*(Mul.of(xdot[b], J[alpha][b]) for b in range(n)))
         )
         H = _hessian(psi, alpha)
-        images[odd_velocity_name(yc)] = GradedExpr.linear(
+        images[velocity_name(odd_fiber_name(yc))] = GradedExpr.linear(
             table,
-            [(odd_velocity_name(xc), J[alpha][c]) for c, xc in enumerate(src)]
+            [(velocity_name(odd_fiber_name(xc)), J[alpha][c]) for c, xc in enumerate(src)]
             + [
                 (odd_fiber_name(xc), Add.of(*(Mul.of(xdot[b], H[c][b]) for b in range(n))))
                 for c, xc in enumerate(src)
