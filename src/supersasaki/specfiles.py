@@ -43,7 +43,7 @@ import itertools
 import json
 import math
 import os
-from typing import Any, Iterator, Mapping
+from typing import Any, Iterable, Iterator, Mapping
 
 from .geometry import (
     AlmostSymplectic,
@@ -138,32 +138,43 @@ def _value(forms: tuple[Expr, Expr], point: dict[str, float]) -> float:
         return eval_numeric(forms[1], point)
 
 
-def _check_on_grid(chart: Chart, key: str, written: Matrix, matrix: Matrix) -> None:
-    """Refuse chart data the engine cannot use on the sample domain: an
-    entry undefined at a grid point, or a matrix singular at the centre.
-    The grid is the centre, the 2^n corners, and the 9 points
-    lo + k(hi - lo)/8 along each axis through the centre. An entry is
-    undefined only where both its written and its canonical form are:
-    cancelling can remove a pole (x^2/x), and clearing a sin or sqrt from
-    a denominator can add a removable one ((sqrt(x^2 + 1) - 1)/x^2)."""
+def _check_defined(
+    chart: Chart, entries: Iterable[tuple[str, Expr, Expr]]
+) -> dict[str, float]:
+    """Refuse an entry the engine cannot evaluate on the sample domain, one
+    undefined at a grid point, and return the domain's centre. Each entry
+    is (label, written form, canonical form). The grid is the centre, the
+    2^n corners, and the 9 points lo + k(hi - lo)/8 along each axis through
+    the centre. An entry is undefined only where both its written and its
+    canonical form are: cancelling can remove a pole (x^2/x), and clearing
+    a sin or sqrt from a denominator can add a removable one
+    ((sqrt(x^2 + 1) - 1)/x^2)."""
     boxes = chart.intervals
     centre = {c: (lo + hi) / 2 for c, (lo, hi) in boxes.items()}
     grid = [centre]
     grid += [dict(zip(boxes, corner)) for corner in itertools.product(*boxes.values())]
     for c, (lo, hi) in boxes.items():
         grid += [{**centre, c: lo + k * (hi - lo) / 8} for k in range(9)]
+    for label, written, canonical in entries:
+        # a constant is defined everywhere or nowhere
+        for point in (centre,) if isinstance(canonical, Const) else grid:
+            try:
+                _value((written, canonical), point)
+            except EvalError as exc:
+                raise SpecError(
+                    f"{label} is undefined at the point {point} of sample_domain: {exc}"
+                ) from None
+    return centre
+
+
+def _check_on_grid(chart: Chart, key: str, written: Matrix, matrix: Matrix) -> None:
+    """Refuse a tensor with an entry undefined on the sample domain or a
+    matrix singular at its centre."""
     entries = [list(zip(*rows)) for rows in zip(written, matrix)]
-    for i, row in enumerate(entries):
-        for j, forms in enumerate(row):
-            # a constant is defined everywhere or nowhere
-            for point in (centre,) if isinstance(forms[1], Const) else grid:
-                try:
-                    _value(forms, point)
-                except EvalError as exc:
-                    raise SpecError(
-                        f"{chart.name}.{key}[{i}][{j}] is undefined at the point "
-                        f"{point} of sample_domain: {exc}"
-                    ) from None
+    centre = _check_defined(chart, (
+        (f"{chart.name}.{key}[{i}][{j}]", *forms)
+        for i, row in enumerate(entries) for j, forms in enumerate(row)
+    ))
     try:
         invert_numeric([[_value(forms, centre) for forms in row] for row in entries])
     except GeometryError:
@@ -396,8 +407,10 @@ def load_map(
     if not isinstance(comps, list) or len(comps) != target_geometry.chart.dim:
         raise SpecError(f"map {name!r} needs {target_geometry.chart.dim} components")
     vocab = list(source_geometry.chart.coords)
-    parsed = tuple(
-        _parse_entry(e, vocab, f"{name}.components[{i}]") for i, e in enumerate(comps)
+    labels = [f"{name}.components[{i}]" for i in range(len(comps))]
+    parsed = tuple(_parse_entry(e, vocab, label) for e, label in zip(comps, labels))
+    _check_defined(
+        source_geometry.chart, ((label, e, simplify(e)) for label, e in zip(labels, parsed))
     )
     inverse = None
     if "inverse" in doc:

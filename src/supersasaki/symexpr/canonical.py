@@ -10,8 +10,10 @@ canonical arguments), with:
   * each sin or sqrt atom s cleared from a denominator d0 + d1*s,
     outermost first, by multiplying num and den by d0 - d1*s; an atom whose
     norm d0^2 - d1^2*s^2 rewrites to zero, as for sqrt(x^2) - x, stays,
-  * the gcd of num and den cancelled (primitive PRS over the integers,
-    after images modulo a prime that prove most coprime pairs coprime),
+  * the gcd of num and den cancelled by poly_gcd, which takes out their
+    shared monomial, then each content in the main atom, and runs the
+    primitive PRS over the integers on the rest unless images modulo a
+    prime prove the pair coprime,
   * the pair primitive: integer coefficients with joint content 1, and the
     denominator's leading coefficient (under graded lex) positive.
 
@@ -49,6 +51,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache, reduce
+from itertools import chain
 from typing import Iterable
 
 from .expr import (
@@ -243,23 +246,20 @@ def _positive_lead(p: Poly) -> Poly:
     return p
 
 
-def _div_int(p: Poly, k: int) -> Poly:
-    if k == 1:
-        return p
-    out: dict[Monomial, int] = {}
-    for m, c in p.terms.items():
-        q, r = divmod(c, k)
-        if r:
-            raise ArithmeticError("inexact polynomial division")
-        out[m] = q
-    return Poly(out)
-
-
 def _div_exact(p: Poly, g: Poly) -> Poly:
-    """Exact division over the integers; raises if g does not divide p."""
-    if g.is_const():
-        return _div_int(p, g.const_value())
+    """Exact division over the integers; raises if g does not divide p. A
+    one-term g divides term by term."""
     out: dict[Monomial, int] = {}
+    if len(g.terms) == 1:
+        ((gm, k),) = g.terms.items()
+        if g == _POLY_ONE:
+            return p
+        for m, c in p.terms.items():
+            t, (q, rem) = (_mono_div(m, gm) if gm else m), divmod(c, k)
+            if t is None or rem:
+                raise ArithmeticError("inexact polynomial division")
+            out[t] = q
+        return Poly(out)
     r = p
     glead = g.lead()
     gcoeff = g.terms[glead]
@@ -323,13 +323,11 @@ def _prem(A: dict[int, Poly], B: dict[int, Poly]) -> dict[int, Poly]:
     return R
 
 
-def _primitive_view(R: dict[int, Poly]) -> dict[int, Poly]:
-    if not R:
-        return R
+def _content_split(R: dict[int, Poly]) -> tuple[Poly, dict[int, Poly]]:
+    """The content of a univariate view, the gcd of its coefficients, and
+    its primitive part."""
     c = _fold_gcd(R.values())
-    if c.is_const() and c.const_value() == 1:
-        return R
-    return {d: _div_exact(p, c) for d, p in R.items()}
+    return c, {d: _div_exact(p, c) for d, p in R.items()}
 
 
 _PRIME = (1 << 61) - 1
@@ -381,29 +379,47 @@ def _coprime(a: Poly, b: Poly) -> bool:
     return True
 
 
+def _common_mono(monos: Iterable[Monomial]) -> Monomial:
+    """The monomial that divides every one of monos, a nonempty iterable."""
+    it = iter(monos)
+    common = next(it)
+    for m in it:
+        if not common:
+            break
+        d = dict(m)
+        common = tuple((atom, min(e, d[atom])) for atom, e in common if atom in d)
+    return common
+
+
+def _shared_monomial(a: Poly, b: Poly) -> Monomial:
+    """The monomial that divides every term of a and of b."""
+    return _common_mono(chain(a.terms, b.terms))
+
+
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Gcd over the integers: the integer gcd of the contents times the
-    primitive gcd, with positive lead."""
+    """Gcd over the integers with positive lead, the one place a common
+    factor is split into its parts: the monomial shared by every term of a
+    and b (a monomial order keeps the lead positive), then the gcd of the
+    contents in the least atom v times the primitive PRS in v, unless
+    images modulo a prime prove the gcd constant."""
     if a.is_zero():
         return _positive_lead(b)
     if b.is_zero():
         return _positive_lead(a)
+    m = _shared_monomial(a, b)
+    if m:
+        x = Poly({m: 1})
+        return poly_gcd(_div_exact(a, x), _div_exact(b, x)) * x
     if a.is_const() or b.is_const() or _coprime(a, b):
         return Poly.const(math.gcd(_int_content(a), _int_content(b)))
     v = min(a.atoms() | b.atoms())
-    A = _coeffs_in(a, v)
-    B = _coeffs_in(b, v)
-    ca = _fold_gcd(A.values())
-    cb = _fold_gcd(B.values())
+    ca, PA = _content_split(_coeffs_in(a, v))
+    cb, PB = _content_split(_coeffs_in(b, v))
     c = poly_gcd(ca, cb)
-    PA = {d: _div_exact(p, ca) for d, p in A.items()}
-    PB = {d: _div_exact(p, cb) for d, p in B.items()}
     if max(PA) < max(PB):
         PA, PB = PB, PA
     while PB:
-        R = _prem(PA, PB)
-        PA = PB
-        PB = _primitive_view(R)
+        PA, (_, PB) = PB, _content_split(_prem(PA, PB))
     if max(PA) == 0:
         return _positive_lead(c)
     return _positive_lead(c * _recompose(PA, v))
@@ -494,19 +510,15 @@ def canonicalize(num: Poly, den: Poly) -> tuple[Poly, Poly]:
         raise ZeroDivisionError("division by an expression that is identically zero")
     if num.is_zero():
         return _ZERO_PAIR
-    if not den.is_const():
-        # strip any common monomial factor, cheap and frequent (powers of r etc.)
-        num, den = _cancel(*_cancel_monomial(num, den))
-    return _primitive_pair(num, den)
+    return _primitive_pair(*_cancel(num, den))
 
 
 def _cancel(p: Poly, q: Poly) -> tuple[Poly, Poly]:
-    """p and q divided by their gcd; a constant q is left to the integer
-    content step of _primitive_pair, a one-term q shares only a monomial."""
+    """p and q divided by their gcd, which poly_gcd splits into its shared
+    monomial, contents and primitive part; a constant q is left to the
+    integer content step of _primitive_pair."""
     if q.is_const():
         return p, q
-    if len(q.terms) == 1:
-        return _cancel_monomial(p, q)
     g = poly_gcd(p, q)
     if g.is_const():
         return p, q
@@ -518,7 +530,9 @@ def _primitive_pair(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     k = math.gcd(_int_content(num), _int_content(den))
     if den.terms[den.lead()] < 0:
         k = -k
-    return _div_int(num, k), _div_int(den, k)
+    if k == 1:
+        return num, den
+    return _div_exact(num, Poly.const(k)), _div_exact(den, Poly.const(k))
 
 
 # ---------------------------------------------------------------------------
@@ -653,42 +667,6 @@ def diff_pair(pair: tuple[Poly, Poly], name: str) -> tuple[Poly, Poly]:
     top, g = _cancel(top, g)
     top, c = _cancel(top, c)
     return _settled(_primitive_pair(top, c * g * e * e))
-
-
-def _common_mono(p: Poly) -> Monomial:
-    it = iter(p.terms)
-    common = next(it)
-    for m in it:
-        if not common:
-            break
-        merged: list[tuple[Expr, int]] = []
-        d = dict(m)
-        for atom, e in common:
-            if atom in d:
-                merged.append((atom, min(e, d[atom])))
-        common = tuple(merged)
-    return common
-
-
-def _cancel_monomial(num: Poly, den: Poly) -> tuple[Poly, Poly]:
-    shared_candidates = dict(_common_mono(den))
-    if not shared_candidates:
-        return num, den
-    num_common = dict(_common_mono(num))
-    shared: Monomial = tuple(
-        (atom, min(e, num_common[atom]))
-        for atom, e in shared_candidates.items()
-        if atom in num_common
-    )
-    if not shared:
-        return num, den
-    new_num = {}
-    for m, c in num.terms.items():
-        new_num[_mono_div(m, shared)] = c
-    new_den = {}
-    for m, c in den.terms.items():
-        new_den[_mono_div(m, shared)] = c
-    return Poly(new_num), Poly(new_den)
 
 
 # ---------------------------------------------------------------------------

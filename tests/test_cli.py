@@ -500,6 +500,21 @@ def test_input_errors_exit_2(capsys, tmp_path):
     assert err.startswith("error: map 'bad_inverse': could not collect"), err
     assert len(err.splitlines()) == 1, err
 
+    # forward components are checked on the source box at load, naming the
+    # component, under every suite that reads the map
+    bad_forward = tmp_path / "bad_forward.json"
+    bad_forward.write_text(json.dumps({
+        "name": "bad_forward", "source": "euclidean2", "target": "euclidean2",
+        "components": ["sqrt(-x - 10)", "y"],
+    }))
+    for suite in ("naturality", "invariance"):
+        code, out, err = _run(
+            capsys, "check", SPECS / "euclidean2.json", "--suite", suite, "--map", bad_forward
+        )
+        assert code == 2 and out == "", suite
+        assert err.startswith("error: bad_forward.components[0] is undefined at the point"), err
+        assert len(err.splitlines()) == 1, err
+
     # an entry loads where its written or its canonical form is defined:
     # the canonical forms (sqrt(x^2 + 1) - 1)/x^2 and (1 - sin(x))/cos(x)^2
     # are 0/0 at the centre (floats give 0.0 at x = pi/2), and x^2/x is

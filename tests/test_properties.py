@@ -386,8 +386,10 @@ def test_poly_gcd_divides_both_arguments(p, q, c):
 
 
 def _prs_gcd(a, b):
-    """poly_gcd with the modular test switched off: the PRS alone."""
-    with mock.patch.object(canonical, "_coprime", lambda a, b: False):
+    """poly_gcd with the modular test and the monomial split switched off:
+    the PRS alone."""
+    with mock.patch.object(canonical, "_coprime", lambda a, b: False), \
+            mock.patch.object(canonical, "_shared_monomial", lambda a, b: ()):
         return poly_gcd(a, b)
 
 
@@ -399,6 +401,27 @@ def test_modular_test_skips_only_a_prs_that_ends_at_a_constant(p, q, c):
     assert poly_gcd(a, b) == _prs_gcd(a, b)
     if not (a.is_zero() or b.is_zero()) and canonical._coprime(a, b):
         assert _prs_gcd(a, b).is_const()
+
+
+@st.composite
+def monomials(draw, atoms=ATOMS + (Var("z"),)):
+    """A monomial in the atoms with coefficient 1, possibly 1 itself."""
+    return Poly({tuple((v, e) for v in atoms if (e := draw(st.integers(0, 3)))): 1})
+
+
+@PAIR_SETTINGS
+@given(
+    p=polys(ATOMS + (Var("z"),)), q=polys(ATOMS + (Var("z"),)), c=polys(ATOMS),
+    shared=monomials(), own=monomials(), k=st.integers(-2, 2),
+)
+def test_monomial_split_and_modular_test_give_the_prs_gcd(p, q, c, shared, own, k):
+    # a planted factor c and a monomial both sides share, a monomial only a
+    # has, and a constant term k inside b's cofactor
+    a, b = shared * own * c * p, shared * (c * q + Poly.const(k))
+    g = poly_gcd(a, b)
+    assert g == _prs_gcd(a, b)
+    if not (a.is_zero() or b.is_zero()):
+        assert _div_exact(g, shared) * shared == g
 
 
 def test_modular_test_declines_when_a_leading_coefficient_vanishes():
@@ -829,6 +852,16 @@ def test_add_pairs_cancels_the_new_numerator_against_the_shared_factor():
     one, x = Poly.const(1), _poly("x")
     assert add_pairs(_pair("y/(x*(x + y))"), _pair("1/(x + y)")) == (one, x)
     assert add_pairs(_pair("x/(x + y)"), _pair("y/(x + y)")) == (one, one)
+
+
+def test_canonicalize_cancels_a_shared_monomial_and_a_shared_polynomial():
+    # 4x^3 y (x + y)(x - 1) / (-6x^2 y^2 (x + y)(y + 2)) = -2x(x - 1)/(3y(y + 2))
+    x, y = _poly("x"), _poly("y")
+    shared = x * x * y * (x + y)
+    num = shared * x * (x - Poly.const(1)) * Poly.const(4)
+    den = shared * y * (y + Poly.const(2)) * Poly.const(-6)
+    reduced = (x * (x - Poly.const(1))).scale(-2), (y * (y + Poly.const(2))).scale(3)
+    assert canonicalize(num, den) == reduced
 
 
 def test_diff_pair_cancels_against_a_denominator_free_of_the_variable():
